@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 import scipy.special as sc
@@ -27,14 +26,18 @@ from .estimators import (
     ES_METHODS,
     GaussianParams,
     RiskLevel,
+    WindowStats,
     batch_es_capitals,
     batch_var_capitals,
     canonical_method,
     window_stats,
 )
-from .stats_core import SeededRng, _type7_sorted_rows, draw_gaussian
+from .stats_core import SeededRng, _type7_sorted_rows, as_sample, draw_gaussian
 
 MEASURES = ("var", "es", "both")
+# A replication chunk holds as many replications as fit this many estimation-window
+# cells (about 130 KB per float array), so memory stays flat in the replication count.
+_CHUNK_CELLS = 2**14
 
 
 @dataclass(frozen=True)
@@ -96,8 +99,11 @@ class WindowPairing:
 
 
 def split_windows(series, window: int) -> WindowPairing:
-    """Tile the series into floor(len/window) full windows, dropping the tail."""
-    values = np.asarray(getattr(series, "values", series), dtype=float)
+    """Tile the series into floor(len/window) full windows, dropping the tail.
+
+    A non-finite value raises :class:`DataError` naming its position.
+    """
+    values = as_sample(getattr(series, "values", series), 0, "series")
     window = int(window)
     if window < 2:
         raise ConfigError(f"window must be at least 2, got {window}")
@@ -111,6 +117,11 @@ def split_windows(series, window: int) -> WindowPairing:
     return WindowPairing(windows=tiled, dropped=int(values.size - count * window))
 
 
+def _exceedances(capitals, windows):
+    """Outcomes with outcome + capital < 0; capitals carry one value per window row."""
+    return windows + capitals[..., None] < 0.0
+
+
 def exceedance_rate(capitals, evaluation_windows) -> float:
     """Fraction of evaluation observations with outcome + capital < 0."""
     caps = np.asarray(capitals, dtype=float)
@@ -119,7 +130,7 @@ def exceedance_rate(capitals, evaluation_windows) -> float:
         raise DomainError(
             f"capitals {caps.shape} and evaluation windows {windows.shape} are not aligned"
         )
-    return float(np.count_nonzero(windows + caps[:, None] < 0.0) / windows.size)
+    return float(np.count_nonzero(_exceedances(caps, windows)) / windows.size)
 
 
 def bias_statistic(samples, capitals, alpha, measure: str = "var") -> float:
@@ -149,28 +160,39 @@ def bias_statistic(samples, capitals, alpha, measure: str = "var") -> float:
     return -float(tail.mean())
 
 
-def acerbi_z(var_capitals, es_capitals, evaluation_windows, alpha) -> float:
+def _z_undefined_reason(es_caps) -> str | None:
+    """Why the Z statistic of one group's ES capitals is undefined, or None."""
+    bad = np.flatnonzero(es_caps <= 0.0)
+    if bad.size == 0:
+        return None
+    row = int(bad[0])
+    return f"window {row}: non-positive ES capital {es_caps[row]!r}; Z statistic undefined"
+
+
+def acerbi_z(var_capitals, es_capitals, evaluation_windows, alpha):
     """Acerbi-Szekely "Test 2" statistic.
 
     Z = 1 + (1/(K-1)) sum_k (1/w) sum_j x_j^{k+1} 1{x_j^{k+1} + VaR^k < 0} / (alpha ES^k).
     Zero under correct tail modelling, negative under risk underestimation,
-    exactly 1 when no exceedance occurs.
+    exactly 1 when no exceedance occurs. A non-positive ES capital raises
+    :class:`DomainError`. With a leading group axis (capitals (G, K), windows
+    (G, K, w)) it returns one Z per group instead, NaN for a group with a
+    non-positive ES capital.
     """
     var_caps = np.asarray(var_capitals, dtype=float)
     es_caps = np.asarray(es_capitals, dtype=float)
     windows = np.asarray(evaluation_windows, dtype=float)
-    if windows.ndim != 2 or var_caps.shape != (windows.shape[0],) or es_caps.shape != var_caps.shape:
+    if windows.ndim not in (2, 3) or var_caps.shape != windows.shape[:-1] or es_caps.shape != var_caps.shape:
         raise DomainError("capitals and evaluation windows are not aligned")
-    if np.any(es_caps <= 0.0):
-        row = int(np.flatnonzero(es_caps <= 0.0)[0])
-        raise DomainError(
-            f"window {row}: non-positive ES capital {es_caps[row]!r}; Z statistic undefined"
-        )
+    if windows.ndim == 2 and (reason := _z_undefined_reason(es_caps)) is not None:
+        raise DomainError(reason)
     alpha = RiskLevel(alpha)
-    hits = windows + var_caps[:, None] < 0.0
-    w = windows.shape[1]
-    per_window = (windows * hits).sum(axis=1) / (w * float(alpha) * es_caps)
-    return float(1.0 + per_window.mean())
+    hits = _exceedances(var_caps, windows)
+    w = windows.shape[-1]
+    scale = np.where(es_caps > 0.0, es_caps, np.nan)
+    per_window = (windows * hits).sum(axis=-1) / (w * float(alpha) * scale)
+    z = 1.0 + per_window.mean(axis=-1)
+    return float(z) if z.ndim == 0 else z
 
 
 def var_score(forecast, outcome, alpha):
@@ -203,24 +225,29 @@ def joint_var_es_score(var_forecast, es_forecast, outcome, alpha):
     return float(score) if score.ndim == 0 else score
 
 
-def mean_score(forecasts, evaluation_windows, alpha, score: str = "var", es_forecasts=None) -> float:
-    """Double average (over windows, then observations) of a scoring function."""
+def mean_score(forecasts, evaluation_windows, alpha, score: str = "var", es_forecasts=None):
+    """Double average (over windows, then observations) of a scoring function.
+
+    With a leading group axis (forecasts (G, K), windows (G, K, w)) it returns
+    one score per group.
+    """
     x1 = np.asarray(forecasts, dtype=float)
     windows = np.asarray(evaluation_windows, dtype=float)
-    if windows.ndim != 2 or x1.shape != (windows.shape[0],):
+    if windows.ndim not in (2, 3) or x1.shape != windows.shape[:-1]:
         raise SizeError("forecasts and evaluation windows are not aligned")
     if score == "var":
-        values = var_score(x1[:, None], windows, alpha)
+        values = var_score(x1[..., None], windows, alpha)
     elif score == "joint":
         if es_forecasts is None:
             raise ConfigError("joint mean score needs es_forecasts")
         x2 = np.asarray(es_forecasts, dtype=float)
         if x2.shape != x1.shape:
             raise SizeError("es_forecasts and forecasts are not aligned")
-        values = joint_var_es_score(x1[:, None], x2[:, None], windows, alpha)
+        values = joint_var_es_score(x1[..., None], x2[..., None], windows, alpha)
     else:
         raise ConfigError(f"score must be 'var' or 'joint', got {score!r}")
-    return float(values.mean(axis=1).mean())
+    result = values.mean(axis=-1).mean(axis=-1)
+    return float(result) if result.ndim == 0 else result
 
 
 @dataclass(frozen=True)
@@ -240,16 +267,6 @@ class MethodResult:
     joint_mean_score: float | None = None
 
 
-_METHOD_CSV_FIELDS = (
-    "exceedance_rate",
-    "exceedance_count",
-    "bias_statistic",
-    "es_z_statistic",
-    "var_mean_score",
-    "joint_mean_score",
-)
-
-
 def _csv_cell(value) -> str:
     if value is None:
         return ""
@@ -258,42 +275,20 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-@dataclass(frozen=True)
-class BacktestReport:
-    """One series' backtest: statistics per method plus the config echo."""
+class _MethodTable:
+    """Serialisation shared by the reports: a config echo and one record per method.
 
-    series_name: str
-    config: BacktestConfig
-    window_count: int
-    evaluated_points: int
-    methods: dict
+    Each record's JSON form holds every field but ``method``; the CSV forms
+    hold the fields named in ``CSV_FIELDS``, in ``config.methods`` order.
+    """
 
-    def to_json_dict(self) -> dict:
-        return {
-            "type": "backtest_report",
-            "series": self.series_name,
-            "config": {
-                "alpha": self.config.alpha,
-                "window": self.config.window,
-                "measure": self.config.measure,
-                "methods": list(self.config.methods),
-                "gpd_threshold_quantile": self.config.gpd_threshold_quantile,
-            },
-            "window_count": self.window_count,
-            "evaluated_points": self.evaluated_points,
+    CSV_FIELDS: tuple = ()
+
+    def _json_dict(self, **head) -> dict:
+        return head | {
+            "config": dict(asdict(self.config), methods=list(self.config.methods)),
             "methods": {
-                tag: {
-                    "failed": r.failed,
-                    "failure": r.failure,
-                    "exceedance_rate": r.exceedance_rate,
-                    "exceedance_count": r.exceedance_count,
-                    "bias_statistic": r.bias_statistic,
-                    "bias_reason": r.bias_reason,
-                    "es_z_statistic": r.es_z_statistic,
-                    "es_z_reason": r.es_z_reason,
-                    "var_mean_score": r.var_mean_score,
-                    "joint_mean_score": r.joint_mean_score,
-                }
+                tag: {f.name: getattr(r, f.name) for f in fields(r) if f.name != "method"}
                 for tag, r in self.methods.items()
             },
         }
@@ -302,10 +297,10 @@ class BacktestReport:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
     def to_csv(self) -> str:
-        lines = ["method," + ",".join(_METHOD_CSV_FIELDS)]
+        lines = ["method," + ",".join(self.CSV_FIELDS)]
         for tag in self.config.methods:
             r = self.methods[tag]
-            cells = [_csv_cell(getattr(r, name)) for name in _METHOD_CSV_FIELDS]
+            cells = [_csv_cell(getattr(r, name)) for name in self.CSV_FIELDS]
             lines.append(tag + "," + ",".join(cells))
         return "\n".join(lines) + "\n"
 
@@ -313,11 +308,117 @@ class BacktestReport:
         lines = ["method,statistic,value"]
         for tag in self.config.methods:
             r = self.methods[tag]
-            for name in _METHOD_CSV_FIELDS:
+            for name in self.CSV_FIELDS:
                 value = getattr(r, name)
                 if value is not None:
                     lines.append(f"{tag},{name},{_csv_cell(value)}")
         return "\n".join(lines) + "\n"
+
+
+@dataclass(frozen=True)
+class BacktestReport(_MethodTable):
+    """One series' backtest: statistics per method plus the config echo."""
+
+    CSV_FIELDS = (
+        "exceedance_rate",
+        "exceedance_count",
+        "bias_statistic",
+        "es_z_statistic",
+        "var_mean_score",
+        "joint_mean_score",
+    )
+
+    series_name: str
+    config: BacktestConfig
+    window_count: int
+    evaluated_points: int
+    methods: dict
+
+    def to_json_dict(self) -> dict:
+        return self._json_dict(
+            type="backtest_report",
+            series=self.series_name,
+            window_count=self.window_count,
+            evaluated_points=self.evaluated_points,
+        )
+
+
+def _capitals(method, ws: WindowStats, config: BacktestConfig, table):
+    """VaR and (under an ES measure) ES capitals of every row of ``ws``."""
+    q = config.gpd_threshold_quantile
+    var_caps = batch_var_capitals(method, ws, config.alpha, gpd_threshold_quantile=q)
+    if config.measure == "var":
+        return var_caps, None
+    return var_caps, batch_es_capitals(
+        method, ws, config.alpha, gpd_threshold_quantile=q, table=table
+    )
+
+
+def _group_capitals(method, ws: WindowStats, groups: int, config, table):
+    """Capitals of every group from one kernel call per measure, and a failure per group.
+
+    When that call raises, each group is run again on its own rows, so a
+    failure ("ExcType: message", as a backtest of that group alone reports
+    it) is charged to the groups that cause it. Failed groups get NaN capitals.
+    """
+    try:
+        return (*_capitals(method, ws, config, table), [None] * groups)
+    except RiskbenchError:
+        pass
+    rows = ws.means.size // groups
+    var_caps = np.full(ws.means.size, np.nan)
+    es_caps = None if config.measure == "var" else var_caps.copy()
+    failures = []
+    for g in range(groups):
+        part = slice(g * rows, (g + 1) * rows)
+        try:
+            var_part, es_part = _capitals(method, ws.take(part), config, table)
+        except RiskbenchError as exc:
+            failures.append(f"{type(exc).__name__}: {exc}")
+            continue
+        failures.append(None)
+        var_caps[part] = var_part
+        if es_caps is not None:
+            es_caps[part] = es_part
+    return var_caps, es_caps, failures
+
+
+def _backtest_groups(estimation, evaluation, config: BacktestConfig, table):
+    """Backtest G groups of windows at once: the statistics core of both entry points.
+
+    ``estimation`` and ``evaluation`` are (G, K-1, w); ``evaluation[g, k]`` is
+    the window that follows ``estimation[g, k]`` in group g's series.
+    One :func:`window_stats` call and one kernel call per method and measure
+    serve every group. Each per-row reduction runs along a contiguous row in
+    the order a single group's would, so every group's statistics are
+    bit-identical to a backtest of that group alone.
+
+    Yields ``(method, failures, var_caps, es_caps, stats)`` per method, with
+    capitals shaped (G, K-1) and ``stats`` holding per-group arrays ``count``,
+    ``er``, ``es_z``, ``var_score``, ``joint_score`` and ``failed``. NaN marks
+    the statistics of a failed group, the ES statistics under ``measure="var"``
+    and a Z left undefined by a non-positive ES capital.
+    """
+    groups, rows, w = estimation.shape
+    ws = window_stats(
+        estimation.reshape(groups * rows, w), with_shape="cornish_fisher" in config.methods
+    )
+    alpha = config.alpha
+    for method in config.methods:
+        var_caps, es_caps, failures = _group_capitals(method, ws, groups, config, table)
+        var_caps = var_caps.reshape(groups, rows)
+        count = np.count_nonzero(_exceedances(var_caps, evaluation), axis=(1, 2))
+        stats = {"er": count / (rows * w), "var_score": mean_score(-var_caps, evaluation, alpha)}
+        stats["es_z"] = stats["joint_score"] = np.full(groups, np.nan)
+        if es_caps is not None:
+            es_caps = es_caps.reshape(groups, rows)
+            stats["es_z"] = acerbi_z(var_caps, es_caps, evaluation, alpha)
+            stats["joint_score"] = mean_score(
+                -var_caps, evaluation, alpha, score="joint", es_forecasts=-es_caps
+            )
+        failed = np.array([f is not None for f in failures])
+        stats = {key: np.where(failed, np.nan, v) for key, v in stats.items()}
+        yield method, failures, var_caps, es_caps, stats | {"count": count, "failed": failed}
 
 
 def rolling_backtest(series, config: BacktestConfig, table=None) -> BacktestReport:
@@ -325,77 +426,44 @@ def rolling_backtest(series, config: BacktestConfig, table=None) -> BacktestRepo
 
     Estimator failures are recorded per method and do not abort the other
     methods. The unbiased ES method requires a calibration ``table`` entry
-    for (window, alpha).
+    for (window, alpha). A non-finite observation raises :class:`DataError`.
     """
-    values = np.asarray(getattr(series, "values", series), dtype=float)
-    name = str(getattr(series, "name", "series"))
-    pairing = split_windows(values, config.window)
-    est, ev = pairing.estimation, pairing.evaluation
-    alpha = config.alpha
-    ws = window_stats(est, with_shape="cornish_fisher" in config.methods)
-    want_es = config.measure in ("es", "both")
-
+    pairing = split_windows(series, config.window)
+    ev = pairing.evaluation
+    bias_measure = "es" if config.measure == "es" else "var"
     results: dict = {}
-    for method in config.methods:
-        try:
-            var_caps = batch_var_capitals(
-                method, ws, alpha, gpd_threshold_quantile=config.gpd_threshold_quantile
-            )
-            es_caps = None
-            if want_es:
-                es_caps = batch_es_capitals(
-                    method,
-                    ws,
-                    alpha,
-                    gpd_threshold_quantile=config.gpd_threshold_quantile,
-                    table=table,
-                )
-        except RiskbenchError as exc:
-            results[method] = MethodResult(
-                method=method, failed=True, failure=f"{type(exc).__name__}: {exc}"
-            )
+    per_method = _backtest_groups(pairing.estimation[None], ev[None], config, table)
+    for method, failures, var_caps, es_caps, stats in per_method:
+        if failures[0] is not None:
+            results[method] = MethodResult(method=method, failed=True, failure=failures[0])
             continue
-
-        hits = ev + var_caps[:, None] < 0.0
-        count = int(np.count_nonzero(hits))
-        rate = count / ev.size
-
-        observations = ev.ravel()
-        if config.measure == "es":
-            secured_caps = np.repeat(es_caps, ev.shape[1])
-            bias_measure = "es"
-        else:
-            secured_caps = np.repeat(var_caps, ev.shape[1])
-            bias_measure = "var"
+        secured = es_caps if bias_measure == "es" else var_caps
         bias = bias_reason = None
         try:
-            bias = bias_statistic(observations, secured_caps, alpha, measure=bias_measure)
+            bias = bias_statistic(
+                ev.ravel(), np.repeat(secured[0], ev.shape[1]), config.alpha, measure=bias_measure
+            )
         except EmptyTailError as exc:
             bias_reason = str(exc)
-
-        es_z = es_z_reason = None
-        joint = None
-        if want_es:
-            try:
-                es_z = acerbi_z(var_caps, es_caps, ev, alpha)
-            except DomainError as exc:
-                es_z_reason = str(exc)
-            joint = mean_score(-var_caps, ev, alpha, score="joint", es_forecasts=-es_caps)
-
+        es_z = es_z_reason = joint = None
+        if es_caps is not None:
+            es_z_reason = _z_undefined_reason(es_caps[0])
+            es_z = None if es_z_reason is not None else float(stats["es_z"][0])
+            joint = float(stats["joint_score"][0])
         results[method] = MethodResult(
             method=method,
-            exceedance_rate=rate,
-            exceedance_count=count,
+            exceedance_rate=float(stats["er"][0]),
+            exceedance_count=int(stats["count"][0]),
             bias_statistic=bias,
             bias_reason=bias_reason,
             es_z_statistic=es_z,
             es_z_reason=es_z_reason,
-            var_mean_score=mean_score(-var_caps, ev, alpha, score="var"),
+            var_mean_score=float(stats["var_score"][0]),
             joint_mean_score=joint,
         )
 
     return BacktestReport(
-        series_name=name,
+        series_name=str(getattr(series, "name", "series")),
         config=config,
         window_count=pairing.window_count,
         evaluated_points=int(ev.size),
@@ -433,24 +501,23 @@ class MethodReplicationStats:
     failures: int = 0
 
 
-_REPLICATION_CSV_FIELDS = (
-    "er_mean",
-    "er_sd",
-    "rd_mean",
-    "rd_sd",
-    "or_rate",
-    "es_z_mean",
-    "es_z_sd",
-    "es_z_or_rate",
-    "var_score_mean",
-    "joint_score_mean",
-    "failures",
-)
-
-
 @dataclass(frozen=True)
-class ReplicationSummary:
+class ReplicationSummary(_MethodTable):
     """Aggregate of N independent simulated backtests."""
+
+    CSV_FIELDS = (
+        "er_mean",
+        "er_sd",
+        "rd_mean",
+        "rd_sd",
+        "or_rate",
+        "es_z_mean",
+        "es_z_sd",
+        "es_z_or_rate",
+        "var_score_mean",
+        "joint_score_mean",
+        "failures",
+    )
 
     config: BacktestConfig
     generator: GaussianParams
@@ -462,97 +529,14 @@ class ReplicationSummary:
     samples: dict | None = field(default=None, repr=False, compare=False)
 
     def to_json_dict(self) -> dict:
-        return {
-            "type": "replication_summary",
-            "config": {
-                "alpha": self.config.alpha,
-                "window": self.config.window,
-                "measure": self.config.measure,
-                "methods": list(self.config.methods),
-                "gpd_threshold_quantile": self.config.gpd_threshold_quantile,
-            },
-            "generator": {"mu": self.generator.mu, "sigma": self.generator.sigma},
-            "series_length": self.series_length,
-            "replications": self.replications,
-            "seed": self.seed,
-            "reference": self.reference,
-            "methods": {
-                tag: {
-                    "er_mean": s.er_mean,
-                    "er_sd": s.er_sd,
-                    "rd_mean": s.rd_mean,
-                    "rd_sd": s.rd_sd,
-                    "or_rate": s.or_rate,
-                    "rd_excluded": s.rd_excluded,
-                    "es_z_mean": s.es_z_mean,
-                    "es_z_sd": s.es_z_sd,
-                    "es_z_or_rate": s.es_z_or_rate,
-                    "es_z_undefined": s.es_z_undefined,
-                    "var_score_mean": s.var_score_mean,
-                    "joint_score_mean": s.joint_score_mean,
-                    "failures": s.failures,
-                }
-                for tag, s in self.methods.items()
-            },
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
-
-    def to_csv(self) -> str:
-        lines = ["method," + ",".join(_REPLICATION_CSV_FIELDS)]
-        for tag in self.config.methods:
-            s = self.methods[tag]
-            cells = [_csv_cell(getattr(s, name)) for name in _REPLICATION_CSV_FIELDS]
-            lines.append(tag + "," + ",".join(cells))
-        return "\n".join(lines) + "\n"
-
-    def to_csv_long(self) -> str:
-        lines = ["method,statistic,value"]
-        for tag in self.config.methods:
-            s = self.methods[tag]
-            for name in _REPLICATION_CSV_FIELDS:
-                value = getattr(s, name)
-                if value is not None:
-                    lines.append(f"{tag},{name},{_csv_cell(value)}")
-        return "\n".join(lines) + "\n"
-
-
-def _replicate_indices(config, generator, series_length, seed, indices, table):
-    """Run the backtest for each replication index; NaN marks absent values."""
-    count = len(indices)
-    out = {
-        m: {
-            "er": np.full(count, np.nan),
-            "es_z": np.full(count, np.nan),
-            "var_score": np.full(count, np.nan),
-            "joint_score": np.full(count, np.nan),
-            "failed": np.zeros(count, dtype=bool),
-        }
-        for m in config.methods
-    }
-    for pos, index in enumerate(indices):
-        rng = SeededRng(seed, stream_id=index)
-        values = draw_gaussian(rng, series_length, generator.mu, generator.sigma)
-        report = rolling_backtest(values, config, table)
-        for method, r in report.methods.items():
-            slot = out[method]
-            if r.failed:
-                slot["failed"][pos] = True
-                continue
-            slot["er"][pos] = r.exceedance_rate
-            if r.es_z_statistic is not None:
-                slot["es_z"][pos] = r.es_z_statistic
-            if r.var_mean_score is not None:
-                slot["var_score"][pos] = r.var_mean_score
-            if r.joint_mean_score is not None:
-                slot["joint_score"][pos] = r.joint_mean_score
-    return out
-
-
-def _replicate_worker(payload):
-    config, generator, series_length, seed, indices, table = payload
-    return _replicate_indices(config, generator, series_length, seed, list(indices), table)
+        return self._json_dict(
+            type="replication_summary",
+            generator={"mu": self.generator.mu, "sigma": self.generator.sigma},
+            series_length=self.series_length,
+            replications=self.replications,
+            seed=self.seed,
+            reference=self.reference,
+        )
 
 
 def _nan_stats(values: np.ndarray):
@@ -573,13 +557,16 @@ def replication_study(
     *,
     reference: str | None = "gaussian_unbiased",
     table=None,
-    workers: int | None = None,
     keep_samples: bool = False,
 ) -> ReplicationSummary:
     """Simulate N series, backtest each, aggregate ER / RD / OR per method.
 
-    Replication i draws from the stream ``(seed, stream_id=i)``, so results
-    are bit-identical for a given seed no matter how work is scheduled.
+    Replication i draws from the stream ``(seed, stream_id=i)``. Replications
+    run in chunks sized to a fixed budget of window cells, so memory does not
+    grow with N: each chunk makes one window-statistics call and one kernel
+    call per method, and a kernel failure is charged to the replications that
+    cause it. Results are bit-identical to backtesting each replication alone
+    with :func:`rolling_backtest`, whatever the chunk size.
     RD_i = (ER_i - ER_i(ref)) / ER_i(ref); OR_i = 1 iff the competitor's
     exceedance rate sits farther from alpha than the reference's. With an ES
     measure, the same mean/sd/outperformance aggregation is applied to the
@@ -589,35 +576,31 @@ def replication_study(
     if replications < 2:
         raise DomainError(f"replications must be at least 2, got {replications}")
     series_length = int(series_length)
-    if series_length < 2 * config.window:
-        raise SizeError(
-            f"series_length {series_length} cannot host two windows of {config.window}"
-        )
+    w = config.window
+    if series_length < 2 * w:
+        raise SizeError(f"series_length {series_length} cannot host two windows of {w}")
     if reference is not None:
         reference = canonical_method(reference)
         if reference not in config.methods:
             reference = None
 
-    indices = np.arange(replications)
-    if workers is not None and workers > 1:
-        chunk_count = min(int(workers) * 4, replications)
-        chunks = np.array_split(indices, chunk_count)
-        payloads = [
-            (config, generator, series_length, int(seed), chunk.tolist(), table)
-            for chunk in chunks
-            if chunk.size
-        ]
-        with ProcessPoolExecutor(max_workers=int(workers)) as pool:
-            parts = list(pool.map(_replicate_worker, payloads))
-        merged = {
-            m: {
-                key: np.concatenate([p[m][key] for p in parts])
-                for key in parts[0][m]
-            }
-            for m in config.methods
-        }
-    else:
-        merged = _replicate_indices(config, generator, series_length, int(seed), indices.tolist(), table)
+    windows = series_length // w
+    chunk = max(1, _CHUNK_CELLS // ((windows - 1) * w))
+    merged = {
+        m: {key: np.full(replications, np.nan) for key in ("er", "es_z", "var_score", "joint_score")}
+        | {"failed": np.zeros(replications, dtype=bool)}
+        for m in config.methods
+    }
+    for start in range(0, replications, chunk):
+        stop = min(start + chunk, replications)
+        series = np.stack([
+            draw_gaussian(SeededRng(int(seed), stream_id=i), series_length, generator.mu, generator.sigma)
+            for i in range(start, stop)
+        ])
+        tiled = series[:, : windows * w].reshape(stop - start, windows, w)
+        for method, _, _, _, stats in _backtest_groups(tiled[:, :-1], tiled[:, 1:], config, table):
+            for key, values in merged[method].items():
+                values[start:stop] = stats[key]
 
     alpha = config.alpha
     ref_er = merged[reference]["er"] if reference is not None else None

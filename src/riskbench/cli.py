@@ -110,7 +110,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--seed", type=int, default=0, help="random seed")
     sim.add_argument("--out", help="CSV output path (stdout when omitted)")
 
-    rep = sub.add_parser("replicate", formatter_class=fmt, help="replicated simulated backtests")
+    rep = sub.add_parser("replicate", formatter_class=fmt,
+                         help="replicated simulated backtests, in memory-bounded chunks")
     rep.add_argument("--reps", type=int, required=True, help="number of replications")
     rep.add_argument("--length", type=int, required=True, help="series length per replication")
     rep.add_argument("--window", type=int, default=50, help="window length")
@@ -127,7 +128,6 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="solve missing unbiased-ES entries on demand")
     rep.add_argument("--auto-samples", type=int, default=1_000_000,
                     help="Monte Carlo sample size for on-demand calibration")
-    rep.add_argument("--workers", type=int, default=1, help="parallel worker processes")
     rep.add_argument("--out", help="write the summary to this path")
     rep.add_argument("--format", choices=("json", "csv", "csv-long", "table"), default="table",
                     help="output format")
@@ -335,7 +335,6 @@ def _cmd_replicate(args) -> int:
         args.seed,
         reference=reference,
         table=table,
-        workers=args.workers,
     )
     _emit(summary, args)
     return 0

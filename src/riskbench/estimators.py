@@ -13,7 +13,7 @@ backtester and the Monte Carlo checks run on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy.special as sc
@@ -42,7 +42,6 @@ from .stats_core import (
 )
 
 DEFAULT_GPD_THRESHOLD_QUANTILE = 0.3
-CF_TAIL_NODES = 512
 _XI_LOG_LIMIT = 1e-6
 _STUDENT_NU_MAX = 200.0
 
@@ -197,6 +196,12 @@ class WindowStats:
     def n(self) -> int:
         return self.windows.shape[1]
 
+    def take(self, rows: slice) -> "WindowStats":
+        """The statistics of a run of rows, as views of these."""
+        return WindowStats(
+            **{f.name: None if (a := getattr(self, f.name)) is None else a[rows] for f in fields(self)}
+        )
+
 
 def window_stats(windows: np.ndarray, with_shape: bool = False) -> WindowStats:
     """Sort each row and compute its moments. ``with_shape`` adds skew/kurtosis."""
@@ -221,8 +226,9 @@ def _shape_moments(windows, means):
     m2 = np.mean(centred**2, axis=1)
     positive = ~is_rounding_noise(np.sqrt(m2), np.abs(windows).max(axis=1), windows.shape[1])
     zs = centred / np.sqrt(np.where(positive, m2, 1.0))[:, None]
-    skews = np.where(positive, np.mean(zs**3, axis=1), 0.0)
-    kurts = np.where(positive, np.mean(zs**4, axis=1) - 3.0, 0.0)
+    z2 = zs * zs  # products: float pow is about 30 times slower on these arrays
+    skews = np.where(positive, np.mean(z2 * zs, axis=1), 0.0)
+    kurts = np.where(positive, np.mean(z2 * z2, axis=1) - 3.0, 0.0)
     return skews, kurts
 
 
@@ -238,10 +244,25 @@ def _cf_z_values(z, skew, excess_kurtosis):
     )
 
 
-def _cf_tail_grid(alpha: float, nodes: int) -> np.ndarray:
-    """Gaussian quantiles on the midpoint grid alpha*(j - 1/2)/m, j = 1..m."""
-    probs = alpha * (np.arange(1, nodes + 1) - 0.5) / nodes
-    return sc.ndtri(probs)
+def _cf_tail_means(alpha: float, skew: np.ndarray, excess_kurtosis: np.ndarray) -> np.ndarray:
+    """Mean of the Cornish-Fisher quantile over levels below ``alpha``, in closed form.
+
+    With t standard normal truncated to t < z = Phi^{-1}(alpha) and phi = phi(z),
+    the moments m1 = -phi/alpha, m2 = 1 - z*phi/alpha and m3 = -(z^2 + 2)*phi/alpha
+    turn the tail average of the fourth-order expansion into a polynomial in
+    the skew s and excess kurtosis k.
+    """
+    z = float(sc.ndtri(alpha))
+    ratio = math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi) / alpha
+    m1 = -ratio
+    m2 = 1.0 - z * ratio
+    m3 = -(z * z + 2.0) * ratio
+    return (
+        m1
+        + (m2 - 1.0) * skew / 6.0
+        + (m3 - 3.0 * m1) * excess_kurtosis / 24.0
+        - (2.0 * m3 - 5.0 * m1) * skew * skew / 36.0
+    )
 
 
 def _require_shape(ws: WindowStats) -> tuple[np.ndarray, np.ndarray]:
@@ -263,7 +284,7 @@ def _batch_gpd_fit(srt: np.ndarray, thresholds: np.ndarray):
     survival plotting positions, which recovers xi = 0, beta = b for
     exponential(b) tails.
     """
-    m, n = srt.shape
+    m = srt.shape[0]
     ks = (srt < thresholds[:, None]).sum(axis=1)
     if np.any(ks < 5):
         row = int(np.flatnonzero(ks < 5)[0])
@@ -271,34 +292,21 @@ def _batch_gpd_fit(srt: np.ndarray, thresholds: np.ndarray):
             f"window {row}: only {int(ks[row])} observations strictly below "
             f"threshold {thresholds[row]!r} (need 5)"
         )
-    k0 = int(ks[0])
-    if np.all(ks == k0):
-        # identical exceedance counts: one fused PWM evaluation
-        y = thresholds[:, None] - srt[:, :k0]  # descending in y per row
-        weights = np.arange(k0, dtype=float) / (k0 - 1)
-        b0 = y.mean(axis=1)
-        b1 = (y * weights).sum(axis=1) / k0
-        denom = b0 - 2.0 * b1
-        if np.any(denom <= 0.0):
-            row = int(np.flatnonzero(denom <= 0.0)[0])
-            raise DegenerateFitError(f"window {row}: PWM moments give b0 - 2*b1 <= 0")
-        xi = 2.0 - b0 / denom
-        beta = 2.0 * b0 * b1 / denom
-        return xi, beta, ks
-    xi = np.empty(m)
-    beta = np.empty(m)
-    for i in range(m):
-        k = int(ks[i])
-        y = thresholds[i] - srt[i, :k]
+    b0 = np.empty(m)
+    b1 = np.empty(m)
+    # rows with equal exceedance counts share one PWM evaluation, so a row's
+    # fit does not depend on which other rows the matrix holds
+    for k in np.unique(ks):
+        rows = ks == k
+        y = thresholds[rows, None] - srt[rows, :k]  # descending in y per row
         weights = np.arange(k, dtype=float) / (k - 1)
-        b0 = y.mean()
-        b1 = float(y @ weights) / k
-        denom = b0 - 2.0 * b1
-        if denom <= 0.0:
-            raise DegenerateFitError(f"window {i}: PWM moments give b0 - 2*b1 <= 0")
-        xi[i] = 2.0 - b0 / denom
-        beta[i] = 2.0 * b0 * b1 / denom
-    return xi, beta, ks
+        b0[rows] = y.mean(axis=1)
+        b1[rows] = (y * weights).sum(axis=1) / k
+    denom = b0 - 2.0 * b1
+    if np.any(denom <= 0.0):
+        row = int(np.flatnonzero(denom <= 0.0)[0])
+        raise DegenerateFitError(f"window {row}: PWM moments give b0 - 2*b1 <= 0")
+    return 2.0 - b0 / denom, 2.0 * b0 * b1 / denom, ks
 
 
 def _gpd_var_from_fit(thresholds, xi, beta, ks, n, alpha):
@@ -402,7 +410,6 @@ def batch_es_capitals(
     *,
     gpd_threshold=None,
     gpd_threshold_quantile=DEFAULT_GPD_THRESHOLD_QUANTILE,
-    cf_nodes=CF_TAIL_NODES,
     table=None,
 ) -> np.ndarray:
     """Expected Shortfall capital per window row for one canonical method tag."""
@@ -425,9 +432,7 @@ def batch_es_capitals(
         if n < 4:
             raise SizeError(f"cornish_fisher needs n >= 4, got {n}")
         skews, kurts = _require_shape(ws)
-        grid = _cf_tail_grid(alpha, cf_nodes)
-        tail_means = _cf_z_values(grid[None, :], skews[:, None], kurts[:, None]).mean(axis=1)
-        return -(ws.means + ws.sds * tail_means)
+        return -(ws.means + ws.sds * _cf_tail_means(alpha, skews, kurts))
     if method == "gpd":
         thresholds = _gpd_thresholds(ws, gpd_threshold, gpd_threshold_quantile)
         xi, beta, ks = _batch_gpd_fit(ws.sorted_rows, thresholds)
@@ -654,13 +659,13 @@ def es_gaussian(x, alpha) -> RiskEstimate:
     return _single("gaussian", x, alpha, 2, measure="es")
 
 
-def es_cornish_fisher(x, alpha, nodes=CF_TAIL_NODES) -> RiskEstimate:
-    """Tail average of Cornish-Fisher quantiles on a midpoint grid.
+def es_cornish_fisher(x, alpha) -> RiskEstimate:
+    """Tail average of the Cornish-Fisher quantile over levels below ``alpha``.
 
-    With zero skew and excess kurtosis the quadrature collapses to the
-    Gaussian ES constant up to the (tiny) midpoint-rule error.
+    The average is exact (truncated-normal moments); with zero skew and excess
+    kurtosis it is the Gaussian ES constant.
     """
-    return _single("cornish_fisher", x, alpha, 4, measure="es", cf_nodes=int(nodes))
+    return _single("cornish_fisher", x, alpha, 4, measure="es")
 
 
 def es_gpd(x, alpha, u=None, threshold_quantile=DEFAULT_GPD_THRESHOLD_QUANTILE) -> RiskEstimate:

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ from hypothesis import strategies as st
 
 from riskbench import (
     BacktestConfig,
+    CalibrationTable,
     ConfigError,
+    DataError,
     DomainError,
     EmptyTailError,
     GaussianParams,
@@ -19,6 +22,7 @@ from riskbench import (
     draw_gaussian,
     es_empirical,
     es_gaussian,
+    exact_unbiased_es_constant,
     exceedance_rate,
     joint_var_es_score,
     mean_score,
@@ -31,6 +35,7 @@ from riskbench import (
     var_gaussian_unbiased,
     var_score,
 )
+from riskbench import backtest
 
 bounded_floats = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 
@@ -258,6 +263,14 @@ class TestRollingBacktest:
         assert "CalibrationMissing" in report.methods["gaussian_unbiased"].failure
         assert not report.methods["gaussian"].failed
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_series_rejected(self, bad):
+        values = np.random.default_rng(0).standard_normal(1000)
+        values[500] = bad
+        config = BacktestConfig(alpha=0.05, methods=("norm", "u", "emp"), window=50)
+        with pytest.raises(DataError, match="position 500"):
+            rolling_backtest(values, config)
+
     def test_es_methods_validated_in_config(self):
         with pytest.raises(ConfigError):
             BacktestConfig(alpha=0.1, methods=("kde",), measure="es")
@@ -292,7 +305,7 @@ class TestRollingBacktest:
 class TestReplicationStudy:
     CONFIG = BacktestConfig(alpha=0.05, methods=("emp", "u"), window=50)
 
-    def test_deterministic_and_worker_invariant(self):
+    def test_deterministic_and_chunk_invariant(self, monkeypatch):
         kwargs = dict(
             config=self.CONFIG,
             generator=GaussianParams(0.0, 1.0),
@@ -302,8 +315,11 @@ class TestReplicationStudy:
         )
         serial = replication_study(**kwargs)
         again = replication_study(**kwargs)
-        parallel = replication_study(**kwargs, workers=2)
-        assert serial.to_json() == again.to_json() == parallel.to_json()
+        assert serial.to_json() == again.to_json()
+        # 250 estimation-window cells per replication: one, then all six, per chunk
+        for cells in (250, 6 * 250):
+            monkeypatch.setattr(backtest, "_CHUNK_CELLS", cells)
+            assert replication_study(**kwargs).to_json() == serial.to_json()
 
     def test_er_and_or_sanity(self):
         summary = replication_study(
@@ -341,3 +357,83 @@ class TestReplicationStudy:
     def test_replication_floor(self):
         with pytest.raises(DomainError):
             replication_study(self.CONFIG, GaussianParams(0.0, 1.0), 300, 1, seed=0)
+
+
+def _sample_row(summary, method, i):
+    return [summary.samples[method][key][i] for key in ("er", "es_z", "var_score", "joint_score")]
+
+
+def _report_row(r):
+    values = (r.exceedance_rate, r.es_z_statistic, r.var_mean_score, r.joint_mean_score)
+    return [np.nan if v is None else v for v in values]
+
+
+class TestReplicationEngine:
+    """The chunked engine against one rolling backtest per replication."""
+
+    ES_METHODS = ("gaussian_unbiased", "gaussian", "empirical", "cornish_fisher", "gpd", "mean")
+
+    @pytest.fixture(scope="class")
+    def table(self):
+        table = CalibrationTable()
+        table.add(exact_unbiased_es_constant(50, 0.05))
+        return table
+
+    @pytest.mark.parametrize("measure", ["var", "es", "both"])
+    def test_samples_equal_per_series_backtests(self, measure, table, monkeypatch):
+        methods = self.ES_METHODS + (("empirical_simple",) if measure == "var" else ())
+        config = BacktestConfig(alpha=0.05, methods=methods, window=50, measure=measure)
+        # 370 = 7 windows and 20 dropped; three replications of 6x50 cells per chunk, the last partial
+        monkeypatch.setattr(backtest, "_CHUNK_CELLS", 3 * 300)
+        # mu < 0: the mean method's ES capital is sometimes non-positive, so Z is undefined
+        generator = GaussianParams(-0.15, 1.0)
+        summary = replication_study(config, generator, 370, 8, 13, table=table, keep_samples=True)
+        undefined = 0
+        for i in range(8):
+            values = draw_gaussian(SeededRng(13, stream_id=i), 370, -0.15, 1.0)
+            report = rolling_backtest(values, config, table)
+            for method, r in report.methods.items():
+                assert not r.failed
+                assert np.array_equal(_sample_row(summary, method, i), _report_row(r), equal_nan=True)
+            undefined += report.methods["mean"].es_z_reason is not None
+        if measure != "var":
+            assert 0 < undefined < 8
+            assert summary.methods["mean"].es_z_undefined == undefined
+
+    def test_failures_charged_per_replication(self):
+        # values within a few ulps of 1.0 tie often: a tied minimum empties the
+        # empirical ES tail and ties at the threshold starve the GPD tail, in some
+        # replications but not all
+        config = BacktestConfig(alpha=0.05, methods=("emp", "gpd", "norm"), window=20, measure="both")
+        summary = replication_study(config, GaussianParams(1.0, 8e-16), 100, 16, 4, keep_samples=True)
+        reports = [
+            rolling_backtest(draw_gaussian(SeededRng(4, stream_id=i), 100, 1.0, 8e-16), config)
+            for i in range(16)
+        ]
+        for method, stats in summary.methods.items():
+            failed = [r.methods[method].failed for r in reports]
+            undefined = sum(
+                not r.methods[method].failed and r.methods[method].es_z_reason is not None
+                for r in reports
+            )
+            assert stats.failures == sum(failed)
+            assert stats.es_z_undefined == undefined
+            assert summary.samples[method]["failed"].tolist() == failed
+            for i, r in enumerate(reports):
+                assert np.array_equal(
+                    _sample_row(summary, method, i), _report_row(r.methods[method]), equal_nan=True
+                )
+        assert 0 < summary.methods["empirical"].failures < 16
+        assert 0 < summary.methods["gpd"].failures < 16
+        assert summary.methods["gaussian"].failures == 0
+
+    def test_golden_summary(self):
+        # values recorded from the per-replication engine this one replaced
+        config = BacktestConfig(
+            alpha=0.05, methods=("u", "norm", "emp", "gpd", "mean"), window=50, measure="both"
+        )
+        table = CalibrationTable()
+        table.add(exact_unbiased_es_constant(50, 0.05))
+        summary = replication_study(config, GaussianParams(0.1, 2.0), 500, 12, 7, table=table)
+        golden = Path(__file__).parent / "data" / "replication_summary_golden.json"
+        assert summary.to_json() == golden.read_text()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate, stats
 
 from riskbench import (
     CalibrationEntry,
@@ -45,7 +46,14 @@ from riskbench import (
     var_kde,
     var_student_t,
 )
-from riskbench.estimators import RiskLevel, canonical_method, window_stats
+from riskbench.estimators import (
+    RiskLevel,
+    WindowStats,
+    batch_es_capitals,
+    batch_var_capitals,
+    canonical_method,
+    window_stats,
+)
 
 # frozen oracle constants (high-precision inversion of the target densities)
 Z_05 = -1.6448536269514727          # Phi^{-1}(0.05)
@@ -193,6 +201,13 @@ class TestVarCornishFisher:
         assert np.array_equal(ws.kurts, [ms.excess_kurtosis] * 2)
         assert (ms.skewness, ms.excess_kurtosis) == (0.0, 0.0)
 
+    @given(st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=2, max_size=60))
+    @settings(max_examples=200, deadline=None)
+    def test_shape_moments_equal_scalar_moments_to_the_bit(self, xs):
+        ms = sample_moments(xs)
+        ws = window_stats(np.array([xs]), with_shape=True)
+        assert (ws.skews[0], ws.kurts[0]) == (ms.skewness, ms.excess_kurtosis)
+
     @given(st.lists(grid_floats, min_size=4, max_size=40), grid_floats)
     @settings(max_examples=100, deadline=None)
     def test_translation_equivariance(self, xs, d):
@@ -270,6 +285,16 @@ class TestGpdFit:
     def test_insufficient_tail(self):
         with pytest.raises(InsufficientTailError):
             fit_gpd_pwm([-1.0, -2.0, 1.0, 2.0, 3.0], 0.0)
+
+    def test_row_fit_independent_of_other_rows(self):
+        rows = draw_gaussian(SeededRng(61), 20 * 50, 0.0, 1.0).reshape(20, 50)
+        # a tie at the 0.3 threshold leaves this row 14 exceedances, the others 15
+        tied = np.sort(rows[0])
+        tied[15] = tied[14]
+        alone = window_stats(rows)
+        mixed = window_stats(np.vstack([rows, tied]))
+        for kernel in (batch_var_capitals, batch_es_capitals):
+            assert np.array_equal(kernel("gpd", alone, 0.05), kernel("gpd", mixed, 0.05)[:20])
 
 
 class TestVarGpd:
@@ -375,14 +400,34 @@ class TestEsCornishFisher:
             es_gaussian(x, 0.10).capital, abs=1e-4
         )
 
-    def test_quadrature_converged(self, gaussian_sample):
-        # the quantile singularity at p=0 limits the midpoint rule to O(1/m):
-        # doubling from 512 nodes moves the capital by ~1e-4 per unit sd
-        a = es_cornish_fisher(gaussian_sample, 0.10, nodes=512).capital
-        b = es_cornish_fisher(gaussian_sample, 0.10, nodes=1024).capital
-        assert abs(a - b) < 3e-4
-        c = es_cornish_fisher(gaussian_sample, 0.10, nodes=8192).capital
-        assert abs(b - c) < abs(a - c)  # refinement moves toward the limit
+    @pytest.mark.parametrize(
+        "alpha, skew, kurt",
+        [(0.01, 0.0, 0.0), (0.025, -1.5, 6.0), (0.05, -0.8, 2.5), (0.10, 0.4, -0.6), (0.30, 0.2, 1.0)],
+    )
+    def test_closed_form_exact(self, alpha, skew, kurt):
+        # a window with mean 0 and sd 1 has capital -(1/alpha) * int_{-inf}^{z} z_cf(t) phi(t) dt
+        def z_cf(t):
+            return (
+                t
+                + (t * t - 1.0) * skew / 6.0
+                + (t**3 - 3.0 * t) * kurt / 24.0
+                - (2.0 * t**3 - 5.0 * t) * skew * skew / 36.0
+            )
+
+        z = stats.norm.ppf(alpha)
+        tail, _ = integrate.quad(
+            lambda t: z_cf(t) * stats.norm.pdf(t), -np.inf, z, epsabs=1e-14, epsrel=1e-13
+        )
+        ws = WindowStats(
+            windows=np.zeros((1, 4)),
+            sorted_rows=np.zeros((1, 4)),
+            means=np.zeros(1),
+            sds=np.ones(1),
+            skews=np.array([skew]),
+            kurts=np.array([kurt]),
+        )
+        capital = batch_es_capitals("cornish_fisher", ws, alpha)[0]
+        assert abs(capital + tail / alpha) <= 1e-10
 
     def test_translation(self, gaussian_sample):
         base = es_cornish_fisher(gaussian_sample, 0.10).capital
