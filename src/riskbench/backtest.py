@@ -23,13 +23,13 @@ from .errors import (
     SizeError,
 )
 from .estimators import (
-    ES_METHODS,
     GaussianParams,
     RiskLevel,
     WindowStats,
     batch_es_capitals,
     batch_var_capitals,
     canonical_method,
+    check_es_form,
     window_stats,
 )
 from .stats_core import SeededRng, _type7_sorted_rows, as_sample, draw_gaussian
@@ -57,21 +57,12 @@ class BacktestConfig:
         object.__setattr__(self, "window", int(self.window))
         if self.measure not in MEASURES:
             raise ConfigError(f"measure must be one of {MEASURES}, got {self.measure!r}")
-        tags = []
-        for tag in self.methods:
-            canon = canonical_method(tag)
-            if canon not in tags:
-                tags.append(canon)
+        tags = tuple(dict.fromkeys(canonical_method(tag) for tag in self.methods))
         if not tags:
             raise ConfigError("at least one method tag is required")
         if self.measure in ("es", "both"):
-            bad = [t for t in tags if t not in ES_METHODS]
-            if bad:
-                raise ConfigError(
-                    f"methods {', '.join(bad)} have no Expected Shortfall form; "
-                    f"ES-capable methods: {', '.join(ES_METHODS)}"
-                )
-        object.__setattr__(self, "methods", tuple(tags))
+            check_es_form(tags)
+        object.__setattr__(self, "methods", tags)
         q = float(self.gpd_threshold_quantile)
         if not 0.0 < q < 1.0:
             raise ConfigError(f"gpd_threshold_quantile must lie in (0, 1), got {q!r}")
@@ -400,9 +391,7 @@ def _backtest_groups(estimation, evaluation, config: BacktestConfig, table):
     and a Z left undefined by a non-positive ES capital.
     """
     groups, rows, w = estimation.shape
-    ws = window_stats(
-        estimation.reshape(groups * rows, w), with_shape="cornish_fisher" in config.methods
-    )
+    ws = window_stats(estimation.reshape(groups * rows, w))
     alpha = config.alpha
     for method in config.methods:
         var_caps, es_caps, failures = _group_capitals(method, ws, groups, config, table)

@@ -12,12 +12,13 @@ Y = Z + b*V the condition reduces to one-dimensional integrals over V,
 
 evaluated by Gauss-Legendre quadrature in log V. The node count doubles
 until two successive roots agree to 1e-10 relative. This is the constant
-``riskbench calibrate`` stores; it carries no Monte Carlo error.
+``riskbench calibrate`` and on-demand table filling
+(:meth:`CalibrationTable.ensure`) store; it carries no Monte Carlo error.
 
 :func:`solve_unbiased_es_constant` solves the same condition by bisection on
 one fixed Monte Carlo sample (common random numbers), which makes the
 objective monotone and the result bit-reproducible. It serves as an
-independent cross-check of the quadrature and for on-demand table filling.
+independent cross-check of the quadrature.
 
 This module also hosts the Monte Carlo verification utilities for the
 defining unbiasedness properties: the exceedance frequency of secured
@@ -29,7 +30,7 @@ import functools
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 import scipy.special as sc
@@ -50,7 +51,7 @@ from .estimators import (
     canonical_method,
     window_stats,
 )
-from .stats_core import SeededRng, draw_pivotal_pair, draw_pivotal_pairs
+from .stats_core import SeededRng, draw_pivotal_pairs
 
 TABLE_FORMAT_VERSION = 2
 _READABLE_TABLE_VERSIONS = (1, 2)
@@ -66,23 +67,6 @@ _QUADRATURE_RTOL = 1e-10
 _CHI_TAIL_MASS = 1e-18
 _ROOT_XTOL = 1e-300  # brentq then stops on rtol alone; roots span 1e-7 to 1e6
 _ROOT_RTOL = 4.0 * np.finfo(float).eps
-
-
-@dataclass(frozen=True)
-class PivotalDraw:
-    """One draw of the pivotal pair (Z, V_n)."""
-
-    z: float
-    v: float
-
-    def __post_init__(self):
-        if self.v < 0.0:
-            raise DomainError(f"chi draw must be non-negative, got {self.v!r}")
-
-    @classmethod
-    def from_rng(cls, rng: SeededRng, n: int) -> "PivotalDraw":
-        z, v = draw_pivotal_pair(rng, n)
-        return cls(z, v)
 
 
 @dataclass(frozen=True)
@@ -156,34 +140,15 @@ class CalibrationTable:
                 "run `riskbench calibrate` or enable on-demand calibration"
             ) from None
 
-    def ensure(
-        self,
-        n: int,
-        alpha: float,
-        mc_samples: int = DEFAULT_MC_SAMPLES,
-        seed: int = 0,
-        tolerance: float = DEFAULT_TOLERANCE,
-    ) -> CalibrationEntry:
-        """Return the stored entry, solving and storing it first if missing."""
+    def ensure(self, n: int, alpha: float) -> CalibrationEntry:
+        """Return the stored entry, storing the exact constant first if missing."""
         key = self.key(n, alpha)
         if key not in self.entries:
-            self.add(solve_unbiased_es_constant(n, alpha, mc_samples, seed, tolerance))
+            self.add(exact_unbiased_es_constant(n, alpha))
         return self.entries[key]
 
     def to_json(self) -> str:
-        records = [
-            {
-                "n": e.n,
-                "alpha": e.alpha,
-                "a_n": e.a_n,
-                "b_n": e.b_n,
-                "mc_samples": e.mc_samples,
-                "seed": e.seed,
-                "residual": e.residual,
-                "source": e.source,
-            }
-            for _, e in sorted(self.entries.items())
-        ]
+        records = [asdict(e) for _, e in sorted(self.entries.items())]
         return json.dumps({"version": self.version, "entries": records}, indent=2, sort_keys=True)
 
     def save(self, path) -> None:
@@ -267,14 +232,9 @@ def solve_unbiased_es_constant(
         raise DomainError(f"tolerance must be positive, got {tolerance!r}")
 
     z, v = draw_pivotal_pairs(SeededRng(int(seed)), n, mc_samples)
-    tail = int(math.ceil(alpha * mc_samples - 1e-9))
-    tail = min(max(tail, 1), mc_samples)
 
     def g(b: float) -> float:
-        y = z + b * v
-        if tail == mc_samples:
-            return -float(y.mean())
-        return -float(np.partition(y, tail - 1)[:tail].mean())
+        return empirical_es(z + b * v, alpha)
 
     if g(0.0) <= 0.0:
         raise CalibrationFailureError(
@@ -449,11 +409,10 @@ def _simulated_secured_positions(method, n, alpha, trials, seed, params, measure
     chunk_rows = max(1, 4_000_000 // (n + 1))
     out = np.empty(trials)
     done = 0
-    with_shape = method == "cornish_fisher"
     while done < trials:
         rows = min(chunk_rows, trials - done)
         draws = gen.normal(params.mu, params.sigma, (rows, n + 1))
-        ws = window_stats(draws[:, :n], with_shape=with_shape)
+        ws = window_stats(draws[:, :n])
         if measure == "var":
             caps = batch_var_capitals(method, ws, alpha)
         else:

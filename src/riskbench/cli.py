@@ -20,25 +20,17 @@ from .calibration import (
     solve_unbiased_es_constant,
 )
 from .data_io import SCALES, SimulationSpec, load_returns_csv, simulate_series, write_report
-from .errors import (
-    CalibrationError,
-    ConfigError,
-    DataError,
-    DomainError,
-    EstimationError,
-    IngestionError,
-    OutputError,
-    RiskbenchError,
-    SizeError,
-    TailError,
-)
+from .errors import ConfigError, DataError, IngestionError, OutputError, RiskbenchError, SizeError
 from .estimators import GaussianParams, canonical_method
 
 TABLE_ENV_VAR = "RISKBENCH_TABLE"
 
-_USAGE_ERRORS = (ConfigError,)
-_DATA_ERRORS = (IngestionError, DataError, SizeError, OutputError)
-_NUMERIC_ERRORS = (CalibrationError, TailError, EstimationError, DomainError)
+# the first matching entry gives the exit code; numeric and calibration errors exit 3
+_EXIT_CODES = (
+    (ConfigError, 1),
+    ((IngestionError, DataError, SizeError, OutputError), 2),
+    (RiskbenchError, 3),
+)
 
 
 def _default_table() -> str | None:
@@ -96,9 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bt.add_argument("--gpd-q", type=float, default=0.3, help="GPD threshold quantile on returns")
     bt.add_argument("--table", default=_default_table(), help="calibration table path")
     bt.add_argument("--auto-calibrate", action="store_true",
-                    help="solve missing unbiased-ES entries on demand")
-    bt.add_argument("--auto-samples", type=int, default=1_000_000,
-                    help="Monte Carlo sample size for on-demand calibration")
+                    help="store the exact unbiased-ES constant when the table lacks it")
     bt.add_argument("--out", help="write the report to this path")
     bt.add_argument("--format", choices=("json", "csv", "csv-long", "table"), default="table",
                     help="output format")
@@ -125,9 +115,7 @@ def _build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--gpd-q", type=float, default=0.3, help="GPD threshold quantile on returns")
     rep.add_argument("--table", default=_default_table(), help="calibration table path")
     rep.add_argument("--auto-calibrate", action="store_true",
-                    help="solve missing unbiased-ES entries on demand")
-    rep.add_argument("--auto-samples", type=int, default=1_000_000,
-                    help="Monte Carlo sample size for on-demand calibration")
+                    help="store the exact unbiased-ES constant when the table lacks it")
     rep.add_argument("--out", help="write the summary to this path")
     rep.add_argument("--format", choices=("json", "csv", "csv-long", "table"), default="table",
                     help="output format")
@@ -141,19 +129,16 @@ def _split_methods(raw: str) -> tuple:
     return tuple(canonical_method(t) for t in tags)
 
 
-def _maybe_autocalibrate(table, path, args, window, alpha, methods, measure):
-    if measure not in ("es", "both") or "gaussian_unbiased" not in methods:
-        return table
-    if table is None:
-        table = CalibrationTable()
-    key = CalibrationTable.key(window, alpha)
-    if key not in table.entries:
-        if not args.auto_calibrate:
-            # leave the lookup to fail with a calibration-missing error
-            return table
-        table.ensure(window, alpha, mc_samples=args.auto_samples, seed=args.seed)
-        if path:
-            table.save(path)
+def _load_table(args, config: BacktestConfig) -> CalibrationTable:
+    """The run's calibration table. Under --auto-calibrate a missing unbiased-ES
+    entry is stored first, and saved back to --table."""
+    table = CalibrationTable.load_or_new(args.table)
+    key = CalibrationTable.key(config.window, config.alpha)
+    wanted = config.measure != "var" and "gaussian_unbiased" in config.methods
+    if args.auto_calibrate and wanted and key not in table.entries:
+        table.ensure(config.window, config.alpha)
+        if args.table:
+            table.save(args.table)
     return table
 
 
@@ -182,32 +167,18 @@ def _cmd_estimate(args) -> int:
     table = CalibrationTable.load_or_new(args.table) if args.table else None
     print(f"series={series.name} n={len(series)} measure={args.measure} alpha={args.alpha:g}")
     for method in methods:
-        if args.measure == "var":
-            fn = estimators.VAR_FUNCTIONS[method]
-            if method == "gpd":
-                est = estimators.var_gpd(series.values, args.alpha, threshold_quantile=args.gpd_q)
-            else:
-                est = fn(series.values, args.alpha)
-        else:
-            if method not in estimators.ES_METHODS:
-                raise ConfigError(
-                    f"method {method!r} has no Expected Shortfall form; "
-                    f"ES-capable methods: {', '.join(estimators.ES_METHODS)}"
-                )
-            if method == "gaussian_unbiased":
-                est = estimators.es_gaussian_unbiased(series.values, args.alpha, table)
-            elif method == "empirical":
-                est = estimators.es_empirical(series.values, args.alpha)
-            elif method == "gaussian":
-                est = estimators.es_gaussian(series.values, args.alpha)
-            elif method == "cornish_fisher":
-                est = estimators.es_cornish_fisher(series.values, args.alpha)
-            elif method == "gpd":
-                est = estimators.es_gpd(series.values, args.alpha, threshold_quantile=args.gpd_q)
-            else:  # mean
-                est = estimators.mean_estimator(series.values)
+        est = estimators.estimate(
+            method, series.values, args.alpha, args.measure,
+            gpd_threshold_quantile=args.gpd_q, table=table,
+        )
         print(f"{method:18s} {est.measure:3s} capital={est.capital!r}")
     return 0
+
+
+def _cell(value, width, digits, percent=False) -> str:
+    if value is None:
+        return " " * (width - 1) + "-"
+    return ("{:>" + str(width) + "." + str(digits) + ("%" if percent else "f") + "}").format(value)
 
 
 def _print_backtest_table(report) -> None:
@@ -223,14 +194,10 @@ def _print_backtest_table(report) -> None:
         if r.failed:
             print(f"{tag:18s} FAILED: {r.failure}")
             continue
-
-        def cell(v, width, digits):
-            return ("{:>" + str(width) + "." + str(digits) + "f}").format(v) if v is not None else " " * (width - 1) + "-"
-
         print(
             f"{tag:18s} {r.exceedance_count:>7d} {r.exceedance_rate:>8.4f} "
-            f"{cell(r.bias_statistic, 10, 5)} {cell(r.es_z_statistic, 10, 4)} "
-            f"{cell(r.var_mean_score, 12, 6)} {cell(r.joint_mean_score, 12, 6)}"
+            f"{_cell(r.bias_statistic, 10, 5)} {_cell(r.es_z_statistic, 10, 4)} "
+            f"{_cell(r.var_mean_score, 12, 6)} {_cell(r.joint_mean_score, 12, 6)}"
         )
 
 
@@ -245,16 +212,10 @@ def _print_replication_table(summary: ReplicationSummary) -> None:
     print(header)
     for tag in cfg.methods:
         s = summary.methods[tag]
-
-        def cell(v, width, digits, percent=False):
-            if v is None:
-                return " " * (width - 1) + "-"
-            return ("{:>" + str(width) + "." + str(digits) + ("%" if percent else "f") + "}").format(v)
-
         print(
-            f"{tag:18s} {cell(s.er_mean, 8, 4)} {cell(s.er_sd, 8, 4)} "
-            f"{cell(s.rd_mean, 9, 1, True)} {cell(s.rd_sd, 8, 1, True)} {cell(s.or_rate, 7, 1, True)} "
-            f"{cell(s.es_z_mean, 8, 4)} {cell(s.es_z_or_rate, 7, 1, True)}"
+            f"{tag:18s} {_cell(s.er_mean, 8, 4)} {_cell(s.er_sd, 8, 4)} "
+            f"{_cell(s.rd_mean, 9, 1, True)} {_cell(s.rd_sd, 8, 1, True)} "
+            f"{_cell(s.or_rate, 7, 1, True)} {_cell(s.es_z_mean, 8, 4)} {_cell(s.es_z_or_rate, 7, 1, True)}"
         )
 
 
@@ -292,10 +253,7 @@ def _cmd_backtest(args) -> int:
         measure=args.measure,
         gpd_threshold_quantile=args.gpd_q,
     )
-    table = CalibrationTable.load_or_new(args.table) if args.table else None
-    table = _maybe_autocalibrate(table, args.table, args, config.window, config.alpha,
-                                 config.methods, config.measure)
-    report = rolling_backtest(series, config, table)
+    report = rolling_backtest(series, config, _load_table(args, config))
     _emit(report, args)
     return 0
 
@@ -323,9 +281,6 @@ def _cmd_replicate(args) -> int:
         measure=args.measure,
         gpd_threshold_quantile=args.gpd_q,
     )
-    table = CalibrationTable.load_or_new(args.table) if args.table else None
-    table = _maybe_autocalibrate(table, args.table, args, config.window, config.alpha,
-                                 config.methods, config.measure)
     reference = canonical_method(args.reference) if args.reference else None
     summary = replication_study(
         config,
@@ -334,7 +289,7 @@ def _cmd_replicate(args) -> int:
         args.reps,
         args.seed,
         reference=reference,
-        table=table,
+        table=_load_table(args, config),
     )
     _emit(summary, args)
     return 0
@@ -358,18 +313,9 @@ def main(argv=None) -> int:
         return 0 if not exc.code else 1
     try:
         return _COMMANDS[args.command](args)
-    except _USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except _DATA_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except _NUMERIC_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except RiskbenchError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
 
 
 if __name__ == "__main__":

@@ -4,16 +4,22 @@ Every estimator maps a return sample and a level ``alpha`` to a positive
 capital requirement: the amount of cash that makes the position acceptable.
 Exceedances are always the event ``outcome + capital < 0``.
 
-The scalar API (``var_*`` / ``es_*``) validates inputs and returns
-:class:`RiskEstimate` records. The same formulas are exposed as vectorised
-kernels over matrices of rolling windows (:func:`window_stats`,
-:func:`batch_var_capitals`, :func:`batch_es_capitals`), which is what the
-backtester and the Monte Carlo checks run on.
+Each formula exists once, as a kernel over the rows of a matrix of rolling
+windows summarised by :func:`window_stats`. The backtester and the Monte Carlo
+checks call the kernels through :func:`batch_var_capitals` and
+:func:`batch_es_capitals`. A scalar estimate (:func:`estimate`, and the
+``var_*`` / ``es_*`` wrappers around it) is a batch of one row, returned as a
+:class:`RiskEstimate`.
+
+:data:`METHODS` is the one place to add an estimator. It maps each canonical
+tag to its kernels, its minimum sample size and its aliases; tag resolution,
+the size check, the "has an ES form" check and the CLI all read it.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.special as sc
@@ -33,12 +39,12 @@ from .errors import (
     SizeError,
 )
 from .stats_core import (
+    _overflow_shift,
     _type7_sorted_rows,
     as_sample,
     is_rounding_noise,
     sample_moments,
     student_t_quantile,
-    type7_quantile,
 )
 
 DEFAULT_GPD_THRESHOLD_QUANTILE = 0.3
@@ -56,51 +62,7 @@ class RiskLevel(float):
         return super().__new__(cls, value)
 
 
-VAR_METHODS = (
-    "empirical",
-    "empirical_simple",
-    "gaussian",
-    "cornish_fisher",
-    "student_t",
-    "gpd",
-    "kde",
-    "gaussian_unbiased",
-    "mean",
-)
-ES_METHODS = (
-    "empirical",
-    "gaussian",
-    "cornish_fisher",
-    "gpd",
-    "gaussian_unbiased",
-    "mean",
-)
-METHOD_ALIASES = {
-    "emp": "empirical",
-    "hist": "empirical",
-    "simple": "empirical_simple",
-    "emp_simple": "empirical_simple",
-    "norm": "gaussian",
-    "gauss": "gaussian",
-    "cf": "cornish_fisher",
-    "t": "student_t",
-    "student": "student_t",
-    "evt": "gpd",
-    "u": "gaussian_unbiased",
-    "unbiased": "gaussian_unbiased",
-}
 KDE_KERNELS = ("gaussian", "epanechnikov")
-
-
-def canonical_method(tag: str) -> str:
-    """Resolve a method tag or alias; unknown tags raise :class:`ConfigError`."""
-    key = str(tag).strip().lower().replace("-", "_")
-    if key in VAR_METHODS:
-        return key
-    if key in METHOD_ALIASES:
-        return METHOD_ALIASES[key]
-    valid = ", ".join(sorted(set(VAR_METHODS) | set(METHOD_ALIASES)))
-    raise ConfigError(f"unknown method tag {tag!r}; valid tags: {valid}")
 
 
 @dataclass(frozen=True)
@@ -196,6 +158,11 @@ class WindowStats:
     def n(self) -> int:
         return self.windows.shape[1]
 
+    @property
+    def max_abs(self) -> np.ndarray:
+        """Largest |x| per row, read off the ends of the sorted rows."""
+        return np.maximum(np.abs(self.sorted_rows[:, 0]), np.abs(self.sorted_rows[:, -1]))
+
     def take(self, rows: slice) -> "WindowStats":
         """The statistics of a run of rows, as views of these."""
         return WindowStats(
@@ -204,32 +171,54 @@ class WindowStats:
 
 
 def window_stats(windows: np.ndarray, with_shape: bool = False) -> WindowStats:
-    """Sort each row and compute its moments. ``with_shape`` adds skew/kurtosis."""
+    """Sort each row and compute its mean and sd (divisor n-1).
+
+    An sd that :func:`is_rounding_noise` judges to be noise is zero, as in
+    :func:`sample_moments`, and rows whose squares could overflow are scaled by
+    a power of two first. The skew and kurtosis that Cornish-Fisher needs are
+    filled on first use; ``with_shape`` computes them now. A one-column matrix
+    has NaN sds.
+    """
     w = np.ascontiguousarray(np.asarray(windows, dtype=float))
-    if w.ndim != 2 or w.shape[1] < 2:
-        raise SizeError(f"windows must be (m, n>=2), got shape {w.shape}")
-    means = w.mean(axis=1)
-    sds = w.std(axis=1, ddof=1)
-    ws = WindowStats(w, np.sort(w, axis=1), means, sds)
+    if w.ndim != 2 or w.shape[1] < 1:
+        raise SizeError(f"windows must be (m, n>=1), got shape {w.shape}")
+    m, n = w.shape
+    ws = WindowStats(w, np.sort(w, axis=1), None, None)
+    max_abs = ws.max_abs
+    shift = _overflow_shift(max_abs, n)
+    scaled = np.ldexp(w, -shift[:, None]) if shift.any() else w
+    ws.means = np.ldexp(scaled.mean(axis=1), shift)
+    sds = np.ldexp(scaled.std(axis=1, ddof=1), shift) if n > 1 else np.full(m, np.nan)
+    # the rule of sample_moments, which judges the population spread sqrt(m2)
+    ws.sds = np.where(is_rounding_noise(sds * math.sqrt((n - 1) / n), max_abs, n), 0.0, sds)
     if with_shape:
-        ws.skews, ws.kurts = _shape_moments(w, means)
+        _require_shape(ws)
     return ws
 
 
-def _shape_moments(windows, means):
-    """Population skewness and excess kurtosis per row, underflow-safe.
+def _shape_moments(ws: WindowStats):
+    """Population skewness and excess kurtosis per row, underflow- and overflow-safe.
 
     Rows whose spread is rounding noise get zero skew and kurtosis, as in
     :func:`sample_moments`.
     """
-    centred = windows - means[:, None]
+    max_abs = ws.max_abs
+    shift = _overflow_shift(max_abs, ws.n)
+    windows = np.ldexp(ws.windows, -shift[:, None]) if shift.any() else ws.windows
+    centred = windows - np.ldexp(ws.means, -shift)[:, None]
     m2 = np.mean(centred**2, axis=1)
-    positive = ~is_rounding_noise(np.sqrt(m2), np.abs(windows).max(axis=1), windows.shape[1])
+    positive = ~is_rounding_noise(np.sqrt(m2), np.ldexp(max_abs, -shift), ws.n)
     zs = centred / np.sqrt(np.where(positive, m2, 1.0))[:, None]
     z2 = zs * zs  # products: float pow is about 30 times slower on these arrays
     skews = np.where(positive, np.mean(z2 * zs, axis=1), 0.0)
     kurts = np.where(positive, np.mean(z2 * z2, axis=1) - 3.0, 0.0)
     return skews, kurts
+
+
+def _require_shape(ws: WindowStats) -> tuple[np.ndarray, np.ndarray]:
+    if ws.skews is None or ws.kurts is None:
+        ws.skews, ws.kurts = _shape_moments(ws)
+    return ws.skews, ws.kurts
 
 
 def _cf_z_values(z, skew, excess_kurtosis):
@@ -265,18 +254,6 @@ def _cf_tail_means(alpha: float, skew: np.ndarray, excess_kurtosis: np.ndarray) 
     )
 
 
-def _require_shape(ws: WindowStats) -> tuple[np.ndarray, np.ndarray]:
-    if ws.skews is None or ws.kurts is None:
-        ws.skews, ws.kurts = _shape_moments(ws.windows, ws.means)
-    return ws.skews, ws.kurts
-
-
-def _gpd_thresholds(ws: WindowStats, threshold, threshold_quantile) -> np.ndarray:
-    if threshold is not None:
-        return np.full(ws.windows.shape[0], float(threshold))
-    return _type7_sorted_rows(ws.sorted_rows, float(threshold_quantile))
-
-
 def _batch_gpd_fit(srt: np.ndarray, thresholds: np.ndarray):
     """PWM fit per ascending-sorted row. Returns (xi, beta, k) arrays.
 
@@ -309,6 +286,17 @@ def _batch_gpd_fit(srt: np.ndarray, thresholds: np.ndarray):
     return 2.0 - b0 / denom, 2.0 * b0 * b1 / denom, ks
 
 
+def _gpd_fit_rows(
+    ws: WindowStats, gpd_threshold=None, gpd_threshold_quantile=DEFAULT_GPD_THRESHOLD_QUANTILE, **_
+):
+    """Thresholds and PWM fit (xi, beta, k) of every row."""
+    if gpd_threshold is not None:
+        thresholds = np.full(ws.windows.shape[0], float(gpd_threshold))
+    else:
+        thresholds = _type7_sorted_rows(ws.sorted_rows, float(gpd_threshold_quantile))
+    return (thresholds, *_batch_gpd_fit(ws.sorted_rows, thresholds))
+
+
 def _gpd_var_from_fit(thresholds, xi, beta, ks, n, alpha):
     ratio = alpha * n / ks
     if np.any(ratio > 1.0):
@@ -324,173 +312,212 @@ def _gpd_var_from_fit(thresholds, xi, beta, ks, n, alpha):
     return np.where(small, log_limit, power)
 
 
+def _gpd_es_from_fit(thresholds, xi, beta, var_empirical):
+    if np.any(xi >= 1.0):
+        row = int(np.flatnonzero(xi >= 1.0)[0])
+        raise InfiniteMeanTailError(
+            f"window {row}: fitted shape {float(xi[row]):.6g} >= 1, tail mean infinite"
+        )
+    return var_empirical / (1.0 - xi) + (beta - xi * thresholds) / (1.0 - xi)
+
+
 def gpd_var_capital(fit: "GpdFit", alpha) -> float:
     """VaR capital implied by a GPD fit: -u + beta/xi * ((alpha*n/k)^(-xi) - 1)."""
-    alpha = RiskLevel(alpha)
-    caps = _gpd_var_from_fit(
-        np.array([fit.u]), np.array([fit.xi]), np.array([fit.beta]),
-        np.array([float(fit.k)]), fit.n, float(alpha),
-    )
-    return float(caps[0])
+    u, xi, beta, k = np.array([[fit.u], [fit.xi], [fit.beta], [fit.k]], dtype=float)
+    return float(_gpd_var_from_fit(u, xi, beta, k, fit.n, RiskLevel(alpha))[0])
 
 
 def gpd_es_capital(fit: "GpdFit", var_empirical_capital: float) -> float:
     """ES capital implied by a GPD fit: VaR_emp/(1-xi) + (beta - xi*u)/(1-xi)."""
-    if fit.xi >= 1.0:
-        raise InfiniteMeanTailError(f"fitted shape {fit.xi:.6g} >= 1, tail mean infinite")
-    return float(var_empirical_capital / (1.0 - fit.xi) + (fit.beta - fit.xi * fit.u) / (1.0 - fit.xi))
+    args = np.array([[fit.u], [fit.xi], [fit.beta], [var_empirical_capital]], dtype=float)
+    return float(_gpd_es_from_fit(*args)[0])
 
 
-def _batch_var_student_t(ws: WindowStats, alpha: float) -> np.ndarray:
-    caps = np.empty(ws.windows.shape[0])
-    for i, row in enumerate(ws.windows):
-        params = fit_student_t(row)
-        tq = student_t_quantile(alpha, params.nu)
-        caps[i] = -(params.mu + params.sigma * math.sqrt((params.nu - 2.0) / params.nu) * tq)
-    return caps
+# ---------------------------------------------------------------------------
+# kernels: (WindowStats, alpha, **options) -> one capital per row
+# ---------------------------------------------------------------------------
 
 
-def _batch_var_kde(ws: WindowStats, alpha, kernel, bandwidth) -> np.ndarray:
-    caps = np.empty(ws.windows.shape[0])
-    for i, row in enumerate(ws.windows):
-        caps[i] = _kde_var_capital(row, alpha, kernel, bandwidth)
-    return caps
+def _var_empirical(ws, alpha, **_):
+    return -_type7_sorted_rows(ws.sorted_rows, alpha)
 
 
-def batch_var_capitals(
-    method: str,
-    ws: WindowStats,
-    alpha: float,
-    *,
-    gpd_threshold=None,
-    gpd_threshold_quantile=DEFAULT_GPD_THRESHOLD_QUANTILE,
-    kde_kernel="gaussian",
-    kde_bandwidth=None,
-) -> np.ndarray:
-    """VaR capital per window row for one canonical method tag."""
-    alpha = RiskLevel(alpha)
-    n = ws.n
-    if method == "empirical":
-        return -_type7_sorted_rows(ws.sorted_rows, alpha)
-    if method == "empirical_simple":
-        idx = int(math.floor(n * alpha)) + 1
-        if idx > n:
-            raise DomainError(
-                f"empirical_simple needs floor(n*alpha)+1 <= n, got index {idx} for n={n}"
-            )
-        return -ws.sorted_rows[:, idx - 1].astype(float, copy=True)
-    if method == "gaussian":
-        return -(ws.means + ws.sds * sc.ndtri(alpha))
-    if method == "gaussian_unbiased":
-        factor = math.sqrt((n + 1) / n) * student_t_quantile(alpha, n - 1)
-        return -(ws.means + ws.sds * factor)
-    if method == "cornish_fisher":
-        if n < 4:
-            raise SizeError(f"cornish_fisher needs n >= 4, got {n}")
-        skews, kurts = _require_shape(ws)
-        z = sc.ndtri(alpha)
-        return -(ws.means + ws.sds * _cf_z_values(z, skews, kurts))
-    if method == "student_t":
-        return _batch_var_student_t(ws, alpha)
-    if method == "gpd":
-        thresholds = _gpd_thresholds(ws, gpd_threshold, gpd_threshold_quantile)
-        xi, beta, ks = _batch_gpd_fit(ws.sorted_rows, thresholds)
-        return _gpd_var_from_fit(thresholds, xi, beta, ks, n, alpha)
-    if method == "kde":
-        return _batch_var_kde(ws, alpha, kde_kernel, kde_bandwidth)
-    if method == "mean":
-        return -ws.means.copy()
-    raise ConfigError(f"unknown method tag {method!r}")
+def _var_empirical_simple(ws, alpha, **_):
+    # the (floor(n*alpha)+1)-th order statistic; the index is below n for every alpha in (0, 1)
+    return -ws.sorted_rows[:, int(math.floor(ws.n * alpha))]
 
 
-def batch_es_capitals(
-    method: str,
-    ws: WindowStats,
-    alpha: float,
-    *,
-    gpd_threshold=None,
-    gpd_threshold_quantile=DEFAULT_GPD_THRESHOLD_QUANTILE,
-    table=None,
-) -> np.ndarray:
+def _var_gaussian(ws, alpha, **_):
+    return -(ws.means + ws.sds * sc.ndtri(alpha))
+
+
+def _var_unbiased(ws, alpha, **_):
+    factor = math.sqrt((ws.n + 1) / ws.n) * student_t_quantile(alpha, ws.n - 1)
+    return -(ws.means + ws.sds * factor)
+
+
+def _var_cornish_fisher(ws, alpha, **_):
+    skews, kurts = _require_shape(ws)
+    return -(ws.means + ws.sds * _cf_z_values(sc.ndtri(alpha), skews, kurts))
+
+
+def _var_student_t(ws, alpha, **_):
+    return np.array([student_t_var_capital(fit_student_t(row), alpha) for row in ws.windows])
+
+
+def _var_gpd(ws, alpha, **options):
+    thresholds, xi, beta, ks = _gpd_fit_rows(ws, **options)
+    return _gpd_var_from_fit(thresholds, xi, beta, ks, ws.n, alpha)
+
+
+def _var_kde(ws, alpha, kde_kernel="gaussian", kde_bandwidth=None, **_):
+    return np.array([_kde_var_capital(row, alpha, kde_kernel, kde_bandwidth) for row in ws.windows])
+
+
+def _mean(ws, alpha, **_):
+    return -ws.means
+
+
+def _es_empirical(ws, alpha, **_):
+    quantiles = _type7_sorted_rows(ws.sorted_rows, alpha)
+    counts = (ws.sorted_rows < quantiles[:, None]).sum(axis=1)
+    if np.any(counts == 0):
+        row = int(np.flatnonzero(counts == 0)[0])
+        raise EmptyTailError(f"window {row}: no observation below the empirical VaR")
+    sums = np.take_along_axis(np.cumsum(ws.sorted_rows, axis=1), counts[:, None] - 1, axis=1)[:, 0]
+    return -sums / counts
+
+
+def _es_gaussian(ws, alpha, **_):
+    z = sc.ndtri(alpha)
+    return -ws.means + ws.sds * (np.exp(-0.5 * z * z) / math.sqrt(2 * math.pi)) / alpha
+
+
+def _es_unbiased(ws, alpha, table=None, **_):
+    if table is None:
+        raise CalibrationMissingError(
+            f"no calibration table supplied for unbiased ES at (n={ws.n}, alpha={float(alpha)})"
+        )
+    return -ws.means - ws.sds * table.lookup(ws.n, alpha).a_n
+
+
+def _es_cornish_fisher(ws, alpha, **_):
+    skews, kurts = _require_shape(ws)
+    return -(ws.means + ws.sds * _cf_tail_means(alpha, skews, kurts))
+
+
+def _es_gpd(ws, alpha, **options):
+    thresholds, xi, beta, _ = _gpd_fit_rows(ws, **options)
+    return _gpd_es_from_fit(thresholds, xi, beta, _var_empirical(ws, alpha))
+
+
+# ---------------------------------------------------------------------------
+# the method registry
+# ---------------------------------------------------------------------------
+
+
+class Method(NamedTuple):
+    """One estimator: its VaR kernel, its ES kernel (None without an ES form),
+    the smallest sample it accepts, and the alias tags that resolve to it."""
+
+    var: Callable
+    es: Callable | None
+    min_n: int
+    aliases: tuple = ()
+
+
+METHODS = {
+    "empirical": Method(_var_empirical, _es_empirical, 2, ("emp", "hist")),
+    "empirical_simple": Method(_var_empirical_simple, None, 1, ("simple", "emp_simple")),
+    "gaussian": Method(_var_gaussian, _es_gaussian, 2, ("norm", "gauss")),
+    "cornish_fisher": Method(_var_cornish_fisher, _es_cornish_fisher, 4, ("cf",)),
+    "student_t": Method(_var_student_t, None, 10, ("t", "student")),
+    "gpd": Method(_var_gpd, _es_gpd, 2, ("evt",)),
+    # an explicit bandwidth admits one point; the default bandwidth needs ten
+    "kde": Method(_var_kde, None, 1),
+    "gaussian_unbiased": Method(_var_unbiased, _es_unbiased, 2, ("u", "unbiased")),
+    "mean": Method(_mean, _mean, 1),
+}
+ES_METHODS = tuple(tag for tag, spec in METHODS.items() if spec.es is not None)
+# the settings a kernel may read; each method ignores those it does not use
+OPTIONS = ("gpd_threshold", "gpd_threshold_quantile", "kde_kernel", "kde_bandwidth", "table")
+_TAGS = {alias: tag for tag, spec in METHODS.items() for alias in (tag, *spec.aliases)}
+
+
+def canonical_method(tag: str) -> str:
+    """Resolve a method tag or alias; unknown tags raise :class:`ConfigError`."""
+    key = str(tag).strip().lower().replace("-", "_")
+    if key not in _TAGS:
+        raise ConfigError(f"unknown method tag {tag!r}; valid tags: {', '.join(sorted(_TAGS))}")
+    return _TAGS[key]
+
+
+def check_es_form(methods) -> None:
+    """Raise :class:`ConfigError` naming the canonical ``methods`` without an ES form."""
+    bad = [tag for tag in methods if METHODS[tag].es is None]
+    if bad:
+        raise ConfigError(
+            f"no Expected Shortfall form for {', '.join(bad)}; "
+            f"ES-capable methods: {', '.join(ES_METHODS)}"
+        )
+
+
+def _kernel(method: str, measure: str, n: int, options: dict) -> Callable:
+    """The registered kernel for ``measure``, once the tag, form, size and options check out."""
+    if method not in METHODS:
+        raise ConfigError(f"unknown method tag {method!r}")
+    if measure == "es":
+        check_es_form([method])
+    if n < METHODS[method].min_n:
+        raise SizeError(f"{method} needs at least {METHODS[method].min_n} observations, got {n}")
+    unknown = set(options) - set(OPTIONS)
+    if unknown:
+        raise TypeError(f"unknown estimator options {sorted(unknown)}; valid: {', '.join(OPTIONS)}")
+    return METHODS[method].var if measure == "var" else METHODS[method].es
+
+
+def batch_var_capitals(method: str, ws: WindowStats, alpha: float, **options) -> np.ndarray:
+    """VaR capital per window row for one canonical method tag; see :data:`OPTIONS`."""
+    return _kernel(method, "var", ws.n, options)(ws, RiskLevel(alpha), **options)
+
+
+def batch_es_capitals(method: str, ws: WindowStats, alpha: float, **options) -> np.ndarray:
     """Expected Shortfall capital per window row for one canonical method tag."""
-    alpha = RiskLevel(alpha)
-    n = ws.n
-    if method == "empirical":
-        quantiles = _type7_sorted_rows(ws.sorted_rows, alpha)
-        counts = (ws.sorted_rows < quantiles[:, None]).sum(axis=1)
-        if np.any(counts == 0):
-            row = int(np.flatnonzero(counts == 0)[0])
-            raise EmptyTailError(f"window {row}: no observation below the empirical VaR")
-        sums = np.take_along_axis(
-            np.cumsum(ws.sorted_rows, axis=1), counts[:, None] - 1, axis=1
-        )[:, 0]
-        return -sums / counts
-    if method == "gaussian":
-        z = sc.ndtri(alpha)
-        return -ws.means + ws.sds * (np.exp(-0.5 * z * z) / math.sqrt(2 * math.pi)) / alpha
-    if method == "cornish_fisher":
-        if n < 4:
-            raise SizeError(f"cornish_fisher needs n >= 4, got {n}")
-        skews, kurts = _require_shape(ws)
-        return -(ws.means + ws.sds * _cf_tail_means(alpha, skews, kurts))
-    if method == "gpd":
-        thresholds = _gpd_thresholds(ws, gpd_threshold, gpd_threshold_quantile)
-        xi, beta, ks = _batch_gpd_fit(ws.sorted_rows, thresholds)
-        if np.any(xi >= 1.0):
-            row = int(np.flatnonzero(xi >= 1.0)[0])
-            raise InfiniteMeanTailError(
-                f"window {row}: fitted shape {float(xi[row]):.6g} >= 1, tail mean infinite"
-            )
-        var_emp = -_type7_sorted_rows(ws.sorted_rows, alpha)
-        return var_emp / (1.0 - xi) + (beta - xi * thresholds) / (1.0 - xi)
-    if method == "gaussian_unbiased":
-        if table is None:
-            raise CalibrationMissingError(
-                f"no calibration table supplied for unbiased ES at (n={n}, alpha={float(alpha)})"
-            )
-        entry = table.lookup(n, alpha)
-        return -ws.means - ws.sds * entry.a_n
-    if method == "mean":
-        return -ws.means.copy()
-    raise ConfigError(f"method {method!r} has no Expected Shortfall form")
+    return _kernel(method, "es", ws.n, options)(ws, RiskLevel(alpha), **options)
+
+
+def estimate(method: str, x, alpha, measure: str = "var", **options) -> RiskEstimate:
+    """One capital estimate: the method's batch kernel on ``x`` as a single window.
+
+    ``method`` may be an alias; ``options`` are those of :data:`OPTIONS`.
+    """
+    method = canonical_method(method)
+    if measure not in ("var", "es"):
+        raise ConfigError(f"measure must be 'var' or 'es', got {measure!r}")
+    arr = as_sample(x, 0, method)
+    batch = batch_var_capitals if measure == "var" else batch_es_capitals
+    capital = batch(method, window_stats(arr[None, :]), alpha, **options)[0]
+    return RiskEstimate(measure, method, float(RiskLevel(alpha)), arr.size, float(capital))
 
 
 # ---------------------------------------------------------------------------
-# scalar estimators
+# scalar estimators and fits
 # ---------------------------------------------------------------------------
-
-
-def _single(method, x, alpha, min_n, measure="var", **kwargs) -> RiskEstimate:
-    arr = as_sample(x, min_n, method)
-    ws = window_stats(arr[None, :], with_shape=method == "cornish_fisher")
-    if measure == "var":
-        cap = batch_var_capitals(method, ws, alpha, **kwargs)[0]
-    else:
-        cap = batch_es_capitals(method, ws, alpha, **kwargs)[0]
-    return RiskEstimate(measure, method, float(RiskLevel(alpha)), arr.size, float(cap))
 
 
 def var_empirical(x, alpha) -> RiskEstimate:
     """Negative type-7 sample quantile (the R/S default, h = alpha*(n-1)+1)."""
-    return _single("empirical", x, alpha, 2)
+    return estimate("empirical", x, alpha)
 
 
 def var_empirical_simple(x, alpha) -> RiskEstimate:
     """Negative of the (floor(n*alpha)+1)-th ascending order statistic."""
-    arr = as_sample(x, 1, "empirical_simple")
-    alpha = RiskLevel(alpha)
-    idx = int(math.floor(arr.size * alpha)) + 1
-    if idx > arr.size:
-        raise DomainError(
-            f"empirical_simple needs floor(n*alpha)+1 <= n, got index {idx} for n={arr.size}"
-        )
-    cap = -float(np.sort(arr)[idx - 1])
-    return RiskEstimate("var", "empirical_simple", float(alpha), arr.size, cap)
+    return estimate("empirical_simple", x, alpha)
 
 
 def var_gaussian(x, alpha) -> RiskEstimate:
     """Gaussian plug-in: capital = -(mean + sd * Phi^{-1}(alpha))."""
-    return _single("gaussian", x, alpha, 2)
+    return estimate("gaussian", x, alpha)
 
 
 def var_gaussian_unbiased(x, alpha) -> RiskEstimate:
@@ -500,7 +527,7 @@ def var_gaussian_unbiased(x, alpha) -> RiskEstimate:
     estimation error of mean and sd, making the exceedance probability of the
     secured position exactly alpha under Gaussian data.
     """
-    return _single("gaussian_unbiased", x, alpha, 2)
+    return estimate("gaussian_unbiased", x, alpha)
 
 
 def cornish_fisher_z(alpha, skew, excess_kurtosis) -> CornishFisherAdjustment:
@@ -513,7 +540,7 @@ def cornish_fisher_z(alpha, skew, excess_kurtosis) -> CornishFisherAdjustment:
 
 def var_cornish_fisher(x, alpha) -> RiskEstimate:
     """Moment-corrected Gaussian VaR via the Cornish-Fisher quantile."""
-    return _single("cornish_fisher", x, alpha, 4)
+    return estimate("cornish_fisher", x, alpha)
 
 
 def fit_student_t(x) -> StudentTParams:
@@ -557,10 +584,7 @@ def student_t_var_capital(params: StudentTParams, alpha) -> float:
 
 def var_student_t(x, alpha) -> RiskEstimate:
     """Student-t plug-in: -(mu + sigma * sqrt((nu-2)/nu) * t_nu^{-1}(alpha))."""
-    arr = as_sample(x, 10, "student_t")
-    alpha = RiskLevel(alpha)
-    cap = student_t_var_capital(fit_student_t(arr), alpha)
-    return RiskEstimate("var", "student_t", float(alpha), arr.size, float(cap))
+    return estimate("student_t", x, alpha)
 
 
 def fit_gpd_pwm(x, u) -> GpdFit:
@@ -585,7 +609,7 @@ def var_gpd(x, alpha, u=None, threshold_quantile=DEFAULT_GPD_THRESHOLD_QUANTILE)
     0.7 quantile of losses. Shapes below 1e-6 in magnitude switch to the
     exponential (log) limit of the quantile formula.
     """
-    return _single("gpd", x, alpha, 2, gpd_threshold=u, gpd_threshold_quantile=threshold_quantile)
+    return estimate("gpd", x, alpha, gpd_threshold=u, gpd_threshold_quantile=threshold_quantile)
 
 
 def var_kde(x, alpha, kernel="gaussian", bandwidth=None) -> RiskEstimate:
@@ -594,10 +618,7 @@ def var_kde(x, alpha, kernel="gaussian", bandwidth=None) -> RiskEstimate:
     The default bandwidth 1.06 * sd * n^{-1/5} needs n >= 10; an explicit
     bandwidth admits any non-empty sample.
     """
-    arr = as_sample(x, 1 if bandwidth is not None else 10, "kde")
-    alpha = RiskLevel(alpha)
-    cap = _kde_var_capital(arr, alpha, kernel, bandwidth)
-    return RiskEstimate("var", "kde", float(alpha), arr.size, float(cap))
+    return estimate("kde", x, alpha, kde_kernel=kernel, kde_bandwidth=bandwidth)
 
 
 def _kde_var_capital(arr, alpha, kernel, bandwidth) -> float:
@@ -651,12 +672,12 @@ def _kde_var_capital(arr, alpha, kernel, bandwidth) -> float:
 
 def es_empirical(x, alpha) -> RiskEstimate:
     """Average loss beyond the empirical VaR (negated tail mean)."""
-    return _single("empirical", x, alpha, 2, measure="es")
+    return estimate("empirical", x, alpha, "es")
 
 
 def es_gaussian(x, alpha) -> RiskEstimate:
     """Gaussian plug-in ES: -mean + sd * phi(Phi^{-1}(alpha)) / alpha."""
-    return _single("gaussian", x, alpha, 2, measure="es")
+    return estimate("gaussian", x, alpha, "es")
 
 
 def es_cornish_fisher(x, alpha) -> RiskEstimate:
@@ -665,13 +686,13 @@ def es_cornish_fisher(x, alpha) -> RiskEstimate:
     The average is exact (truncated-normal moments); with zero skew and excess
     kurtosis it is the Gaussian ES constant.
     """
-    return _single("cornish_fisher", x, alpha, 4, measure="es")
+    return estimate("cornish_fisher", x, alpha, "es")
 
 
 def es_gpd(x, alpha, u=None, threshold_quantile=DEFAULT_GPD_THRESHOLD_QUANTILE) -> RiskEstimate:
     """GPD tail ES: VaR_emp/(1-xi) + (beta - xi*u)/(1-xi); needs xi < 1."""
-    return _single(
-        "gpd", x, alpha, 2, measure="es", gpd_threshold=u, gpd_threshold_quantile=threshold_quantile
+    return estimate(
+        "gpd", x, alpha, "es", gpd_threshold=u, gpd_threshold_quantile=threshold_quantile
     )
 
 
@@ -681,25 +702,12 @@ def es_gaussian_unbiased(x, alpha, table) -> RiskEstimate:
     ``table`` must hold a calibration entry for (len(x), alpha); otherwise a
     :class:`CalibrationMissingError` is raised.
     """
-    return _single("gaussian_unbiased", x, alpha, 2, measure="es", table=table)
+    return estimate("gaussian_unbiased", x, alpha, "es", table=table)
 
 
 def mean_estimator(x) -> RiskEstimate:
-    """Negative sample mean; unbiased for the expectation-based risk measure."""
-    arr = as_sample(x, 1, "mean")
-    # level is irrelevant for the mean functional; recorded as 0.5 for the tag
-    return RiskEstimate("var", "mean", 0.5, arr.size, -float(arr.mean()))
+    """Negative sample mean; unbiased for the expectation-based risk measure.
 
-
-# convenient dispatch used by the CLI
-VAR_FUNCTIONS = {
-    "empirical": var_empirical,
-    "empirical_simple": var_empirical_simple,
-    "gaussian": var_gaussian,
-    "cornish_fisher": var_cornish_fisher,
-    "student_t": var_student_t,
-    "gpd": var_gpd,
-    "kde": var_kde,
-    "gaussian_unbiased": var_gaussian_unbiased,
-    "mean": lambda x, alpha: mean_estimator(x),
-}
+    The level does not enter the mean functional; the estimate records 0.5.
+    """
+    return estimate("mean", x, 0.5)

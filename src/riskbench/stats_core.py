@@ -20,6 +20,7 @@ _UINT64_MAX = 2**64 - 1
 # A spread this many times n * eps * max|x| is rounding noise: summing n equal
 # values perturbs their mean by at most about n ulps of max|x|.
 _NOISE_ULPS_PER_POINT = 4.0
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -87,6 +88,17 @@ def is_rounding_noise(spread, max_abs, n: int):
     return np.asarray(spread, dtype=float) <= bound
 
 
+def _overflow_shift(max_abs, n: int):
+    """Binary exponent to scale a sample down by before squaring; 0 where none is needed.
+
+    ``n`` centred squares, each at most (2 max|x|)^2, can overflow their sum once
+    max|x| > sqrt(max_float / 4n); such samples get the exponent of max|x|
+    (``np.frexp``). Power-of-two scaling is exact. Works elementwise on arrays.
+    """
+    big = np.asarray(max_abs) > math.sqrt(_FLOAT_MAX / (4.0 * n))
+    return np.where(big, np.frexp(max_abs)[1], 0)
+
+
 def gaussian_cdf(z: float) -> float:
     """Standard normal CDF."""
     z = float(z)
@@ -127,14 +139,19 @@ def sample_moments(x) -> MomentSummary:
 
     A zero-spread sample, judged by :func:`is_rounding_noise`, reports zero
     sd, skewness and excess kurtosis so that downstream moment adjustments
-    vanish and spread guards fire on degenerate inputs.
+    vanish and spread guards fire on degenerate inputs. Samples whose squares
+    could overflow are scaled by a power of two first (:func:`_overflow_shift`).
     """
     arr = as_sample(x, 2, "sample_moments")
     n = arr.size
+    max_abs = float(np.abs(arr).max())
+    shift = int(_overflow_shift(max_abs, n))
+    if shift:
+        arr, max_abs = np.ldexp(arr, -shift), math.ldexp(max_abs, -shift)
     mean = float(arr.mean())
     centred = arr - mean
     m2 = float(np.mean(centred**2))
-    if is_rounding_noise(math.sqrt(m2), np.abs(arr).max(), n):
+    if is_rounding_noise(math.sqrt(m2), max_abs, n):
         sd, skew, kurt = 0.0, 0.0, 0.0
     else:
         sd = math.sqrt(m2 * n / (n - 1))
@@ -143,7 +160,9 @@ def sample_moments(x) -> MomentSummary:
         z2 = zs * zs  # the same products as the batch path, so both agree to the bit
         skew = float(np.mean(z2 * zs))
         kurt = float(np.mean(z2 * z2)) - 3.0
-    return MomentSummary(n, mean, sd, skew, kurt, kurtosis_small_sample=n < 4)
+    return MomentSummary(
+        n, math.ldexp(mean, shift), math.ldexp(sd, shift), skew, kurt, kurtosis_small_sample=n < 4
+    )
 
 
 def type7_quantile(x, p: float) -> float:
@@ -200,9 +219,3 @@ def draw_pivotal_pairs(rng: SeededRng, n: int, count: int) -> tuple[np.ndarray, 
     z = gen.standard_normal(int(count))
     v = np.sqrt(gen.chisquare(n - 1, int(count)))
     return z, v
-
-
-def draw_pivotal_pair(rng: SeededRng, n: int) -> tuple[float, float]:
-    """Single (Z, V_n) draw; equals the first element of :func:`draw_pivotal_pairs`."""
-    z, v = draw_pivotal_pairs(rng, n, 1)
-    return float(z[0]), float(v[0])

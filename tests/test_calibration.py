@@ -15,7 +15,6 @@ from riskbench import (
     DataError,
     DomainError,
     GaussianParams,
-    PivotalDraw,
     SeededRng,
     SizeError,
     draw_pivotal_pairs,
@@ -77,16 +76,6 @@ class TestEmpiricalEs:
     def test_tie_rule_takes_exact_count(self):
         # ceil(0.5 * 5) = 3 smallest, ties included deterministically
         assert empirical_es([0.0, 0.0, 0.0, 1.0, 2.0], 0.5) == 0.0
-
-
-class TestPivotalDraw:
-    def test_from_rng(self):
-        d = PivotalDraw.from_rng(SeededRng(3), 50)
-        assert d.v >= 0.0
-
-    def test_negative_v_rejected(self):
-        with pytest.raises(DomainError):
-            PivotalDraw(z=0.0, v=-1.0)
 
 
 class TestSolver:
@@ -210,9 +199,11 @@ class TestCalibrationTable:
 
     def test_ensure_solves_once(self):
         table = CalibrationTable()
-        first = table.ensure(20, 0.25, mc_samples=150_000, seed=5)
-        second = table.ensure(20, 0.25, mc_samples=150_000, seed=99)  # seed ignored on hit
+        first = table.ensure(20, 0.25)
+        second = table.ensure(20, 0.25)
         assert first is second
+        assert first == exact_unbiased_es_constant(20, 0.25)
+        assert first.source == "quadrature"
 
     def test_quadrature_entry_round_trip(self, tmp_path):
         table = CalibrationTable()

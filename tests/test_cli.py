@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from riskbench import CalibrationTable, load_returns_csv
+from riskbench import CalibrationTable, exact_unbiased_es_constant, load_returns_csv
 from riskbench.cli import main
 
 
@@ -195,10 +195,12 @@ class TestBacktest:
         code, _, _ = run(
             capsys, "backtest", "--simulate", "--length", "500", "--alpha", "0.10",
             "--methods", "u", "--measure", "es", "--seed", "3",
-            "--table", str(table_path), "--auto-calibrate", "--auto-samples", "150000",
+            "--table", str(table_path), "--auto-calibrate",
         )
         assert code == 0
-        assert CalibrationTable.load(table_path).lookup(50, 0.10).a_n < -1.7
+        entry = CalibrationTable.load(table_path).lookup(50, 0.10)
+        assert entry.source == "quadrature"
+        assert entry.a_n == exact_unbiased_es_constant(50, 0.10).a_n
 
 
 class TestReplicate:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -46,12 +47,15 @@ from riskbench import (
     var_kde,
     var_student_t,
 )
+from riskbench.backtest import BacktestConfig
 from riskbench.estimators import (
+    METHODS,
     RiskLevel,
     WindowStats,
     batch_es_capitals,
     batch_var_capitals,
     canonical_method,
+    estimate,
     window_stats,
 )
 
@@ -584,3 +588,98 @@ class TestMethodTags:
     def test_non_finite_sample_rejected(self):
         with pytest.raises(DataError):
             var_gaussian([1.0, float("inf")], 0.05)
+
+
+def _measures(tag):
+    return ("var", "es") if METHODS[tag].es is not None else ("var",)
+
+
+class TestMethodRegistry:
+    """Checks run for every registered method, so a new method is covered as it is added."""
+
+    ALPHA = 0.1
+    ROWS = draw_gaussian(SeededRng(77), 4 * 30, 0.2, 1.5).reshape(4, 30)
+
+    @pytest.fixture(scope="class")
+    def table(self):
+        table = CalibrationTable()
+        table.add(exact_unbiased_es_constant(30, self.ALPHA))
+        return table
+
+    @pytest.mark.parametrize("tag", list(METHODS))
+    def test_scalar_equals_batch_row_to_the_bit(self, tag, table):
+        for measure in _measures(tag):
+            batch = batch_var_capitals if measure == "var" else batch_es_capitals
+            capitals = batch(tag, window_stats(self.ROWS), self.ALPHA, table=table)
+            for i, row in enumerate(self.ROWS):
+                est = estimate(tag, row, self.ALPHA, measure, table=table)
+                assert (est.method, est.measure, est.n) == (tag, measure, row.size)
+                assert est.capital.hex() == float(capitals[i]).hex()
+
+    @pytest.mark.parametrize("tag", list(METHODS))
+    def test_aliases_resolve_to_tag(self, tag):
+        for alias in (tag, *METHODS[tag].aliases):
+            assert canonical_method(alias) == tag
+            assert canonical_method(alias.upper().replace("_", "-")) == tag
+
+    @pytest.mark.parametrize("tag", list(METHODS))
+    def test_nan_rejected(self, tag, table):
+        x = self.ROWS[0].copy()
+        x[7] = np.nan
+        for measure in _measures(tag):
+            with pytest.raises(DataError, match="position 7"):
+                estimate(tag, x, self.ALPHA, measure, table=table)
+
+    @pytest.mark.parametrize("tag", list(METHODS))
+    def test_below_minimum_size_rejected(self, tag, table):
+        x = self.ROWS[0, : METHODS[tag].min_n - 1]
+        for measure in _measures(tag):
+            with pytest.raises(SizeError):
+                estimate(tag, x, self.ALPHA, measure, table=table)
+            if x.size:
+                batch = batch_var_capitals if measure == "var" else batch_es_capitals
+                with pytest.raises(SizeError):
+                    batch(tag, window_stats(x[None, :]), self.ALPHA, table=table)
+
+    @pytest.mark.parametrize("tag", [t for t in METHODS if METHODS[t].es is None])
+    def test_es_on_var_only_tag_rejected(self, tag):
+        with pytest.raises(ConfigError, match="no Expected Shortfall form"):
+            estimate(tag, self.ROWS[0], self.ALPHA, "es")
+        with pytest.raises(ConfigError, match="no Expected Shortfall form"):
+            batch_es_capitals(tag, window_stats(self.ROWS), self.ALPHA)
+        with pytest.raises(ConfigError, match="no Expected Shortfall form"):
+            BacktestConfig(alpha=self.ALPHA, methods=(tag,), measure="both")
+
+    def test_unknown_option_rejected(self):
+        with pytest.raises(TypeError, match="gpd_treshold"):
+            estimate("gpd", self.ROWS[0], self.ALPHA, gpd_treshold=0.0)
+
+    def test_single_observation_where_defined(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert var_empirical_simple([3.0], 0.5).capital == -3.0
+            assert mean_estimator([2.0]).capital == -2.0
+            assert var_kde([5.0], 0.05, bandwidth=1.0).capital == pytest.approx(-(5.0 + Z_05), abs=1e-8)
+        with pytest.raises(SizeError):
+            var_kde([5.0], 0.05)
+
+
+class TestWindowStats:
+    def test_noisy_constant_row_sd_matches_scalar(self):
+        x = constant_plus_rounding_noise()
+        ws = window_stats(np.vstack([x, x[::-1], np.arange(12.0)]))
+        assert sample_moments(x).sd == 0.0
+        assert ws.sds[0] == ws.sds[1] == 0.0
+        assert ws.sds[2] == np.std(np.arange(12.0), ddof=1)
+
+    def test_overflowing_rows_scaled_exactly(self):
+        rows = draw_gaussian(SeededRng(530), 3 * 50, 0.3, 2.0).reshape(3, 50)
+        big = rows * 2.0**530
+        base = window_stats(rows, with_shape=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scaled = window_stats(np.vstack([big, rows]), with_shape=True)
+        assert np.array_equal(scaled.means, np.concatenate([base.means * 2.0**530, base.means]))
+        assert np.array_equal(scaled.sds, np.concatenate([base.sds * 2.0**530, base.sds]))
+        assert np.array_equal(scaled.skews, np.tile(base.skews, 2))
+        assert np.array_equal(scaled.kurts, np.tile(base.kurts, 2))
