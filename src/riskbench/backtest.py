@@ -23,6 +23,7 @@ from .errors import (
     SizeError,
 )
 from .estimators import (
+    METHODS,
     GaussianParams,
     RiskLevel,
     WindowStats,
@@ -60,6 +61,12 @@ class BacktestConfig:
         tags = tuple(dict.fromkeys(canonical_method(tag) for tag in self.methods))
         if not tags:
             raise ConfigError("at least one method tag is required")
+        for tag in tags:
+            if self.window < METHODS[tag].min_n:
+                raise ConfigError(
+                    f"window {self.window} is below the {METHODS[tag].min_n} observations "
+                    f"that {tag} needs"
+                )
         if self.measure in ("es", "both"):
             check_es_form(tags)
         object.__setattr__(self, "methods", tags)
@@ -414,7 +421,7 @@ def rolling_backtest(series, config: BacktestConfig, table=None) -> BacktestRepo
     """Estimate on window k, evaluate on window k+1, aggregate all statistics.
 
     Estimator failures are recorded per method and do not abort the other
-    methods. The unbiased ES method requires a calibration ``table`` entry
+    methods. Unbiased ES uses the exact a_n unless ``table`` stores an entry
     for (window, alpha). A non-finite observation raises :class:`DataError`.
     """
     pairing = split_windows(series, config.window)

@@ -1,13 +1,13 @@
 """Command-line front-end.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric/calibration
-error. Results go to stdout, diagnostics to stderr. The environment variable
-``RISKBENCH_TABLE`` supplies the default calibration-table path.
+error. Results go to stdout, diagnostics to stderr. Unbiased ES reads the
+exact a_n, so no command needs a calibration table; ``--table`` names a table
+whose stored entries take precedence.
 """
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import estimators
@@ -23,18 +23,12 @@ from .data_io import SCALES, SimulationSpec, load_returns_csv, simulate_series, 
 from .errors import ConfigError, DataError, IngestionError, OutputError, RiskbenchError, SizeError
 from .estimators import GaussianParams, canonical_method
 
-TABLE_ENV_VAR = "RISKBENCH_TABLE"
-
 # the first matching entry gives the exit code; numeric and calibration errors exit 3
 _EXIT_CODES = (
     (ConfigError, 1),
     ((IngestionError, DataError, SizeError, OutputError), 2),
     (RiskbenchError, 3),
 )
-
-
-def _default_table() -> str | None:
-    return os.environ.get(TABLE_ENV_VAR) or None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -53,13 +47,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     cal.add_argument("--n", type=int, required=True, help="estimation window length")
     cal.add_argument("--alpha", type=float, required=True, help="risk level in (0,1)")
-    cal.add_argument("--samples", type=int, default=DEFAULT_MC_SAMPLES,
+    cal.add_argument("--mc", type=int, default=DEFAULT_MC_SAMPLES, metavar="SAMPLES",
                      help="sample size of the Monte Carlo cross-check (the stored a_n is exact)")
     cal.add_argument("--seed", type=int, default=0, help="seed of the Monte Carlo cross-check")
     cal.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE,
                      help="residual tolerance of the Monte Carlo cross-check")
-    cal.add_argument("--table", default=_default_table(),
-                     help="calibration table path to update with the exact a_n")
+    cal.add_argument("--table", help="calibration table path to update with the exact a_n")
 
     est = sub.add_parser("estimate", formatter_class=fmt, help="estimate VaR/ES on a CSV column")
     est.add_argument("--input", required=True, help="CSV file with a header row")
@@ -68,7 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
     est.add_argument("--method", required=True, help="comma-separated method tags")
     est.add_argument("--measure", choices=("var", "es"), required=True, help="risk measure")
     est.add_argument("--alpha", type=float, required=True, help="risk level in (0,1)")
-    est.add_argument("--table", default=_default_table(), help="calibration table path")
+    est.add_argument("--table", help="calibration table whose entries replace the exact a_n")
     est.add_argument("--gpd-q", type=float, default=0.3, help="GPD threshold quantile on returns")
 
     bt = sub.add_parser("backtest", formatter_class=fmt, help="rolling-window backtest")
@@ -86,9 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bt.add_argument("--methods", required=True, help="comma-separated method tags")
     bt.add_argument("--measure", choices=("var", "es", "both"), default="var", help="risk measure")
     bt.add_argument("--gpd-q", type=float, default=0.3, help="GPD threshold quantile on returns")
-    bt.add_argument("--table", default=_default_table(), help="calibration table path")
-    bt.add_argument("--auto-calibrate", action="store_true",
-                    help="store the exact unbiased-ES constant when the table lacks it")
+    bt.add_argument("--table", help="calibration table whose entries replace the exact a_n")
     bt.add_argument("--out", help="write the report to this path")
     bt.add_argument("--format", choices=("json", "csv", "csv-long", "table"), default="table",
                     help="output format")
@@ -113,9 +104,7 @@ def _build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--measure", choices=("var", "es", "both"), default="var", help="risk measure")
     rep.add_argument("--reference", default="gaussian_unbiased", help="RD/OR reference method")
     rep.add_argument("--gpd-q", type=float, default=0.3, help="GPD threshold quantile on returns")
-    rep.add_argument("--table", default=_default_table(), help="calibration table path")
-    rep.add_argument("--auto-calibrate", action="store_true",
-                    help="store the exact unbiased-ES constant when the table lacks it")
+    rep.add_argument("--table", help="calibration table whose entries replace the exact a_n")
     rep.add_argument("--out", help="write the summary to this path")
     rep.add_argument("--format", choices=("json", "csv", "csv-long", "table"), default="table",
                     help="output format")
@@ -129,22 +118,9 @@ def _split_methods(raw: str) -> tuple:
     return tuple(canonical_method(t) for t in tags)
 
 
-def _load_table(args, config: BacktestConfig) -> CalibrationTable:
-    """The run's calibration table. Under --auto-calibrate a missing unbiased-ES
-    entry is stored first, and saved back to --table."""
-    table = CalibrationTable.load_or_new(args.table)
-    key = CalibrationTable.key(config.window, config.alpha)
-    wanted = config.measure != "var" and "gaussian_unbiased" in config.methods
-    if args.auto_calibrate and wanted and key not in table.entries:
-        table.ensure(config.window, config.alpha)
-        if args.table:
-            table.save(args.table)
-    return table
-
-
 def _cmd_calibrate(args) -> int:
     entry = exact_unbiased_es_constant(args.n, args.alpha)
-    check = solve_unbiased_es_constant(args.n, args.alpha, args.samples, args.seed, args.tol)
+    check = solve_unbiased_es_constant(args.n, args.alpha, args.mc, args.seed, args.tol)
     if args.table:
         table = CalibrationTable.load_or_new(args.table)
         table.add(entry)
@@ -164,7 +140,7 @@ def _cmd_calibrate(args) -> int:
 def _cmd_estimate(args) -> int:
     methods = _split_methods(args.method)
     series = load_returns_csv(args.input, args.column, args.scale)
-    table = CalibrationTable.load_or_new(args.table) if args.table else None
+    table = CalibrationTable.load_or_new(args.table)
     print(f"series={series.name} n={len(series)} measure={args.measure} alpha={args.alpha:g}")
     for method in methods:
         est = estimators.estimate(
@@ -253,7 +229,7 @@ def _cmd_backtest(args) -> int:
         measure=args.measure,
         gpd_threshold_quantile=args.gpd_q,
     )
-    report = rolling_backtest(series, config, _load_table(args, config))
+    report = rolling_backtest(series, config, CalibrationTable.load_or_new(args.table))
     _emit(report, args)
     return 0
 
@@ -289,7 +265,7 @@ def _cmd_replicate(args) -> int:
         args.reps,
         args.seed,
         reference=reference,
-        table=_load_table(args, config),
+        table=CalibrationTable.load_or_new(args.table),
     )
     _emit(summary, args)
     return 0

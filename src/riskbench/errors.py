@@ -61,10 +61,6 @@ class CalibrationError(RiskbenchError):
     """Base class for calibration problems."""
 
 
-class CalibrationMissingError(CalibrationError):
-    """No calibration entry for (n, alpha) and on-demand solving is disabled."""
-
-
 class CalibrationFailureError(CalibrationError):
     """The root bracket for the pivotal condition could not be established."""
 

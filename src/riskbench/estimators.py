@@ -14,9 +14,15 @@ checks call the kernels through :func:`batch_var_capitals` and
 :data:`METHODS` is the one place to add an estimator. It maps each canonical
 tag to its kernels, its minimum sample size and its aliases; tag resolution,
 the size check, the "has an ES form" check and the CLI all read it.
+
+The unbiased Gaussian ES kernel needs the constant ``a_n``, which
+:func:`exact_unbiased_es_constant` computes by quadrature and caches, so every
+entry point works without a calibration table. A table passed as ``table=``
+only matters where it stores its own entry for (n, alpha).
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple
@@ -26,7 +32,7 @@ import scipy.special as sc
 from scipy import optimize, stats
 
 from .errors import (
-    CalibrationMissingError,
+    CalibrationFailureError,
     ConfigError,
     DataError,
     DegenerateFitError,
@@ -50,6 +56,14 @@ from .stats_core import (
 DEFAULT_GPD_THRESHOLD_QUANTILE = 0.3
 _XI_LOG_LIMIT = 1e-6
 _STUDENT_NU_MAX = 200.0
+CALIBRATION_SOURCES = ("monte_carlo", "quadrature")
+_MAX_DOUBLINGS = 60
+_QUADRATURE_NODES = 64
+_MAX_QUADRATURE_NODES = 4096
+_QUADRATURE_RTOL = 1e-10
+_CHI_TAIL_MASS = 1e-18
+_ROOT_XTOL = 1e-300  # brentq then stops on rtol alone; roots span 1e-7 to 1e6
+_ROOT_RTOL = 4.0 * np.finfo(float).eps
 
 
 class RiskLevel(float):
@@ -136,6 +150,42 @@ class CornishFisherAdjustment:
     base_z: float
     skew: float
     excess_kurtosis: float
+
+
+@dataclass(frozen=True)
+class CalibrationEntry:
+    """Solution (a_n, b_n) of the unbiased-ES condition for one (n, alpha).
+
+    ``source`` is ``"quadrature"`` for the exact constant, whose ``mc_samples``
+    and ``seed`` are None, or ``"monte_carlo"`` for a bisection on a seeded
+    sample. ``residual`` is |ES_alpha(Z + b_n V_n)| at the returned root under
+    the rule that produced it.
+    """
+
+    n: int
+    alpha: float
+    b_n: float
+    a_n: float
+    mc_samples: int | None
+    seed: int | None
+    residual: float
+    source: str = "monte_carlo"
+
+    def __post_init__(self):
+        if self.b_n <= 0.0:
+            raise DomainError(f"b_n must be positive, got {self.b_n!r}")
+        if self.a_n >= 0.0:
+            raise DomainError(f"a_n must be negative, got {self.a_n!r}")
+        slack = self.a_n * math.sqrt(self.n / ((self.n - 1) * (self.n + 1))) + self.b_n
+        if abs(slack) > 1e-12 * max(1.0, self.b_n):
+            raise DataError(f"a_n and b_n are inconsistent (slack {slack:.3e})")
+        if not (math.isfinite(self.residual) and self.residual >= 0.0):
+            raise DataError(f"residual must be a non-negative real, got {self.residual!r}")
+        if self.source not in CALIBRATION_SOURCES:
+            raise DataError(
+                f"unknown calibration source {self.source!r}; "
+                f"expected one of {', '.join(CALIBRATION_SOURCES)}"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +368,8 @@ def _gpd_es_from_fit(thresholds, xi, beta, var_empirical):
         raise InfiniteMeanTailError(
             f"window {row}: fitted shape {float(xi[row]):.6g} >= 1, tail mean infinite"
         )
-    return var_empirical / (1.0 - xi) + (beta - xi * thresholds) / (1.0 - xi)
+    # the tail formula reads the loss threshold, -u
+    return var_empirical / (1.0 - xi) + (beta + xi * thresholds) / (1.0 - xi)
 
 
 def gpd_var_capital(fit: "GpdFit", alpha) -> float:
@@ -328,9 +379,126 @@ def gpd_var_capital(fit: "GpdFit", alpha) -> float:
 
 
 def gpd_es_capital(fit: "GpdFit", var_empirical_capital: float) -> float:
-    """ES capital implied by a GPD fit: VaR_emp/(1-xi) + (beta - xi*u)/(1-xi)."""
+    """ES capital implied by a GPD fit: VaR_emp/(1-xi) + (beta + xi*u)/(1-xi).
+
+    ``u`` is a threshold on returns; the tail formula's loss threshold is ``-u``.
+    """
     args = np.array([[fit.u], [fit.xi], [fit.beta], [var_empirical_capital]], dtype=float)
     return float(_gpd_es_from_fit(*args)[0])
+
+
+# ---------------------------------------------------------------------------
+# the exact unbiased ES constant
+# ---------------------------------------------------------------------------
+
+
+def _log_chi_rule(k: int, nodes: int):
+    """Nodes ``v`` and normalised weights ``w`` with E[h(V)] ~ w @ h(v), V ~ chi_k.
+
+    Gauss-Legendre in s = log v over the range holding all but 2e-18 of the
+    chi_k mass. In log space the tail integrands Phi(q - b*v) switch over a
+    width of order one whatever the size of b, so large roots at small n
+    (b_2 ~ 7.5e5 at alpha = 1e-6) need no special treatment. The density is
+    formed in log space, so large k cannot overflow.
+    """
+    s_lo = 0.5 * math.log(2.0 * sc.gammaincinv(0.5 * k, _CHI_TAIL_MASS))
+    s_hi = 0.5 * math.log(2.0 * sc.gammainccinv(0.5 * k, _CHI_TAIL_MASS))
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    s = 0.5 * (s_hi - s_lo) * x + 0.5 * (s_hi + s_lo)
+    v = np.exp(s)
+    log_density = k * s - 0.5 * v * v  # density of log V up to a constant
+    weights = w * np.exp(log_density - log_density.max())
+    return v, weights / weights.sum()
+
+
+def _pivot_es(b: float, alpha: float, v: np.ndarray, w: np.ndarray) -> float:
+    """ES_alpha(Z + b*V) under the rule (v, w): -E[Y * 1{Y < q}] / alpha."""
+    z_alpha = float(sc.ndtri(alpha))
+
+    def excess_mass(q):
+        return float(w @ sc.ndtr(q - b * v)) - alpha
+
+    # every V in the rule lies in [v[0], v[-1]], which brackets the quantile
+    q = optimize.brentq(
+        excess_mass, z_alpha + b * v[0] - 1.0, z_alpha + b * v[-1] + 1.0,
+        xtol=_ROOT_XTOL, rtol=_ROOT_RTOL,
+    )
+    u = q - b * v
+    tail = float(w @ (b * v * sc.ndtr(u) - np.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)))
+    return -tail / alpha
+
+
+def _quadrature_root(n: int, alpha: float, nodes: int) -> tuple[float, float]:
+    """Root b of ES_alpha(Z + b V_n) = 0 under a ``nodes``-point rule, and |ES| there."""
+    v, w = _log_chi_rule(n - 1, nodes)
+
+    def g(b):
+        return _pivot_es(b, alpha, v, w)
+
+    # ES(Z) = phi(z_alpha)/alpha > 0 at b = 0, and ES(Z + bV) falls with b
+    hi = 1.0
+    for _ in range(_MAX_DOUBLINGS):
+        if g(hi) < 0.0:
+            break
+        hi *= 2.0
+    else:
+        raise CalibrationFailureError(
+            f"could not bracket the root within {_MAX_DOUBLINGS} doublings"
+        )
+    b = optimize.brentq(g, 0.0, hi, xtol=_ROOT_XTOL, rtol=_ROOT_RTOL)
+    return b, abs(g(b))
+
+
+def exact_unbiased_es_constant(n: int, alpha) -> CalibrationEntry:
+    """Deterministic a_n (and b_n) with ES_alpha(Z + b_n V_n) = 0, by quadrature.
+
+    Z is standard normal, V_n is chi_{n-1} and ``a_n = -b_n * sqrt((n-1)(n+1)/n)``.
+    With Y = Z + b*V the condition reduces to one-dimensional integrals over V,
+
+        P(Y < q) = E[Phi(q - b*V)],
+        E[Y * 1{Y < q}] = E[b*V * Phi(q - b*V) - phi(q - b*V)],
+
+    evaluated by Gauss-Legendre quadrature in log V. The root is solved with a 64-node rule, then with doubled node counts
+    until two successive values of a_n agree to 1e-10 relative; the finer one
+    is returned. If 4096 nodes do not converge, or the numerics break down at
+    an extreme level, :class:`CalibrationFailureError` is raised. Results are
+    cached per (n, alpha).
+    """
+    n = int(n)
+    if n < 2:
+        raise SizeError(f"calibration needs window size n >= 2, got {n}")
+    return _exact_entry(n, float(RiskLevel(alpha)))
+
+
+@functools.lru_cache(maxsize=256)
+def _exact_entry(n: int, alpha: float) -> CalibrationEntry:
+    scale = math.sqrt((n - 1) * (n + 1) / n)
+    nodes = _QUADRATURE_NODES
+    try:
+        b_prev, _ = _quadrature_root(n, alpha, nodes)
+        while nodes < _MAX_QUADRATURE_NODES:
+            nodes *= 2
+            b, residual = _quadrature_root(n, alpha, nodes)
+            if abs(b - b_prev) <= _QUADRATURE_RTOL * b:
+                return CalibrationEntry(
+                    n=n,
+                    alpha=alpha,
+                    b_n=float(b),
+                    a_n=float(-b * scale),
+                    mc_samples=None,
+                    seed=None,
+                    residual=float(residual),
+                    source="quadrature",
+                )
+            b_prev = b
+    except (ValueError, RuntimeError) as exc:  # brentq: lost bracket or no convergence
+        raise CalibrationFailureError(
+            f"quadrature breaks down at (n={n}, alpha={alpha:.6g}): {exc}"
+        ) from None
+    raise CalibrationFailureError(
+        f"quadrature for (n={n}, alpha={alpha:.6g}) did not converge "
+        f"within {_MAX_QUADRATURE_NODES} nodes"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -394,11 +562,8 @@ def _es_gaussian(ws, alpha, **_):
 
 
 def _es_unbiased(ws, alpha, table=None, **_):
-    if table is None:
-        raise CalibrationMissingError(
-            f"no calibration table supplied for unbiased ES at (n={ws.n}, alpha={float(alpha)})"
-        )
-    return -ws.means - ws.sds * table.lookup(ws.n, alpha).a_n
+    lookup = exact_unbiased_es_constant if table is None else table.lookup
+    return -ws.means - ws.sds * lookup(ws.n, alpha).a_n
 
 
 def _es_cornish_fisher(ws, alpha, **_):
@@ -690,17 +855,17 @@ def es_cornish_fisher(x, alpha) -> RiskEstimate:
 
 
 def es_gpd(x, alpha, u=None, threshold_quantile=DEFAULT_GPD_THRESHOLD_QUANTILE) -> RiskEstimate:
-    """GPD tail ES: VaR_emp/(1-xi) + (beta - xi*u)/(1-xi); needs xi < 1."""
+    """GPD tail ES: VaR_emp/(1-xi) + (beta + xi*u)/(1-xi); needs xi < 1."""
     return estimate(
         "gpd", x, alpha, "es", gpd_threshold=u, gpd_threshold_quantile=threshold_quantile
     )
 
 
-def es_gaussian_unbiased(x, alpha, table) -> RiskEstimate:
-    """Unbiased Gaussian ES: -mean - sd * a_n with a_n < 0 from the table.
+def es_gaussian_unbiased(x, alpha, table=None) -> RiskEstimate:
+    """Unbiased Gaussian ES: -mean - sd * a_n with a_n < 0.
 
-    ``table`` must hold a calibration entry for (len(x), alpha); otherwise a
-    :class:`CalibrationMissingError` is raised.
+    a_n is the exact constant of :func:`exact_unbiased_es_constant`, unless
+    ``table`` stores an entry for (len(x), alpha), which then wins.
     """
     return estimate("gaussian_unbiased", x, alpha, "es", table=table)
 

@@ -256,12 +256,13 @@ class TestRollingBacktest:
         r = rolling_backtest(series, config).methods["gaussian"]
         assert r.es_z_statistic is None and r.joint_mean_score is None
 
-    def test_unbiased_es_without_table_fails_method(self, series):
+    def test_unbiased_es_without_table_matches_exact_table(self, series):
         config = BacktestConfig(alpha=0.10, methods=("u", "norm"), window=50, measure="es")
-        report = rolling_backtest(series, config, table=None)
-        assert report.methods["gaussian_unbiased"].failed
-        assert "CalibrationMissing" in report.methods["gaussian_unbiased"].failure
-        assert not report.methods["gaussian"].failed
+        table = CalibrationTable()
+        table.add(exact_unbiased_es_constant(50, 0.10))
+        report = rolling_backtest(series, config)
+        assert not report.methods["gaussian_unbiased"].failed
+        assert report.to_json() == rolling_backtest(series, config, table).to_json()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_series_rejected(self, bad):
@@ -274,6 +275,12 @@ class TestRollingBacktest:
     def test_es_methods_validated_in_config(self):
         with pytest.raises(ConfigError):
             BacktestConfig(alpha=0.1, methods=("kde",), measure="es")
+
+    def test_window_below_method_minimum_rejected_in_config(self):
+        with pytest.raises(ConfigError, match="student_t needs") as exc:
+            BacktestConfig(alpha=0.1, methods=("t", "norm"), window=5)
+        assert "10 observations" in str(exc.value)
+        assert BacktestConfig(alpha=0.1, methods=("t", "norm"), window=10).window == 10
 
     def test_report_json_round_trip(self, series, tmp_path):
         from riskbench import write_report
@@ -435,5 +442,13 @@ class TestReplicationEngine:
         table = CalibrationTable()
         table.add(exact_unbiased_es_constant(50, 0.05))
         summary = replication_study(config, GaussianParams(0.1, 2.0), 500, 12, 7, table=table)
+        golden = Path(__file__).parent / "data" / "replication_summary_golden.json"
+        assert summary.to_json() == golden.read_text()
+
+    def test_golden_summary_without_table(self):
+        config = BacktestConfig(
+            alpha=0.05, methods=("u", "norm", "emp", "gpd", "mean"), window=50, measure="both"
+        )
+        summary = replication_study(config, GaussianParams(0.1, 2.0), 500, 12, 7)
         golden = Path(__file__).parent / "data" / "replication_summary_golden.json"
         assert summary.to_json() == golden.read_text()

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
-from scipy.special import gammainc, gammaln, ndtri
+from scipy.special import gammainc, gammaln, ndtri, stdtr
 
 from riskbench import (
     CalibrationEntry,
     CalibrationFailureError,
-    CalibrationMissingError,
     CalibrationTable,
     ConfigError,
     DataError,
@@ -186,24 +185,15 @@ class TestCalibrationTable:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_lookup_missing(self, table_a50):
-        with pytest.raises(CalibrationMissingError):
-            table_a50.lookup(51, 0.10)
-        with pytest.raises(CalibrationMissingError):
-            table_a50.lookup(50, 0.05)
+        # a key the table does not hold gives the exact constant, which is not stored
+        for n, alpha in [(51, 0.10), (50, 0.05)]:
+            assert table_a50.lookup(n, alpha) is exact_unbiased_es_constant(n, alpha)
+        assert list(table_a50.entries) == [CalibrationTable.key(50, 0.10)]
 
     def test_alpha_quantised_at_1e6(self, table_a50):
         entry = table_a50.lookup(50, 0.10)
         assert table_a50.lookup(50, 0.10 + 1e-9) is entry
-        with pytest.raises(CalibrationMissingError):
-            table_a50.lookup(50, 0.1001)
-
-    def test_ensure_solves_once(self):
-        table = CalibrationTable()
-        first = table.ensure(20, 0.25)
-        second = table.ensure(20, 0.25)
-        assert first is second
-        assert first == exact_unbiased_es_constant(20, 0.25)
-        assert first.source == "quadrature"
+        assert table_a50.lookup(50, 0.1001) is exact_unbiased_es_constant(50, 0.1001)
 
     def test_quadrature_entry_round_trip(self, tmp_path):
         table = CalibrationTable()
@@ -258,6 +248,20 @@ class TestPivotalityCheck:
         # same underlying standard draws + exact scale equivariance
         assert moved.frequency == base.frequency
 
+    @pytest.mark.parametrize("n", [2, 5, 10, 50])
+    def test_plugin_exceedance_matches_exact(self, n):
+        # plug-in VaR (ddof = 1) is exceeded with probability F_{t,n-1}(z_alpha sqrt(n/(n+1)))
+        for alpha in (0.01, 0.05, 0.10):
+            exact = stdtr(n - 1, ndtri(alpha) * math.sqrt(n / (n + 1)))
+            res = pivotality_check("gaussian", n, alpha, 100_000, seed=100 * n + int(100 * alpha))
+            assert abs(res.frequency - exact) <= 4.0 * res.standard_error
+
+    def test_plugin_exceedance_exactly_above_alpha_and_falling_in_n(self):
+        for alpha in (0.01, 0.05, 0.10):
+            exact = [stdtr(n - 1, ndtri(alpha) * math.sqrt(n / (n + 1))) for n in (2, 5, 10, 50, 250)]
+            assert all(p > alpha for p in exact)
+            assert all(a > b for a, b in zip(exact, exact[1:]))
+
     def test_validation(self):
         with pytest.raises(ConfigError):
             pivotality_check("nope", 50, 0.05, 10_000, seed=0)
@@ -269,6 +273,12 @@ class TestSecuredPositionEs:
     def test_unbiased_es_near_zero(self, table_a50):
         value = secured_position_es("u", 50, 0.10, 200_000, seed=13, table=table_a50)
         assert abs(value) <= 0.02
+
+    def test_unbiased_es_without_table_matches_exact_table(self):
+        table = CalibrationTable()
+        table.add(exact_unbiased_es_constant(50, 0.10))
+        without = secured_position_es("u", 50, 0.10, 20_000, seed=13)
+        assert without == secured_position_es("u", 50, 0.10, 20_000, seed=13, table=table)
 
     def test_plugin_es_positive(self):
         value = secured_position_es("norm", 50, 0.10, 200_000, seed=13)

@@ -1,9 +1,16 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
-from riskbench import CalibrationTable, exact_unbiased_es_constant, load_returns_csv
+from riskbench import (
+    CalibrationEntry,
+    CalibrationTable,
+    es_gaussian_unbiased,
+    exact_unbiased_es_constant,
+    load_returns_csv,
+)
 from riskbench.cli import main
 
 
@@ -11,6 +18,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def exact_table(tmp_path, n, alpha) -> str:
+    """Path of a table file holding the exact constant for (n, alpha)."""
+    table = CalibrationTable()
+    table.add(exact_unbiased_es_constant(n, alpha))
+    path = tmp_path / "exact.json"
+    table.save(path)
+    return str(path)
 
 
 class TestUsageErrors:
@@ -32,7 +48,7 @@ class TestUsageErrors:
 
     def test_help_lists_flags_with_defaults(self, capsys):
         for sub, flag in [
-            ("calibrate", "--samples"),
+            ("calibrate", "--mc"),
             ("estimate", "--scale"),
             ("backtest", "--window"),
             ("simulate", "--seed"),
@@ -68,7 +84,7 @@ class TestCalibrate:
         table_path = tmp_path / "table.json"
         code, out, _ = run(
             capsys, "calibrate", "--n", "50", "--alpha", "0.10",
-            "--samples", "200000", "--seed", "42", "--table", str(table_path),
+            "--mc", "200000", "--seed", "42", "--table", str(table_path),
         )
         assert code == 0
         assert "a_n=" in out
@@ -79,7 +95,7 @@ class TestCalibrate:
         table_path = tmp_path / "table.json"
         code, out, _ = run(
             capsys, "calibrate", "--n", "50", "--alpha", "0.10",
-            "--samples", "200000", "--seed", "3", "--table", str(table_path),
+            "--mc", "200000", "--seed", "3", "--table", str(table_path),
         )
         assert code == 0
         entry = CalibrationTable.load(table_path).lookup(50, 0.10)
@@ -89,17 +105,9 @@ class TestCalibrate:
         assert "source=quadrature" in exact_line
         assert mc_line.startswith("mc_check a_n=") and "diff=" in mc_line
 
-    def test_env_var_supplies_table(self, capsys, tmp_path, monkeypatch):
-        table_path = tmp_path / "env_table.json"
-        monkeypatch.setenv("RISKBENCH_TABLE", str(table_path))
-        code, _, _ = run(capsys, "calibrate", "--n", "20", "--alpha", "0.25",
-                         "--samples", "150000", "--seed", "1")
-        assert code == 0
-        assert table_path.exists()
-
     def test_bad_samples_is_numeric_error(self, capsys):
         code, _, _ = run(capsys, "calibrate", "--n", "50", "--alpha", "0.10",
-                         "--samples", "100", "--seed", "0")
+                         "--mc", "100", "--seed", "0")
         assert code == 3
 
 
@@ -121,14 +129,24 @@ class TestEstimate:
         assert code == 0
         assert "empirical" in out and "gaussian_unbiased" in out
 
-    def test_unbiased_es_without_table_exits_3(self, capsys, csv_path):
-        code, _, err = run(
-            capsys, "estimate", "--input", str(csv_path), "--column", "ret",
-            "--scale", "decimal", "--method", "u", "--measure", "es",
-            "--alpha", "0.10",
-        )
-        assert code == 3
-        assert "calibration" in err.lower()
+    def test_unbiased_es_without_table_matches_exact_table(self, capsys, csv_path, tmp_path):
+        args = ("estimate", "--input", str(csv_path), "--column", "ret", "--scale", "decimal",
+                "--method", "u,norm", "--measure", "es", "--alpha", "0.10")
+        code, out, _ = run(capsys, *args)
+        assert code == 0
+        assert (0, out, "") == run(capsys, *args, "--table", exact_table(tmp_path, 200, 0.10))
+
+    def test_stored_entry_replaces_exact_constant(self, capsys, csv_path, tmp_path):
+        table = CalibrationTable()
+        table.add(CalibrationEntry(200, 0.10, 2.0 * math.sqrt(200 / (199 * 201)), -2.0, 1, 0, 0.0))
+        table.save(tmp_path / "stored.json")
+        args = ("estimate", "--input", str(csv_path), "--column", "ret", "--scale", "decimal",
+                "--method", "u", "--measure", "es", "--alpha", "0.10")
+        x = load_returns_csv(csv_path, "ret", "decimal").values
+        _, out, _ = run(capsys, *args, "--table", str(tmp_path / "stored.json"))
+        capital = float(out.split("capital=")[1])
+        assert capital == es_gaussian_unbiased(x, 0.10, table).capital
+        assert capital != es_gaussian_unbiased(x, 0.10).capital
 
     def test_missing_column_exits_2(self, capsys, csv_path):
         code, _, _ = run(
@@ -141,7 +159,7 @@ class TestEstimate:
     def test_es_with_table(self, capsys, csv_path, tmp_path):
         table_path = tmp_path / "t.json"
         code, _, _ = run(capsys, "calibrate", "--n", "200", "--alpha", "0.10",
-                         "--samples", "150000", "--seed", "2", "--table", str(table_path))
+                         "--mc", "150000", "--seed", "2", "--table", str(table_path))
         assert code == 0
         code, out, _ = run(
             capsys, "estimate", "--input", str(csv_path), "--column", "ret",
@@ -190,17 +208,12 @@ class TestBacktest:
         )
         assert code == 2
 
-    def test_auto_calibrate_persists_entry(self, capsys, tmp_path):
-        table_path = tmp_path / "auto.json"
-        code, _, _ = run(
-            capsys, "backtest", "--simulate", "--length", "500", "--alpha", "0.10",
-            "--methods", "u", "--measure", "es", "--seed", "3",
-            "--table", str(table_path), "--auto-calibrate",
-        )
+    def test_es_without_table_matches_exact_table(self, capsys, tmp_path):
+        args = ("backtest", "--simulate", "--length", "500", "--alpha", "0.10", "--methods", "u,norm",
+                "--measure", "both", "--seed", "3", "--format", "json")
+        code, out, _ = run(capsys, *args)
         assert code == 0
-        entry = CalibrationTable.load(table_path).lookup(50, 0.10)
-        assert entry.source == "quadrature"
-        assert entry.a_n == exact_unbiased_es_constant(50, 0.10).a_n
+        assert (0, out, "") == run(capsys, *args, "--table", exact_table(tmp_path, 50, 0.10))
 
 
 class TestReplicate:
@@ -219,3 +232,10 @@ class TestReplicate:
         )
         assert code == 0
         assert "er_mean" in out
+
+    def test_es_without_table_matches_exact_table(self, capsys, tmp_path):
+        args = ("replicate", "--reps", "4", "--length", "300", "--alpha", "0.05", "--methods", "u,norm",
+                "--measure", "both", "--seed", "4", "--format", "json")
+        code, out, _ = run(capsys, *args)
+        assert code == 0
+        assert (0, out, "") == run(capsys, *args, "--table", exact_table(tmp_path, 50, 0.05))
