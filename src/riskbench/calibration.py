@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import CalibrationFailureError, DataError, DomainError, SizeError
+from .errors import CalibrationFailureError, DataError, DomainError, OutputError, SizeError
 from .estimators import (
     _MAX_DOUBLINGS,
     CalibrationEntry,
@@ -86,40 +86,49 @@ class CalibrationTable:
         return json.dumps({"version": self.version, "entries": records}, indent=2, sort_keys=True)
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_json())
-            fh.write("\n")
+        """Write the table as JSON; a path that cannot be written raises :class:`OutputError`."""
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(self.to_json())
+                fh.write("\n")
+        except OSError as exc:
+            raise OutputError(f"cannot write calibration table to {path}: {exc}") from exc
 
     @classmethod
     def load(cls, path) -> "CalibrationTable":
-        """Read a table file. Version-1 files, which predate ``source``, hold
-        Monte Carlo entries only; they load into a current-version table."""
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        version = payload.get("version")
-        if version not in _READABLE_TABLE_VERSIONS:
-            raise DataError(f"unsupported calibration table version {version!r}")
-        table = cls()
-        for rec in payload["entries"]:
-            table.add(
-                CalibrationEntry(
-                    n=int(rec["n"]),
-                    alpha=float(rec["alpha"]),
-                    b_n=float(rec["b_n"]),
-                    a_n=float(rec["a_n"]),
-                    mc_samples=_optional_int(rec["mc_samples"]),
-                    seed=_optional_int(rec["seed"]),
-                    residual=float(rec["residual"]),
-                    source=rec.get("source", "monte_carlo"),
+        """Read a table file; a missing, unreadable or malformed one raises :class:`DataError`.
+
+        Version-1 files, which predate ``source``, hold Monte Carlo entries
+        only; they load into a current-version table.
+        """
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                payload = json.load(fh)
+            version = payload.get("version")
+            if version not in _READABLE_TABLE_VERSIONS:
+                raise DataError(f"unsupported calibration table version {version!r}")
+            table = cls()
+            for rec in payload["entries"]:
+                table.add(
+                    CalibrationEntry(
+                        n=int(rec["n"]),
+                        alpha=float(rec["alpha"]),
+                        b_n=float(rec["b_n"]),
+                        a_n=float(rec["a_n"]),
+                        mc_samples=_optional_int(rec["mc_samples"]),
+                        seed=_optional_int(rec["seed"]),
+                        residual=float(rec["residual"]),
+                        source=rec.get("source", "monte_carlo"),
+                    )
                 )
-            )
+        except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise DataError(f"cannot read calibration table {path}: {exc}") from exc
         return table
 
     @classmethod
     def load_or_new(cls, path) -> "CalibrationTable":
-        if path is not None and os.path.exists(path):
-            return cls.load(path)
-        return cls()
+        """The table at ``path``, or an empty table if no file exists there yet."""
+        return cls.load(path) if os.path.exists(path) else cls()
 
 
 def empirical_es(values, alpha) -> float:

@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric/calibration
 error. Results go to stdout, diagnostics to stderr. Unbiased ES reads the
 exact a_n, so no command needs a calibration table; ``--table`` names a table
-whose stored entries take precedence.
+whose stored entries take precedence. Only ``calibrate`` creates a table file
+that does not exist; the other commands fail on a missing one (exit 2).
 """
 from __future__ import annotations
 
@@ -119,10 +120,10 @@ def _split_methods(raw: str) -> tuple:
 
 
 def _cmd_calibrate(args) -> int:
+    table = CalibrationTable.load_or_new(args.table) if args.table else None
     entry = exact_unbiased_es_constant(args.n, args.alpha)
     check = solve_unbiased_es_constant(args.n, args.alpha, args.mc, args.seed, args.tol)
-    if args.table:
-        table = CalibrationTable.load_or_new(args.table)
+    if table is not None:
         table.add(entry)
         table.save(args.table)
         print(f"saved entry to {args.table}", file=sys.stderr)
@@ -140,7 +141,7 @@ def _cmd_calibrate(args) -> int:
 def _cmd_estimate(args) -> int:
     methods = _split_methods(args.method)
     series = load_returns_csv(args.input, args.column, args.scale)
-    table = CalibrationTable.load_or_new(args.table)
+    table = CalibrationTable.load(args.table) if args.table else None
     print(f"series={series.name} n={len(series)} measure={args.measure} alpha={args.alpha:g}")
     for method in methods:
         est = estimators.estimate(
@@ -229,7 +230,8 @@ def _cmd_backtest(args) -> int:
         measure=args.measure,
         gpd_threshold_quantile=args.gpd_q,
     )
-    report = rolling_backtest(series, config, CalibrationTable.load_or_new(args.table))
+    table = CalibrationTable.load(args.table) if args.table else None
+    report = rolling_backtest(series, config, table)
     _emit(report, args)
     return 0
 
@@ -265,7 +267,7 @@ def _cmd_replicate(args) -> int:
         args.reps,
         args.seed,
         reference=reference,
-        table=CalibrationTable.load_or_new(args.table),
+        table=CalibrationTable.load(args.table) if args.table else None,
     )
     _emit(summary, args)
     return 0

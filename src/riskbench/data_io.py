@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, DomainError, IngestionError, OutputError, SizeError
-from .estimators import GaussianParams
-from .stats_core import SeededRng, draw_gaussian, sample_moments
+from .estimators import GaussianParams, sample_moments
+from .stats_core import SeededRng, draw_gaussian
 
 SCALES = ("decimal", "percent")
 # missing-value sentinels used by the public portfolio files

@@ -25,14 +25,6 @@ class DataError(RiskbenchError, ValueError):
     """Input data violates a contract (non-finite values, degenerate spread)."""
 
 
-class EstimationError(RiskbenchError):
-    """A fit did not converge. ``best`` carries the best candidate found."""
-
-    def __init__(self, message, best=None):
-        super().__init__(message)
-        self.best = best
-
-
 class TailError(RiskbenchError):
     """Base class for tail-model (GPD / empirical tail) failures."""
 

@@ -4,12 +4,14 @@ Every estimator maps a return sample and a level ``alpha`` to a positive
 capital requirement: the amount of cash that makes the position acceptable.
 Exceedances are always the event ``outcome + capital < 0``.
 
-Each formula exists once, as a kernel over the rows of a matrix of rolling
-windows summarised by :func:`window_stats`. The backtester and the Monte Carlo
+Each formula exists once, as an array kernel over the rows of a matrix of
+rolling windows summarised by :func:`window_stats`; the fitted methods
+(Student-t, KDE) fit every row at once. The backtester and the Monte Carlo
 checks call the kernels through :func:`batch_var_capitals` and
 :func:`batch_es_capitals`. A scalar estimate (:func:`estimate`, and the
 ``var_*`` / ``es_*`` wrappers around it) is a batch of one row, returned as a
-:class:`RiskEstimate`.
+:class:`RiskEstimate`, and :func:`sample_moments` is one row of
+:func:`window_stats`. No row's result depends on the other rows of its batch.
 
 :data:`METHODS` is the one place to add an estimator. It maps each canonical
 tag to its kernels, its minimum sample size and its aliases; tag resolution,
@@ -29,7 +31,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.special as sc
-from scipy import optimize, stats
+from scipy import optimize
 
 from .errors import (
     CalibrationFailureError,
@@ -38,7 +40,6 @@ from .errors import (
     DegenerateFitError,
     DomainError,
     EmptyTailError,
-    EstimationError,
     InfiniteMeanTailError,
     InsufficientTailError,
     LevelTooHighError,
@@ -49,7 +50,6 @@ from .stats_core import (
     _type7_sorted_rows,
     as_sample,
     is_rounding_noise,
-    sample_moments,
     student_t_quantile,
 )
 
@@ -223,11 +223,10 @@ class WindowStats:
 def window_stats(windows: np.ndarray, with_shape: bool = False) -> WindowStats:
     """Sort each row and compute its mean and sd (divisor n-1).
 
-    An sd that :func:`is_rounding_noise` judges to be noise is zero, as in
-    :func:`sample_moments`, and rows whose squares could overflow are scaled by
-    a power of two first. The skew and kurtosis that Cornish-Fisher needs are
-    filled on first use; ``with_shape`` computes them now. A one-column matrix
-    has NaN sds.
+    An sd whose population spread :func:`is_rounding_noise` judges to be noise
+    is zero, and rows whose squares could overflow are scaled by a power of two
+    first. The skew and kurtosis that Cornish-Fisher needs are filled on first
+    use; ``with_shape`` computes them now. A one-column matrix has NaN sds.
     """
     w = np.ascontiguousarray(np.asarray(windows, dtype=float))
     if w.ndim != 2 or w.shape[1] < 1:
@@ -239,7 +238,6 @@ def window_stats(windows: np.ndarray, with_shape: bool = False) -> WindowStats:
     scaled = np.ldexp(w, -shift[:, None]) if shift.any() else w
     ws.means = np.ldexp(scaled.mean(axis=1), shift)
     sds = np.ldexp(scaled.std(axis=1, ddof=1), shift) if n > 1 else np.full(m, np.nan)
-    # the rule of sample_moments, which judges the population spread sqrt(m2)
     ws.sds = np.where(is_rounding_noise(sds * math.sqrt((n - 1) / n), max_abs, n), 0.0, sds)
     if with_shape:
         _require_shape(ws)
@@ -249,8 +247,8 @@ def window_stats(windows: np.ndarray, with_shape: bool = False) -> WindowStats:
 def _shape_moments(ws: WindowStats):
     """Population skewness and excess kurtosis per row, underflow- and overflow-safe.
 
-    Rows whose spread is rounding noise get zero skew and kurtosis, as in
-    :func:`sample_moments`.
+    Rows whose spread is rounding noise get zero skew and kurtosis, so that
+    moment adjustments vanish on constant data.
     """
     max_abs = ws.max_abs
     shift = _overflow_shift(max_abs, ws.n)
@@ -269,6 +267,37 @@ def _require_shape(ws: WindowStats) -> tuple[np.ndarray, np.ndarray]:
     if ws.skews is None or ws.kurts is None:
         ws.skews, ws.kurts = _shape_moments(ws)
     return ws.skews, ws.kurts
+
+
+@dataclass(frozen=True)
+class MomentSummary:
+    """First four sample moments.
+
+    ``sd`` uses divisor n-1; skewness and excess kurtosis use population
+    central moments (divisor n). ``kurtosis_small_sample`` flags n < 4 where
+    the fourth moment carries no information.
+    """
+
+    n: int
+    mean: float
+    sd: float
+    skewness: float
+    excess_kurtosis: float
+    kurtosis_small_sample: bool = False
+
+
+def sample_moments(x) -> MomentSummary:
+    """Mean, sd (divisor n-1) and population skewness / excess kurtosis.
+
+    These are the one row of :func:`window_stats` with ``with_shape``, so a
+    spread that is rounding noise gives zero sd, skewness and excess kurtosis.
+    """
+    arr = as_sample(x, 2, "sample_moments")
+    ws = window_stats(arr[None, :], with_shape=True)
+    return MomentSummary(
+        arr.size, float(ws.means[0]), float(ws.sds[0]), float(ws.skews[0]), float(ws.kurts[0]),
+        kurtosis_small_sample=arr.size < 4,
+    )
 
 
 def _cf_z_values(z, skew, excess_kurtosis):
@@ -502,6 +531,65 @@ def _exact_entry(n: int, alpha: float) -> CalibrationEntry:
 
 
 # ---------------------------------------------------------------------------
+# the Student-t profile likelihood
+# ---------------------------------------------------------------------------
+
+
+_T_NU_GRID = 2.0 + np.geomspace(1e-6, _STUDENT_NU_MAX - 2.0, 48)
+# a fixed count, so that no row's nu depends on the rows fitted beside it: enough
+# halvings to shrink the widest starting bracket, two grid cells, below 1e-6
+_T_BISECTIONS = math.ceil(math.log2((_T_NU_GRID[-1] - _T_NU_GRID[-3]) / 1e-6))
+
+
+def _t_loglik(z2: np.ndarray, nu: np.ndarray) -> np.ndarray:
+    """Profile log-likelihood, up to a constant, of each row of squared z-scores at its ``nu``.
+
+    The t scale sd*sqrt((nu-2)/nu) matches the sample variance. ``betaln`` keeps the gamma
+    ratio to a few ulps, where a difference of two ``gammaln`` loses two digits near nu = 200.
+    """
+    lead = -sc.betaln(0.5 * nu, 0.5) - 0.5 * np.log(nu - 2.0)
+    return z2.shape[1] * lead - 0.5 * (nu + 1.0) * np.log1p(z2 / (nu - 2.0)[:, None]).sum(axis=1)
+
+
+def _t_score(z2: np.ndarray, nu: np.ndarray) -> np.ndarray:
+    """Twice the derivative of :func:`_t_loglik` in ``nu``."""
+    q = z2 / (nu - 2.0)[:, None]
+    lead = sc.psi(0.5 * (nu + 1.0)) - sc.psi(0.5 * nu) - 1.0 / (nu - 2.0)
+    tail = (nu + 1.0) / (nu - 2.0) * (q / (1.0 + q)).sum(axis=1) - np.log1p(q).sum(axis=1)
+    return z2.shape[1] * lead + tail
+
+
+def _t_nu(ws: WindowStats) -> np.ndarray:
+    """Profile-likelihood nu of every row: the grid's best point, then bisection on the score.
+
+    The score's sign is decided by rounding only within ~1e-12 of its root, where a
+    comparison of two likelihoods near the flat top is decided by rounding over ~1e-5.
+    """
+    if np.any(ws.sds == 0.0):
+        row = int(np.flatnonzero(ws.sds == 0.0)[0])
+        raise DataError(f"window {row}: fit_student_t needs a sample with positive spread")
+    z2 = ((ws.windows - ws.means[:, None]) / ws.sds[:, None]) ** 2
+    m = z2.shape[0]
+    best, best_ll = np.zeros(m, dtype=int), np.full(m, -np.inf)
+    for k, nu in enumerate(_T_NU_GRID):
+        ll = _t_loglik(z2, np.full(m, nu))
+        best, best_ll = np.where(ll > best_ll, k, best), np.maximum(ll, best_ll)
+    a = _T_NU_GRID[np.maximum(best - 1, 0)]
+    b = _T_NU_GRID[np.minimum(best + 1, _T_NU_GRID.size - 1)]
+    for _ in range(_T_BISECTIONS):
+        mid = 0.5 * (a + b)
+        rising = _t_score(z2, mid) > 0.0
+        a, b = np.where(rising, mid, a), np.where(rising, b, mid)
+    nu = 0.5 * (a + b)
+    return np.where(nu > _STUDENT_NU_MAX - 1e-3, _STUDENT_NU_MAX, nu)
+
+
+def _t_capital(mu, sigma, nu, alpha):
+    """-(mu + sigma*sqrt((nu-2)/nu)*t_nu^{-1}(alpha)); broadcasts over its arguments."""
+    return -(mu + sigma * np.sqrt((nu - 2.0) / nu) * sc.stdtrit(nu, alpha))
+
+
+# ---------------------------------------------------------------------------
 # kernels: (WindowStats, alpha, **options) -> one capital per row
 # ---------------------------------------------------------------------------
 
@@ -530,7 +618,7 @@ def _var_cornish_fisher(ws, alpha, **_):
 
 
 def _var_student_t(ws, alpha, **_):
-    return np.array([student_t_var_capital(fit_student_t(row), alpha) for row in ws.windows])
+    return _t_capital(ws.means, ws.sds, fit_student_t(ws), alpha)
 
 
 def _var_gpd(ws, alpha, **options):
@@ -539,7 +627,47 @@ def _var_gpd(ws, alpha, **options):
 
 
 def _var_kde(ws, alpha, kde_kernel="gaussian", kde_bandwidth=None, **_):
-    return np.array([_kde_var_capital(row, alpha, kde_kernel, kde_bandwidth) for row in ws.windows])
+    if kde_kernel not in KDE_KERNELS:
+        raise ConfigError(f"unknown kernel {kde_kernel!r}; valid kernels: {', '.join(KDE_KERNELS)}")
+    m = ws.windows.shape[0]
+    if kde_bandwidth is None:
+        if ws.n < 10:
+            raise SizeError(f"kde default bandwidth needs n >= 10, got {ws.n}")
+        if np.any(ws.sds == 0.0):
+            row = int(np.flatnonzero(ws.sds == 0.0)[0])
+            raise DataError(f"window {row}: kde default bandwidth needs a sample with positive spread")
+        h = 1.06 * ws.sds * ws.n ** (-0.2)
+    else:
+        h = float(kde_bandwidth)
+        if not (math.isfinite(h) and h > 0.0):
+            raise DomainError(f"bandwidth must be positive, got {kde_bandwidth!r}")
+        h = np.full(m, h)
+    z = float(sc.ndtri(alpha))
+    # the quantile lies within |z_alpha| bandwidths (one, for the compact kernel) of the data
+    reach_lo, reach_hi = (min(z, 0.0), max(z, 0.0)) if kde_kernel == "gaussian" else (-1.0, 1.0)
+    lo, hi = ws.sorted_rows[:, 0] + h * reach_lo, ws.sorted_rows[:, -1] + h * reach_hi
+    # bisection on every row's mixture CDF at once; a row leaves the active set on its
+    # own stopping rule, past the 1e-10 probability tolerance down to a ~1e-12 bracket,
+    # so equivariance holds to 1e-10. Ties (F == alpha on a numerically flat stretch)
+    # resolve upward: the sample-quantile limit as the bandwidth vanishes.
+    mid, active = np.empty(m), np.arange(m)
+    for _ in range(200):
+        a, b = lo[active], hi[active]
+        mid[active] = q = 0.5 * (a + b)
+        t = (q[:, None] - ws.windows[active]) / h[active, None]
+        if kde_kernel == "gaussian":
+            f = np.mean(sc.ndtr(t), axis=1)
+        else:
+            t = np.clip(t, -1.0, 1.0)
+            f = np.mean((2.0 + 3.0 * t - t**3) / 4.0, axis=1)
+        scale = np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
+        done = (np.abs(f - alpha) <= 1e-10) & (b - a <= 1e-12 * scale) | (b - a <= 1e-15 * scale)
+        below = f <= alpha
+        lo[active], hi[active] = np.where(below, q, a), np.where(below, b, q)
+        active = active[~done]
+        if active.size == 0:
+            break
+    return -mid
 
 
 def _mean(ws, alpha, **_):
@@ -708,43 +836,29 @@ def var_cornish_fisher(x, alpha) -> RiskEstimate:
     return estimate("cornish_fisher", x, alpha)
 
 
-def fit_student_t(x) -> StudentTParams:
+def fit_student_t(x):
     """Moment-matched location/scale with profile-likelihood degrees of freedom.
 
     ``mu`` and ``sigma`` are the sample mean and sd; ``nu`` maximises the
-    location-scale t likelihood on (2, 200]. Gaussian-looking data pushes
-    ``nu`` to the upper bound.
+    location-scale t likelihood on (2, 200]. The search takes the best point
+    of a 48-point geometric grid, then bisects on the sign of the likelihood's
+    derivative inside the neighbouring grid cells, a fixed number of times
+    that leaves a bracket below 1e-6. A fit within 1e-3 of 200 is 200;
+    Gaussian-looking data lands there.
+
+    A sample gives :class:`StudentTParams`. A :class:`WindowStats` gives the
+    array of fitted ``nu``, one per row, all fitted at once; the Student-t
+    kernel uses that form.
     """
-    arr = as_sample(x, 10, "fit_student_t")
-    ms = sample_moments(arr)
-    if ms.sd == 0.0:
-        raise DataError("fit_student_t needs a sample with positive spread")
-    z = (arr - ms.mean) / ms.sd
-
-    def negative_profile_ll(nu):
-        scale = math.sqrt((nu - 2.0) / nu)
-        return -(stats.t.logpdf(z / scale, nu).sum() - arr.size * math.log(scale))
-
-    res = optimize.minimize_scalar(
-        negative_profile_ll,
-        bounds=(2.0 + 1e-6, _STUDENT_NU_MAX),
-        method="bounded",
-        options={"xatol": 1e-6},
-    )
-    nu = float(res.x)
-    if nu > _STUDENT_NU_MAX - 1e-3:
-        nu = _STUDENT_NU_MAX
-    params = StudentTParams(ms.mean, ms.sd, nu)
-    if not res.success:
-        raise EstimationError(f"profile likelihood search failed: {res.message}", best=params)
-    return params
+    if isinstance(x, WindowStats):
+        return _t_nu(x)
+    ws = window_stats(as_sample(x, 10, "fit_student_t")[None, :])
+    return StudentTParams(float(ws.means[0]), float(ws.sds[0]), float(_t_nu(ws)[0]))
 
 
 def student_t_var_capital(params: StudentTParams, alpha) -> float:
     """VaR capital for fitted t parameters: -(mu + sigma*sqrt((nu-2)/nu)*t_nu^{-1}(alpha))."""
-    alpha = RiskLevel(alpha)
-    tq = student_t_quantile(alpha, params.nu)
-    return float(-(params.mu + params.sigma * math.sqrt((params.nu - 2.0) / params.nu) * tq))
+    return float(_t_capital(params.mu, params.sigma, params.nu, RiskLevel(alpha)))
 
 
 def var_student_t(x, alpha) -> RiskEstimate:
@@ -780,59 +894,13 @@ def var_gpd(x, alpha, u=None, threshold_quantile=DEFAULT_GPD_THRESHOLD_QUANTILE)
 def var_kde(x, alpha, kernel="gaussian", bandwidth=None) -> RiskEstimate:
     """Quantile of a kernel density estimate, solved on the exact kernel CDF.
 
-    The default bandwidth 1.06 * sd * n^{-1/5} needs n >= 10; an explicit
-    bandwidth admits any non-empty sample.
+    The quantile is found by bisection on the mixture CDF until it is within
+    1e-10 of ``alpha`` and the bracket is below 1e-12 relative (or below
+    1e-15 relative, whichever comes first). The batch kernel bisects every
+    row at once. The default bandwidth 1.06 * sd * n^{-1/5} needs n >= 10; an
+    explicit bandwidth admits any non-empty sample.
     """
     return estimate("kde", x, alpha, kde_kernel=kernel, kde_bandwidth=bandwidth)
-
-
-def _kde_var_capital(arr, alpha, kernel, bandwidth) -> float:
-    if kernel not in KDE_KERNELS:
-        raise ConfigError(f"unknown kernel {kernel!r}; valid kernels: {', '.join(KDE_KERNELS)}")
-    if bandwidth is None:
-        if arr.size < 10:
-            raise SizeError(f"kde default bandwidth needs n >= 10, got {arr.size}")
-        sd = float(np.std(arr, ddof=1))
-        if is_rounding_noise(sd, np.abs(arr).max(), arr.size):
-            raise DataError("kde default bandwidth needs a sample with positive spread")
-        h = 1.06 * sd * arr.size ** (-0.2)
-    else:
-        h = float(bandwidth)
-        if not (math.isfinite(h) and h > 0.0):
-            raise DomainError(f"bandwidth must be positive, got {bandwidth!r}")
-
-    if kernel == "gaussian":
-        def mixture_cdf(q):
-            return float(np.mean(sc.ndtr((q - arr) / h)))
-
-        z = float(sc.ndtri(alpha))
-        lo = float(arr.min()) + h * min(z, 0.0)
-        hi = float(arr.max()) + h * max(z, 0.0)
-    else:
-        def mixture_cdf(q):
-            t = np.clip((q - arr) / h, -1.0, 1.0)
-            return float(np.mean((2.0 + 3.0 * t - t**3) / 4.0))
-
-        lo = float(arr.min()) - h
-        hi = float(arr.max()) + h
-
-    # bisection on the analytic mixture CDF; driven past the 1e-10 probability
-    # tolerance down to a ~1e-12 bracket so equivariance holds to 1e-10. Ties
-    # (F == alpha on a numerically flat stretch) resolve upward, which matches
-    # the sample-quantile limit as the bandwidth vanishes.
-    mid = 0.5 * (lo + hi)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        f = mixture_cdf(mid)
-        if abs(f - alpha) <= 1e-10 and (hi - lo) <= 1e-12 * max(1.0, abs(lo), abs(hi)):
-            break
-        if (hi - lo) <= 1e-15 * max(1.0, abs(lo), abs(hi)):
-            break
-        if f <= alpha:
-            lo = mid
-        else:
-            hi = mid
-    return -mid
 
 
 def es_empirical(x, alpha) -> RiskEstimate:

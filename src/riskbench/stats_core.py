@@ -46,23 +46,6 @@ class SeededRng:
         return SeededRng(self.seed, stream_id)
 
 
-@dataclass(frozen=True)
-class MomentSummary:
-    """First four sample moments.
-
-    ``sd`` uses divisor n-1; skewness and excess kurtosis use population
-    central moments (divisor n). ``kurtosis_small_sample`` flags n < 4 where
-    the fourth moment carries no information.
-    """
-
-    n: int
-    mean: float
-    sd: float
-    skewness: float
-    excess_kurtosis: float
-    kurtosis_small_sample: bool = False
-
-
 def as_sample(x, min_n: int, what: str = "sample") -> np.ndarray:
     """Validate and convert ``x`` to a finite 1-D float array of length >= min_n."""
     arr = np.asarray(x, dtype=float)
@@ -132,37 +115,6 @@ def student_t_quantile(p: float, df: float) -> float:
     if not (math.isfinite(df) and df > 0.0):
         raise DomainError(f"student_t_quantile requires df > 0, got {df!r}")
     return float(sc.stdtrit(df, p))
-
-
-def sample_moments(x) -> MomentSummary:
-    """Mean, sd (divisor n-1) and population skewness / excess kurtosis.
-
-    A zero-spread sample, judged by :func:`is_rounding_noise`, reports zero
-    sd, skewness and excess kurtosis so that downstream moment adjustments
-    vanish and spread guards fire on degenerate inputs. Samples whose squares
-    could overflow are scaled by a power of two first (:func:`_overflow_shift`).
-    """
-    arr = as_sample(x, 2, "sample_moments")
-    n = arr.size
-    max_abs = float(np.abs(arr).max())
-    shift = int(_overflow_shift(max_abs, n))
-    if shift:
-        arr, max_abs = np.ldexp(arr, -shift), math.ldexp(max_abs, -shift)
-    mean = float(arr.mean())
-    centred = arr - mean
-    m2 = float(np.mean(centred**2))
-    if is_rounding_noise(math.sqrt(m2), max_abs, n):
-        sd, skew, kurt = 0.0, 0.0, 0.0
-    else:
-        sd = math.sqrt(m2 * n / (n - 1))
-        # standardise before taking powers so subnormal variances cannot underflow
-        zs = centred / math.sqrt(m2)
-        z2 = zs * zs  # the same products as the batch path, so both agree to the bit
-        skew = float(np.mean(z2 * zs))
-        kurt = float(np.mean(z2 * z2)) - 3.0
-    return MomentSummary(
-        n, math.ldexp(mean, shift), math.ldexp(sd, shift), skew, kurt, kurtosis_small_sample=n < 4
-    )
 
 
 def type7_quantile(x, p: float) -> float:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
-from scipy.special import gammainc, gammaln, ndtri, stdtr
+from scipy.special import gammainc, gammaln, ndtr, ndtri, stdtr
 
 from riskbench import (
     CalibrationEntry,
@@ -14,6 +14,7 @@ from riskbench import (
     DataError,
     DomainError,
     GaussianParams,
+    OutputError,
     SeededRng,
     SizeError,
     draw_pivotal_pairs,
@@ -23,6 +24,7 @@ from riskbench import (
     secured_position_es,
     solve_unbiased_es_constant,
 )
+from riskbench.estimators import _log_chi_rule, _pivot_es
 
 PLUGIN_ES_CONST_10 = 1.7549833193248680  # phi(Phi^{-1}(0.10)) / 0.10
 # sd of the 200k-draw MC solve of a_50 at alpha = 0.10, measured over 40 seeds
@@ -55,6 +57,27 @@ def es_by_conditioning_on_z(n, alpha, b):
     )
     tail = integral(lambda z, c: z * chi_cdf(k, c) + b * mu_k * chi_cdf(k + 1, c), q)
     return -tail / alpha
+
+
+def plugin_secured_es(n, alpha):
+    """Exact secured-position ES of plug-in Gaussian ES at sigma = 1, and the sd of (q - Y)+.
+
+    X_out - mean is N(0, (n+1)/n) and the sd is V/sqrt(n-1) with V ~ chi_{n-1},
+    so the secured position is sqrt((n+1)/n) * (Z + b V) with
+    b = (phi(z_alpha)/alpha) / sqrt((n-1)(n+1)/n). The sd of (q - Y)+ over the
+    quantile q sizes the MC error of an empirical ES: sd / (alpha sqrt(N)).
+    """
+    z = float(ndtri(alpha))
+    b = math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi) / alpha / math.sqrt((n - 1) * (n + 1) / n)
+    scale = math.sqrt((n + 1) / n)
+    v, w = _log_chi_rule(n - 1, 256)
+    q = brentq(lambda q: w @ ndtr(q - b * v) - alpha, z + b * v[0] - 1.0, z + b * v[-1] + 1.0,
+               xtol=1e-14)
+    u = q - b * v
+    phi = np.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
+    m1 = w @ (u * ndtr(u) + phi)  # E[(q - Y)+] given V, averaged over V
+    m2 = w @ ((u * u + 1.0) * ndtr(u) + u * phi)  # E[((q - Y)+)^2]
+    return scale * _pivot_es(b, alpha, v, w), scale * math.sqrt(m2 - m1 * m1)
 
 
 class TestEmpiricalEs:
@@ -219,6 +242,27 @@ class TestCalibrationTable:
         with pytest.raises(DataError):
             CalibrationTable.load(path)
 
+    @pytest.mark.parametrize("text", [
+        '{"version": 2, "entries": [',
+        '{"version": 2, "entries": [{"n": 50, "alpha": 0.1}]}',
+        '{"version": 2}',
+        '[1, 2]',
+        '{"version": 2, "entries": ["n"]}',
+    ])
+    def test_malformed_file_is_data_error(self, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(DataError, match="bad.json"):
+            CalibrationTable.load(path)
+
+    def test_missing_file_is_data_error(self, tmp_path):
+        with pytest.raises(DataError, match="typo.json"):
+            CalibrationTable.load(tmp_path / "typo.json")
+
+    def test_unwritable_path_is_output_error(self, tmp_path, table_a50):
+        with pytest.raises(OutputError, match="nodir"):
+            table_a50.save(tmp_path / "nodir" / "t.json")
+
     def test_entry_validation(self):
         with pytest.raises(DomainError):
             CalibrationEntry(50, 0.1, b_n=-0.1, a_n=-1.0, mc_samples=1, seed=0, residual=0.0)
@@ -283,6 +327,20 @@ class TestSecuredPositionEs:
     def test_plugin_es_positive(self):
         value = secured_position_es("norm", 50, 0.10, 200_000, seed=13)
         assert value > 0.02
+
+    @pytest.mark.parametrize("n", [5, 50])
+    def test_plugin_es_matches_exact(self, n):
+        for alpha in (0.05, 0.10):
+            exact, sd = plugin_secured_es(n, alpha)
+            trials = 200_000
+            value = secured_position_es("gaussian", n, alpha, trials, seed=10 * n + int(100 * alpha))
+            assert abs(value - exact) <= 4.0 * sd / (alpha * math.sqrt(trials))
+
+    def test_plugin_es_exactly_positive_and_falling_in_n(self):
+        for alpha in (0.01, 0.05, 0.10):
+            exact = [plugin_secured_es(n, alpha)[0] for n in (2, 5, 10, 50, 250)]
+            assert all(e > 0.0 for e in exact)
+            assert all(a > b for a, b in zip(exact, exact[1:]))
 
     def test_mean_estimator_alpha_near_one(self):
         value = secured_position_es("mean", 50, 0.999, 200_000, seed=14)

@@ -239,3 +239,53 @@ class TestReplicate:
         code, out, _ = run(capsys, *args)
         assert code == 0
         assert (0, out, "") == run(capsys, *args, "--table", exact_table(tmp_path, 50, 0.05))
+
+
+class TestTablePaths:
+    """A table path that cannot be written or read ends in one error line and exit 2."""
+
+    COMMANDS = {
+        "estimate": ("estimate", "--column", "ret", "--scale", "decimal", "--method", "u",
+                     "--measure", "es", "--alpha", "0.10"),
+        "backtest": ("backtest", "--simulate", "--length", "300", "--alpha", "0.10",
+                     "--methods", "u", "--measure", "es"),
+        "replicate": ("replicate", "--reps", "2", "--length", "300", "--alpha", "0.10",
+                      "--methods", "u", "--measure", "es"),
+    }
+
+    def command(self, capsys, tmp_path, name):
+        args = self.COMMANDS[name]
+        if name == "estimate":
+            csv_path = tmp_path / "returns.csv"
+            assert run(capsys, "simulate", "--mu", "0", "--sigma", "1", "--length", "60",
+                       "--out", str(csv_path))[0] == 0
+            args = (*args, "--input", str(csv_path))
+        return args
+
+    def assert_one_error_line(self, result, path):
+        code, out, err = result
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and str(path) in err and len(err.splitlines()) == 1
+
+    def test_calibrate_into_missing_directory(self, capsys, tmp_path):
+        path = tmp_path / "nodir" / "t.json"
+        self.assert_one_error_line(
+            run(capsys, "calibrate", "--n", "50", "--alpha", "0.10", "--mc", "100000",
+                "--table", str(path)),
+            path,
+        )
+
+    @pytest.mark.parametrize("name", list(COMMANDS))
+    def test_malformed_table(self, capsys, tmp_path, name):
+        path = tmp_path / "bad.json"
+        path.write_text('{"version": 2, "entries": [')
+        args = self.command(capsys, tmp_path, name)
+        self.assert_one_error_line(run(capsys, *args, "--table", str(path)), path)
+
+    @pytest.mark.parametrize("name", list(COMMANDS))
+    def test_missing_table_is_not_created(self, capsys, tmp_path, name):
+        path = tmp_path / "typo.json"
+        args = self.command(capsys, tmp_path, name)
+        self.assert_one_error_line(run(capsys, *args, "--table", str(path)), path)
+        assert not path.exists()

@@ -1,12 +1,17 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
+import riskbench
 from riskbench import (
     CalibrationEntry,
     CalibrationTable,
@@ -248,6 +253,21 @@ class TestStudentT:
         with pytest.raises(DataError):
             fit_student_t(constant_plus_rounding_noise())
 
+    def test_nu_maximises_the_t_likelihood(self):
+        # scipy's t density on a 4000-point grid over (2, 200] is the oracle
+        gen = SeededRng(57).generator()
+        rows = np.vstack([gen.standard_t(3, 50), gen.standard_t(6, 50), gen.standard_normal(50),
+                          0.01 * gen.standard_t(4, 50) + 2e-4])
+        grid = 2.0 + np.geomspace(1e-6, 198.0, 4000)[:, None]
+        for row, nu in zip(rows, fit_student_t(window_stats(rows))):
+            z = (row - row.mean()) / row.std(ddof=1)
+            scale = np.sqrt((grid - 2.0) / grid)
+            best = (stats.t.logpdf(z / scale, grid) - np.log(scale)).sum(axis=1).max()
+            scale = math.sqrt((nu - 2.0) / nu)
+            fitted = (stats.t.logpdf(z / scale, nu) - math.log(scale)).sum()
+            assert fitted >= best - 1e-9 * abs(best)
+            assert fit_student_t(row).nu == nu
+
     def test_nu_to_infinity_matches_gaussian(self, gaussian_sample):
         params = StudentTParams(0.0, 1.0, 200.0)
         assert student_t_var_capital(params, 0.05) == pytest.approx(-Z_05, abs=2e-3)
@@ -335,7 +355,44 @@ class TestVarGpd:
         assert scaled == pytest.approx(2.5 * base, abs=1e-10)
 
 
+def kde_row_reference(row, alpha, kernel, h):
+    """One row's KDE quantile by the scalar bisection loop the batch kernel replaced."""
+    if kernel == "gaussian":
+        def cdf(q):
+            return float(np.mean(special.ndtr((q - row) / h)))
+
+        z = float(special.ndtri(alpha))
+        lo, hi = float(row.min()) + h * min(z, 0.0), float(row.max()) + h * max(z, 0.0)
+    else:
+        def cdf(q):
+            t = np.clip((q - row) / h, -1.0, 1.0)
+            return float(np.mean((2.0 + 3.0 * t - t**3) / 4.0))
+
+        lo, hi = float(row.min()) - h, float(row.max()) + h
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        f = cdf(mid)
+        width, scale = hi - lo, max(1.0, abs(lo), abs(hi))
+        if abs(f - alpha) <= 1e-10 and width <= 1e-12 * scale or width <= 1e-15 * scale:
+            break
+        lo, hi = (mid, hi) if f <= alpha else (lo, mid)
+    return -mid
+
+
 class TestVarKde:
+    @pytest.mark.parametrize("kernel", ["gaussian", "epanechnikov"])
+    @pytest.mark.parametrize("bandwidth", [None, 0.05])
+    def test_batch_equals_scalar_loop_to_the_bit(self, kernel, bandwidth):
+        # rows of different scales stop after different numbers of steps
+        gen = SeededRng(58).generator()
+        rows = np.vstack([gen.standard_t(3, 40) * s + m for s, m in [(0.01, 0), (1, 5), (30, -2)]])
+        for alpha in (0.01, 0.1, 0.5):
+            batch = batch_var_capitals("kde", window_stats(rows), alpha,
+                                       kde_kernel=kernel, kde_bandwidth=bandwidth)
+            for row, capital in zip(rows, batch):
+                h = 1.06 * np.std(row, ddof=1) * row.size ** (-0.2) if bandwidth is None else bandwidth
+                assert capital.hex() == kde_row_reference(row, alpha, kernel, h).hex()
+
     def test_single_point_gaussian_kernel(self):
         est = var_kde([5.0], 0.05, kernel="gaussian", bandwidth=1.0)
         assert est.capital == pytest.approx(-(5.0 + Z_05), abs=1e-8)
@@ -558,26 +615,21 @@ class TestCrossCuttingInvariants:
         for tag in METHODS
         for measure in _measures(tag)
     ]
-    # fit_student_t finds nu to xatol 1e-6, so moved data can move nu by ~1e-5;
-    # the t capital changes by at most 0.23*sigma per unit nu for nu >= 3
-    TOLERANCE = {"student_t": 1e-6}
 
     @pytest.mark.parametrize("tag, measure", CASES)
     def test_translation_to_1e10(self, tag, measure):
-        tol = self.TOLERANCE.get(tag, 1e-10)
         x = draw_gaussian(SeededRng(2024), 50, 0.0, 1.0)
         base = estimate(tag, x, 0.1, measure).capital
         for d in (-1.5, 0.37, 4.0):
-            assert estimate(tag, x + d, 0.1, measure).capital == pytest.approx(base - d, abs=tol)
+            assert estimate(tag, x + d, 0.1, measure).capital == pytest.approx(base - d, abs=1e-10)
 
     @pytest.mark.parametrize("tag, measure", CASES)
     def test_positive_homogeneity_to_1e10(self, tag, measure):
-        tol = self.TOLERANCE.get(tag, 1e-10)
         x = draw_gaussian(SeededRng(2025), 50, 0.0, 1.0)
         base = estimate(tag, x, 0.1, measure).capital
         for lam in (0.25, 2.0, 7.5):
             assert estimate(tag, lam * x, 0.1, measure).capital == pytest.approx(
-                lam * base, rel=tol, abs=tol
+                lam * base, rel=1e-10, abs=1e-10
             )
 
 
@@ -673,6 +725,17 @@ class TestMethodRegistry:
             assert var_kde([5.0], 0.05, bandwidth=1.0).capital == pytest.approx(-(5.0 + Z_05), abs=1e-8)
         with pytest.raises(SizeError):
             var_kde([5.0], 0.05)
+
+
+class TestImports:
+    def test_import_leaves_scipy_stats_unloaded(self):
+        # the package needs scipy.special and scipy.optimize only; scipy.stats
+        # would cost about as much import time again
+        code = "import sys, riskbench; print('scipy.stats' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(Path(riskbench.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True)
+        assert done.stdout.strip() == "False"
 
 
 class TestWindowStats:
