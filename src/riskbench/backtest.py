@@ -8,9 +8,11 @@ reported as absent with a reason, never silently zeroed.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+import typing
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 import numpy as np
 import scipy.special as sc
@@ -266,39 +268,51 @@ class MethodResult:
 
 
 def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return "" if value is None else repr(value)
+
+
+@functools.cache
+def _numeric_fields(record_type) -> tuple:
+    """Names of a record dataclass's int and float fields, optionally None, in declaration order."""
+    hints = typing.get_type_hints(record_type)
+    numeric = (int, float, int | None, float | None)
+    return tuple(f.name for f in fields(record_type) if hints[f.name] in numeric)
 
 
 class _MethodTable:
-    """Serialisation shared by the reports: a config echo and one record per method.
+    """Serialisation shared by the reports, read off their dataclass fields.
 
-    Each record's JSON form holds every field but ``method``; the CSV forms
-    hold the fields named in ``CSV_FIELDS``, in ``config.methods`` order.
+    The JSON form holds ``type`` (the class's ``JSON_TYPE``) and every field
+    shown in repr, under its ``json`` metadata name if it has one. Nested
+    dataclasses become dicts with tuples as lists, and each method's record
+    leaves out its ``method`` field. The CSV forms hold the numeric fields of
+    the class's ``RECORD`` dataclass, one row per method in ``config.methods`` order.
     """
 
-    CSV_FIELDS: tuple = ()
-
-    def _json_dict(self, **head) -> dict:
-        return head | {
-            "config": dict(asdict(self.config), methods=list(self.config.methods)),
-            "methods": {
-                tag: {f.name: getattr(r, f.name) for f in fields(r) if f.name != "method"}
-                for tag, r in self.methods.items()
-            },
-        }
+    def to_json_dict(self) -> dict:
+        out = {"type": self.JSON_TYPE}
+        for f in fields(self):
+            if not f.repr:
+                continue
+            value = getattr(self, f.name)
+            if f.name == "methods":
+                value = {tag: asdict(r) for tag, r in value.items()}
+                for record in value.values():
+                    del record["method"]
+            elif is_dataclass(value):
+                value = {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(value).items()}
+            out[f.metadata.get("json", f.name)] = value
+        return out
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
     def to_csv(self) -> str:
-        lines = ["method," + ",".join(self.CSV_FIELDS)]
+        names = _numeric_fields(self.RECORD)
+        lines = ["method," + ",".join(names)]
         for tag in self.config.methods:
             r = self.methods[tag]
-            cells = [_csv_cell(getattr(r, name)) for name in self.CSV_FIELDS]
+            cells = [_csv_cell(getattr(r, name)) for name in names]
             lines.append(tag + "," + ",".join(cells))
         return "\n".join(lines) + "\n"
 
@@ -306,7 +320,7 @@ class _MethodTable:
         lines = ["method,statistic,value"]
         for tag in self.config.methods:
             r = self.methods[tag]
-            for name in self.CSV_FIELDS:
+            for name in _numeric_fields(self.RECORD):
                 value = getattr(r, name)
                 if value is not None:
                     lines.append(f"{tag},{name},{_csv_cell(value)}")
@@ -317,28 +331,14 @@ class _MethodTable:
 class BacktestReport(_MethodTable):
     """One series' backtest: statistics per method plus the config echo."""
 
-    CSV_FIELDS = (
-        "exceedance_rate",
-        "exceedance_count",
-        "bias_statistic",
-        "es_z_statistic",
-        "var_mean_score",
-        "joint_mean_score",
-    )
+    JSON_TYPE = "backtest_report"
+    RECORD = MethodResult
 
-    series_name: str
+    series_name: str = field(metadata={"json": "series"})
     config: BacktestConfig
     window_count: int
     evaluated_points: int
     methods: dict
-
-    def to_json_dict(self) -> dict:
-        return self._json_dict(
-            type="backtest_report",
-            series=self.series_name,
-            window_count=self.window_count,
-            evaluated_points=self.evaluated_points,
-        )
 
 
 def _capitals(method, ws: WindowStats, config: BacktestConfig, table):
@@ -501,19 +501,8 @@ class MethodReplicationStats:
 class ReplicationSummary(_MethodTable):
     """Aggregate of N independent simulated backtests."""
 
-    CSV_FIELDS = (
-        "er_mean",
-        "er_sd",
-        "rd_mean",
-        "rd_sd",
-        "or_rate",
-        "es_z_mean",
-        "es_z_sd",
-        "es_z_or_rate",
-        "var_score_mean",
-        "joint_score_mean",
-        "failures",
-    )
+    JSON_TYPE = "replication_summary"
+    RECORD = MethodReplicationStats
 
     config: BacktestConfig
     generator: GaussianParams
@@ -523,16 +512,6 @@ class ReplicationSummary(_MethodTable):
     reference: str | None
     methods: dict
     samples: dict | None = field(default=None, repr=False, compare=False)
-
-    def to_json_dict(self) -> dict:
-        return self._json_dict(
-            type="replication_summary",
-            generator={"mu": self.generator.mu, "sigma": self.generator.sigma},
-            series_length=self.series_length,
-            replications=self.replications,
-            seed=self.seed,
-            reference=self.reference,
-        )
 
 
 def _nan_stats(values: np.ndarray):

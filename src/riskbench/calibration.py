@@ -27,7 +27,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import CalibrationFailureError, DataError, DomainError, OutputError, SizeError
+from .data_io import write_text
+from .errors import CalibrationFailureError, DataError, DomainError, SizeError
 from .estimators import (
     _MAX_DOUBLINGS,
     CalibrationEntry,
@@ -81,18 +82,11 @@ class CalibrationTable:
         entry = self.entries.get(self.key(n, alpha))
         return exact_unbiased_es_constant(n, alpha) if entry is None else entry
 
-    def to_json(self) -> str:
-        records = [asdict(e) for _, e in sorted(self.entries.items())]
-        return json.dumps({"version": self.version, "entries": records}, indent=2, sort_keys=True)
-
     def save(self, path) -> None:
         """Write the table as JSON; a path that cannot be written raises :class:`OutputError`."""
-        try:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(self.to_json())
-                fh.write("\n")
-        except OSError as exc:
-            raise OutputError(f"cannot write calibration table to {path}: {exc}") from exc
+        records = [asdict(e) for _, e in sorted(self.entries.items())]
+        text = json.dumps({"version": self.version, "entries": records}, indent=2, sort_keys=True)
+        write_text(path, text + "\n", "calibration table")
 
     @classmethod
     def load(cls, path) -> "CalibrationTable":

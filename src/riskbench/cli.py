@@ -5,6 +5,12 @@ error. Results go to stdout, diagnostics to stderr. Unbiased ES reads the
 exact a_n, so no command needs a calibration table; ``--table`` names a table
 whose stored entries take precedence. Only ``calibrate`` creates a table file
 that does not exist; the other commands fail on a missing one (exit 2).
+
+``backtest`` and ``replicate`` share one set of options and build their
+:class:`BacktestConfig` the same way. Reports are rendered by
+``data_io.REPORT_FORMATS`` for stdout and ``--out`` alike, and every file a
+command writes goes through ``data_io.write_text``, so a path that cannot be
+written ends in one ``error:`` line and exit 2.
 """
 from __future__ import annotations
 
@@ -15,12 +21,19 @@ from . import estimators
 from .backtest import BacktestConfig, ReplicationSummary, replication_study, rolling_backtest
 from .calibration import (
     DEFAULT_MC_SAMPLES,
-    DEFAULT_TOLERANCE,
     CalibrationTable,
     exact_unbiased_es_constant,
     solve_unbiased_es_constant,
 )
-from .data_io import SCALES, SimulationSpec, load_returns_csv, simulate_series, write_report
+from .data_io import (
+    REPORT_FORMATS,
+    SCALES,
+    SimulationSpec,
+    load_returns_csv,
+    simulate_series,
+    write_report,
+    write_text,
+)
 from .errors import ConfigError, DataError, IngestionError, OutputError, RiskbenchError, SizeError
 from .estimators import GaussianParams, canonical_method
 
@@ -51,8 +64,6 @@ def _build_parser() -> argparse.ArgumentParser:
     cal.add_argument("--mc", type=int, default=DEFAULT_MC_SAMPLES, metavar="SAMPLES",
                      help="sample size of the Monte Carlo cross-check (the stored a_n is exact)")
     cal.add_argument("--seed", type=int, default=0, help="seed of the Monte Carlo cross-check")
-    cal.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE,
-                     help="residual tolerance of the Monte Carlo cross-check")
     cal.add_argument("--table", help="calibration table path to update with the exact a_n")
 
     est = sub.add_parser("estimate", formatter_class=fmt, help="estimate VaR/ES on a CSV column")
@@ -65,25 +76,30 @@ def _build_parser() -> argparse.ArgumentParser:
     est.add_argument("--table", help="calibration table whose entries replace the exact a_n")
     est.add_argument("--gpd-q", type=float, default=0.3, help="GPD threshold quantile on returns")
 
-    bt = sub.add_parser("backtest", formatter_class=fmt, help="rolling-window backtest")
+    # the options backtest and replicate share
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--mu", type=float, default=0.0, help="simulation mean")
+    common.add_argument("--sigma", type=float, default=1.0, help="simulation sd")
+    common.add_argument("--seed", type=int, default=0, help="simulation seed")
+    common.add_argument("--window", type=int, default=50, help="window length")
+    common.add_argument("--alpha", type=float, required=True, help="risk level in (0,1)")
+    common.add_argument("--methods", required=True, help="comma-separated method tags")
+    common.add_argument("--measure", choices=("var", "es", "both"), default="var",
+                        help="risk measure")
+    common.add_argument("--gpd-q", type=float, default=0.3, help="GPD threshold quantile on returns")
+    common.add_argument("--table", help="calibration table whose entries replace the exact a_n")
+    common.add_argument("--out", help="write the report to this path")
+    common.add_argument("--format", choices=(*REPORT_FORMATS, "table"), default="table",
+                        help="output format")
+
+    bt = sub.add_parser("backtest", parents=[common], formatter_class=fmt,
+                        help="rolling-window backtest")
     src = bt.add_mutually_exclusive_group(required=True)
     src.add_argument("--input", help="CSV file with a header row")
     src.add_argument("--simulate", action="store_true", help="backtest a simulated Gaussian series")
     bt.add_argument("--column", help="column to read (with --input)")
     bt.add_argument("--scale", choices=SCALES, help="unit of the input returns (with --input)")
-    bt.add_argument("--mu", type=float, default=0.0, help="simulation mean (with --simulate)")
-    bt.add_argument("--sigma", type=float, default=1.0, help="simulation sd (with --simulate)")
     bt.add_argument("--length", type=int, default=4000, help="simulated series length")
-    bt.add_argument("--seed", type=int, default=0, help="simulation seed")
-    bt.add_argument("--window", type=int, default=50, help="window length")
-    bt.add_argument("--alpha", type=float, required=True, help="risk level in (0,1)")
-    bt.add_argument("--methods", required=True, help="comma-separated method tags")
-    bt.add_argument("--measure", choices=("var", "es", "both"), default="var", help="risk measure")
-    bt.add_argument("--gpd-q", type=float, default=0.3, help="GPD threshold quantile on returns")
-    bt.add_argument("--table", help="calibration table whose entries replace the exact a_n")
-    bt.add_argument("--out", help="write the report to this path")
-    bt.add_argument("--format", choices=("json", "csv", "csv-long", "table"), default="table",
-                    help="output format")
 
     sim = sub.add_parser("simulate", formatter_class=fmt, help="write a simulated Gaussian series")
     sim.add_argument("--mu", type=float, required=True, help="mean")
@@ -92,23 +108,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--seed", type=int, default=0, help="random seed")
     sim.add_argument("--out", help="CSV output path (stdout when omitted)")
 
-    rep = sub.add_parser("replicate", formatter_class=fmt,
-                         help="replicated simulated backtests, in memory-bounded chunks")
+    rep = sub.add_parser("replicate", parents=[common], formatter_class=fmt,
+                         help="simulated backtests; replication i draws stream i of --seed")
     rep.add_argument("--reps", type=int, required=True, help="number of replications")
     rep.add_argument("--length", type=int, required=True, help="series length per replication")
-    rep.add_argument("--window", type=int, default=50, help="window length")
-    rep.add_argument("--alpha", type=float, required=True, help="risk level in (0,1)")
-    rep.add_argument("--mu", type=float, default=0.0, help="simulation mean")
-    rep.add_argument("--sigma", type=float, default=1.0, help="simulation sd")
-    rep.add_argument("--seed", type=int, default=0, help="base seed; replication i uses stream i")
-    rep.add_argument("--methods", required=True, help="comma-separated method tags")
-    rep.add_argument("--measure", choices=("var", "es", "both"), default="var", help="risk measure")
     rep.add_argument("--reference", default="gaussian_unbiased", help="RD/OR reference method")
-    rep.add_argument("--gpd-q", type=float, default=0.3, help="GPD threshold quantile on returns")
-    rep.add_argument("--table", help="calibration table whose entries replace the exact a_n")
-    rep.add_argument("--out", help="write the summary to this path")
-    rep.add_argument("--format", choices=("json", "csv", "csv-long", "table"), default="table",
-                    help="output format")
     return parser
 
 
@@ -122,7 +126,7 @@ def _split_methods(raw: str) -> tuple:
 def _cmd_calibrate(args) -> int:
     table = CalibrationTable.load_or_new(args.table) if args.table else None
     entry = exact_unbiased_es_constant(args.n, args.alpha)
-    check = solve_unbiased_es_constant(args.n, args.alpha, args.mc, args.seed, args.tol)
+    check = solve_unbiased_es_constant(args.n, args.alpha, args.mc, args.seed)
     if table is not None:
         table.add(entry)
         table.save(args.table)
@@ -196,26 +200,31 @@ def _print_replication_table(summary: ReplicationSummary) -> None:
         )
 
 
+def _config(args) -> BacktestConfig:
+    return BacktestConfig(
+        alpha=args.alpha,
+        methods=_split_methods(args.methods),
+        window=args.window,
+        measure=args.measure,
+        gpd_threshold_quantile=args.gpd_q,
+    )
+
+
 def _emit(obj, args) -> None:
     if args.out:
         write_report(obj, args.out, "json" if args.format == "table" else args.format)
         print(f"wrote {args.out}", file=sys.stderr)
-        return
-    if args.format == "json":
-        print(obj.to_json())
-    elif args.format == "csv":
-        sys.stdout.write(obj.to_csv())
-    elif args.format == "csv-long":
-        sys.stdout.write(obj.to_csv_long())
+    elif args.format != "table":
+        # stdout ends every format with one newline
+        print(getattr(obj, REPORT_FORMATS[args.format])().rstrip("\n"))
+    elif isinstance(obj, ReplicationSummary):
+        _print_replication_table(obj)
     else:
-        if isinstance(obj, ReplicationSummary):
-            _print_replication_table(obj)
-        else:
-            _print_backtest_table(obj)
+        _print_backtest_table(obj)
 
 
 def _cmd_backtest(args) -> int:
-    methods = _split_methods(args.methods)
+    config = _config(args)
     if args.input:
         if not args.column or not args.scale:
             raise ConfigError("--input requires --column and --scale")
@@ -223,16 +232,8 @@ def _cmd_backtest(args) -> int:
     else:
         spec = SimulationSpec(GaussianParams(args.mu, args.sigma), args.length, args.seed)
         series = simulate_series(spec)
-    config = BacktestConfig(
-        alpha=args.alpha,
-        methods=methods,
-        window=args.window,
-        measure=args.measure,
-        gpd_threshold_quantile=args.gpd_q,
-    )
     table = CalibrationTable.load(args.table) if args.table else None
-    report = rolling_backtest(series, config, table)
-    _emit(report, args)
+    _emit(rolling_backtest(series, config, table), args)
     return 0
 
 
@@ -242,8 +243,7 @@ def _cmd_simulate(args) -> int:
     lines = ["ret"] + [repr(float(v)) for v in series.values]
     text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        write_text(args.out, text, "series")
         print(f"wrote {args.out} ({series.name})", file=sys.stderr)
     else:
         sys.stdout.write(text)
@@ -251,22 +251,13 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_replicate(args) -> int:
-    methods = _split_methods(args.methods)
-    config = BacktestConfig(
-        alpha=args.alpha,
-        methods=methods,
-        window=args.window,
-        measure=args.measure,
-        gpd_threshold_quantile=args.gpd_q,
-    )
-    reference = canonical_method(args.reference) if args.reference else None
     summary = replication_study(
-        config,
+        _config(args),
         GaussianParams(args.mu, args.sigma),
         args.length,
         args.reps,
         args.seed,
-        reference=reference,
+        reference=canonical_method(args.reference) if args.reference else None,
         table=CalibrationTable.load(args.table) if args.table else None,
     )
     _emit(summary, args)

@@ -1,26 +1,43 @@
-"""Return-series ingestion, Gaussian fitting / simulation, report persistence.
+"""Return-series ingestion, Gaussian fitting / simulation, report and table output.
 
 Returns are stored in decimal units internally. The public portfolio CSVs
 circulate in percent, so ingestion demands an explicit ``scale`` flag rather
 than guessing; silent unit errors would corrupt every capital figure.
+
+The CSV loader parses the requested column once into a float array, with NaN
+for a missing or unparseable cell, and itemises bad rows from array masks by
+their file line. Every file the package writes goes through
+:func:`write_text`, which turns an ``OSError`` into :class:`OutputError`.
 """
 from __future__ import annotations
 
 import csv
+import math
+import operator
 import re
 from dataclasses import dataclass
+from itertools import compress, islice, repeat
 
 import numpy as np
 
 from .errors import DataError, DomainError, IngestionError, OutputError, SizeError
 from .estimators import GaussianParams, sample_moments
-from .stats_core import SeededRng, draw_gaussian
+from .stats_core import SeededRng, as_sample, draw_gaussian
 
 SCALES = ("decimal", "percent")
 # missing-value sentinels used by the public portfolio files
 _SENTINELS = (-99.99, -999.0)
-_DATE_YMD = re.compile(r"^\d{8}$")
-_DATE_ISO = re.compile(r"^\d{4}-\d{2}-\d{2}$")
+# YYYYMMDD or YYYY-MM-DD
+_DATE = re.compile(r"^(\d{4})(-?)(\d{2})\2(\d{2})$")
+# the report method that renders each output format
+REPORT_FORMATS = {"json": "to_json", "csv": "to_csv", "csv-long": "to_csv_long"}
+
+
+def _first_unordered_date(dates) -> int | None:
+    """Position of the first date not strictly after its predecessor, or None."""
+    later = np.fromiter(map(operator.gt, islice(dates, 1, None), dates), bool, len(dates) - 1)
+    late = np.flatnonzero(~later)
+    return int(late[0]) + 1 if late.size else None
 
 
 @dataclass(frozen=True, eq=False)
@@ -33,12 +50,9 @@ class ReturnSeries:
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", values)
         if values.ndim != 1:
             raise DataError(f"series {self.name!r}: values must be one-dimensional")
-        if not np.all(np.isfinite(values)):
-            bad = int(np.flatnonzero(~np.isfinite(values))[0])
-            raise DataError(f"series {self.name!r}: non-finite value at position {bad}")
+        object.__setattr__(self, "values", as_sample(values, 0, f"series {self.name!r}"))
         if self.dates is not None:
             dates = tuple(self.dates)
             object.__setattr__(self, "dates", dates)
@@ -46,11 +60,10 @@ class ReturnSeries:
                 raise DataError(
                     f"series {self.name!r}: {len(dates)} dates for {values.size} values"
                 )
-            for i in range(1, len(dates)):
-                if not dates[i] > dates[i - 1]:
-                    raise DataError(
-                        f"series {self.name!r}: dates not strictly increasing at position {i}"
-                    )
+            if (i := _first_unordered_date(dates)) is not None:
+                raise DataError(
+                    f"series {self.name!r}: dates not strictly increasing at position {i}"
+                )
 
     def __len__(self) -> int:
         return int(self.values.size)
@@ -71,36 +84,46 @@ class SimulationSpec:
 
 
 def _parse_date(cell: str) -> str | None:
-    cell = cell.strip()
-    if _DATE_ISO.match(cell):
-        return cell
-    if _DATE_YMD.match(cell):
-        return f"{cell[:4]}-{cell[4:6]}-{cell[6:8]}"
-    return None
+    """The cell as an ISO date, or None when it is not YYYYMMDD or YYYY-MM-DD."""
+    m = _DATE.match(cell.strip())
+    return f"{m[1]}-{m[3]}-{m[4]}" if m else None
 
 
-def _itemise(rows: list, limit: int = 20) -> str:
-    shown = ", ".join(str(r) for r in rows[:limit])
-    extra = len(rows) - limit
+def _itemise(kept, rows, limit: int = 20) -> str:
+    """Itemise the file lines of the data rows ``rows`` selects; ``kept`` marks non-blank records."""
+    lines = (np.flatnonzero(kept)[1:] + 1)[rows]
+    shown = ", ".join(str(r) for r in lines[:limit])
+    extra = len(lines) - limit
     return shown + (f", and {extra} more" if extra > 0 else "")
+
+
+def _cell_value(row: list, col: int) -> float:
+    """The row's cell in column ``col`` as a float; NaN when it is missing or unparseable."""
+    try:
+        return float(row[col])
+    except (IndexError, ValueError):
+        return math.nan
 
 
 def load_returns_csv(path, column: str, scale: str) -> ReturnSeries:
     """Read one return column from a headed CSV file.
 
     The first column is treated as dates when every data row parses as
-    YYYYMMDD or ISO. Percent scale divides by 100. Rows holding the public
-    data libraries' missing-value sentinels (-99.99, -999) or unparseable
-    cells abort ingestion with an itemised error; nothing is skipped or
-    imputed silently.
+    YYYYMMDD or ISO. Percent scale divides by 100. Blank rows are skipped.
+    Missing, unparseable or non-finite cells, and then rows holding the public
+    data libraries' missing-value sentinels (-99.99, -999), abort ingestion
+    with an error itemising their file lines; nothing is imputed silently.
     """
     if scale not in SCALES:
         raise DomainError(f"scale must be one of {SCALES}, got {scale!r}")
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            rows = [row for row in csv.reader(fh) if row and any(cell.strip() for cell in row)]
+            rows = list(csv.reader(fh))
     except OSError as exc:
         raise IngestionError(f"cannot read {path}: {exc}") from exc
+    # blank rows are dropped; a row is one file line unless a quoted cell spans lines
+    kept = np.fromiter(map(bool, map(str.strip, map("".join, rows))), bool, len(rows))
+    rows = list(compress(rows, kept))
     if not rows:
         raise IngestionError(f"{path}: file is empty")
     header = [cell.strip() for cell in rows[0]]
@@ -113,49 +136,28 @@ def load_returns_csv(path, column: str, scale: str) -> ReturnSeries:
         )
     col = header.index(column)
 
-    dates: list | None = None
-    if col != 0:
-        parsed = [_parse_date(row[0]) if row else None for row in body]
-        if all(p is not None for p in parsed):
-            dates = parsed
-
-    values = np.empty(len(body))
-    bad_cells: list = []
-    sentinel_rows: list = []
-    for i, row in enumerate(body):
-        line_no = i + 2  # 1-based, after the header
-        if col >= len(row):
-            bad_cells.append(line_no)
-            continue
-        try:
-            value = float(row[col])
-        except ValueError:
-            bad_cells.append(line_no)
-            continue
-        if not np.isfinite(value):
-            bad_cells.append(line_no)
-            continue
-        if any(abs(value - s) < 1e-9 for s in _SENTINELS):
-            sentinel_rows.append(line_no)
-            continue
-        values[i] = value
-    if bad_cells:
+    values = np.fromiter(map(_cell_value, body, repeat(col)), float, len(body))
+    bad = ~np.isfinite(values)
+    if bad.any():
         raise IngestionError(
-            f"{path}: column {column!r} has unparseable cells on rows {_itemise(bad_cells)}"
+            f"{path}: column {column!r} has unparseable cells on rows {_itemise(kept, bad)}"
         )
-    if sentinel_rows:
-        raise IngestionError(
-            f"{path}: missing-value sentinels on rows {_itemise(sentinel_rows)}"
-        )
+    sentinel = np.logical_or.reduce([np.abs(values - s) < 1e-9 for s in _SENTINELS])
+    if sentinel.any():
+        raise IngestionError(f"{path}: missing-value sentinels on rows {_itemise(kept, sentinel)}")
     if scale == "percent":
         values = values / 100.0
-    if dates is not None:
-        for i in range(1, len(dates)):
-            if not dates[i] > dates[i - 1]:
+
+    dates = None
+    if col != 0:
+        parsed = tuple(_parse_date(row[0]) for row in body)
+        if None not in parsed:
+            dates = parsed
+            if (i := _first_unordered_date(dates)) is not None:
                 raise IngestionError(
-                    f"{path}: dates not strictly increasing on row {i + 2}"
+                    f"{path}: dates not strictly increasing on row {_itemise(kept, [i])}"
                 )
-    return ReturnSeries(name=column, values=values, dates=tuple(dates) if dates else None)
+    return ReturnSeries(name=column, values=values, dates=dates)
 
 
 def fit_gaussian(series) -> GaussianParams:
@@ -180,19 +182,17 @@ def simulate_series(spec: SimulationSpec) -> ReturnSeries:
     return ReturnSeries(name=name, values=values)
 
 
-def write_report(report, path, format: str = "json") -> None:
-    """Persist a report; ``format`` is json, csv (one row per method) or csv-long."""
-    fmt = str(format).lower().replace("_", "-")
-    if fmt == "json":
-        text = report.to_json()
-    elif fmt == "csv":
-        text = report.to_csv()
-    elif fmt in ("csv-long", "long"):
-        text = report.to_csv_long()
-    else:
-        raise DomainError(f"unknown report format {format!r}; use json, csv or csv-long")
+def write_text(path, text: str, what: str) -> None:
+    """Write ``text`` to ``path``; a path that cannot be written raises :class:`OutputError`."""
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     except OSError as exc:
-        raise OutputError(f"cannot write report to {path}: {exc}") from exc
+        raise OutputError(f"cannot write {what} to {path}: {exc}") from exc
+
+
+def write_report(report, path, format: str = "json") -> None:
+    """Persist a report; ``format`` is json, csv (one row per method) or csv-long."""
+    if format not in REPORT_FORMATS:
+        raise DomainError(f"unknown report format {format!r}; use json, csv or csv-long")
+    write_text(path, getattr(report, REPORT_FORMATS[format])(), "report")

@@ -41,10 +41,6 @@ class SeededRng:
         key = np.array([self.seed, self.stream_id], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
 
-    def stream(self, stream_id: int) -> "SeededRng":
-        """Same seed, independent stream."""
-        return SeededRng(self.seed, stream_id)
-
 
 def as_sample(x, min_n: int, what: str = "sample") -> np.ndarray:
     """Validate and convert ``x`` to a finite 1-D float array of length >= min_n."""

@@ -309,6 +309,21 @@ class TestRollingBacktest:
         assert any(line.startswith("empirical,exceedance_rate,") for line in long)
 
 
+    def test_csv_columns_are_the_numeric_record_fields(self, series):
+        config = BacktestConfig(alpha=0.05, methods=("emp", "norm"), window=50)
+        assert rolling_backtest(series, config).to_csv().splitlines()[0] == (
+            "method,exceedance_rate,exceedance_count,bias_statistic,es_z_statistic,"
+            "var_mean_score,joint_mean_score"
+        )
+        summary = replication_study(config, GaussianParams(0.0, 1.0), 300, 3, 5)
+        assert summary.to_csv().splitlines()[0] == (
+            "method,er_mean,er_sd,rd_mean,rd_sd,or_rate,rd_excluded,es_z_mean,es_z_sd,"
+            "es_z_or_rate,es_z_undefined,var_score_mean,joint_score_mean,failures"
+        )
+        long = summary.to_csv_long().splitlines()
+        assert "empirical,rd_excluded,0" in long and "gaussian,failures,0" in long
+
+
 class TestReplicationStudy:
     CONFIG = BacktestConfig(alpha=0.05, methods=("emp", "u"), window=50)
 

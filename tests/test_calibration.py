@@ -292,7 +292,7 @@ class TestPivotalityCheck:
         # same underlying standard draws + exact scale equivariance
         assert moved.frequency == base.frequency
 
-    @pytest.mark.parametrize("n", [2, 5, 10, 50])
+    @pytest.mark.parametrize("n", [2, 5, 10, 50, 250])
     def test_plugin_exceedance_matches_exact(self, n):
         # plug-in VaR (ddof = 1) is exceeded with probability F_{t,n-1}(z_alpha sqrt(n/(n+1)))
         for alpha in (0.01, 0.05, 0.10):
@@ -328,9 +328,9 @@ class TestSecuredPositionEs:
         value = secured_position_es("norm", 50, 0.10, 200_000, seed=13)
         assert value > 0.02
 
-    @pytest.mark.parametrize("n", [5, 50])
+    @pytest.mark.parametrize("n", [2, 5, 10, 50])
     def test_plugin_es_matches_exact(self, n):
-        for alpha in (0.05, 0.10):
+        for alpha in (0.01, 0.05, 0.10):
             exact, sd = plugin_secured_es(n, alpha)
             trials = 200_000
             value = secured_position_es("gaussian", n, alpha, trials, seed=10 * n + int(100 * alpha))

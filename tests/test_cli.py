@@ -70,6 +70,14 @@ class TestSimulate:
         series = load_returns_csv(out, "ret", "decimal")
         assert len(series) == 120
 
+    def test_out_into_missing_directory_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "x.csv"
+        code, out, err = run(capsys, "simulate", "--mu", "0", "--sigma", "1", "--length", "10",
+                             "--out", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and str(path) in err and len(err.splitlines()) == 1
+
     def test_stdout_deterministic(self, capsys):
         code1, out1, _ = run(capsys, "simulate", "--mu", "0", "--sigma", "1",
                              "--length", "10", "--seed", "3")

@@ -10,6 +10,7 @@ from riskbench import (
     DomainError,
     GaussianParams,
     IngestionError,
+    OutputError,
     ReturnSeries,
     SeededRng,
     SimulationSpec,
@@ -90,11 +91,77 @@ class TestLoadReturnsCsv:
         with pytest.raises(IngestionError):
             load_returns_csv(tmp_path / "nope.csv", "A", "decimal")
 
+    def test_short_row_itemised_as_unparseable(self, tmp_path):
+        path = _write(tmp_path, "a.csv", "date,A\n20200101,1\n20200102\n20200103,2\n")
+        with pytest.raises(IngestionError, match="unparseable cells on rows 3$"):
+            load_returns_csv(path, "A", "decimal")
+
+    def test_nan_and_inf_cells_itemised_as_unparseable(self, tmp_path):
+        path = _write(tmp_path, "a.csv", "date,A\n20200101,nan\n20200102,1\n20200103,-inf\n")
+        with pytest.raises(IngestionError, match="unparseable cells on rows 2, 4$"):
+            load_returns_csv(path, "A", "decimal")
+
+    def test_unparseable_cells_reported_before_sentinels(self, tmp_path):
+        path = _write(tmp_path, "a.csv", "date,A\n20200101,-999\n20200102,x\n")
+        with pytest.raises(IngestionError, match="unparseable cells on rows 3$"):
+            load_returns_csv(path, "A", "decimal")
+
+    def test_empty_cells_row_skipped(self, tmp_path):
+        path = _write(tmp_path, "a.csv", "date,A\n20200101,1\n,,\n  \n20200102,2\n")
+        series = load_returns_csv(path, "A", "decimal")
+        np.testing.assert_array_equal(series.values, [1.0, 2.0])
+        assert series.dates == ("2020-01-01", "2020-01-02")
+
+    def test_mixed_date_forms_recognised(self, tmp_path):
+        path = _write(tmp_path, "a.csv", "date,A\n20200101,1\n2020-01-02,2\n 20200103 ,3\n")
+        assert load_returns_csv(path, "A", "decimal").dates == (
+            "2020-01-01", "2020-01-02", "2020-01-03"
+        )
+
+    def test_half_iso_date_is_not_a_date(self, tmp_path):
+        path = _write(tmp_path, "a.csv", "date,A\n20200101,1\n2020-0102,2\n")
+        assert load_returns_csv(path, "A", "decimal").dates is None
+
+    def test_more_than_twenty_bad_rows_summarised(self, tmp_path):
+        body = "".join(f"2020{1 + i // 28:02d}{1 + i % 28:02d},x\n" for i in range(30))
+        path = _write(tmp_path, "a.csv", "date,A\n" + body)
+        with pytest.raises(IngestionError) as err:
+            load_returns_csv(path, "A", "decimal")
+        rows = ", ".join(str(line) for line in range(2, 22))
+        assert str(err.value).endswith(f"on rows {rows}, and 10 more")
+
+    def test_byte_order_mark_header(self, tmp_path):
+        path = tmp_path / "a.csv"
+        path.write_bytes("date,A\n20200101,1\n20200102,2\n".encode("utf-8-sig"))
+        series = load_returns_csv(path, "date", "decimal")
+        np.testing.assert_array_equal(series.values, [20200101.0, 20200102.0])
+        assert series.dates is None
+
+    def test_value_within_1e9_of_sentinel(self, tmp_path):
+        path = _write(tmp_path, "a.csv", "A\n1\n-99.9900000001\n-99.9899\n-999.0000000005\n")
+        with pytest.raises(IngestionError, match="sentinels on rows 3, 5$"):
+            load_returns_csv(path, "A", "percent")
+
+    def test_bad_cell_named_by_file_line_after_blank_lines(self, tmp_path):
+        path = _write(tmp_path, "a.csv", "date,A\n20200101,1\n\n20200102,x\n")
+        with pytest.raises(IngestionError, match="unparseable cells on rows 4$"):
+            load_returns_csv(path, "A", "decimal")
+
+    def test_unordered_date_named_by_file_line_after_blank_lines(self, tmp_path):
+        path = _write(tmp_path, "a.csv", "\ndate,A\n20200102,1\n\n20200101,2\n")
+        with pytest.raises(IngestionError, match="not strictly increasing on row 5$"):
+            load_returns_csv(path, "A", "decimal")
+
 
 class TestReturnSeries:
     def test_non_finite_rejected(self):
         with pytest.raises(DataError):
             ReturnSeries("x", [1.0, float("nan")])
+
+    def test_dates_must_increase_strictly(self):
+        with pytest.raises(DataError, match="at position 2"):
+            ReturnSeries("x", [1.0, 2.0, 3.0], dates=("2020-01-01", "2020-01-02", "2020-01-02"))
+        assert ReturnSeries("x", [1.0], dates=("2020-01-01",)).dates == ("2020-01-01",)
 
     def test_date_length_mismatch(self):
         with pytest.raises(DataError):
@@ -181,5 +248,11 @@ class TestWriteReport:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_unknown_format(self, report, tmp_path):
-        with pytest.raises(DomainError):
-            write_report(report, tmp_path / "r.xml", "xml")
+        for fmt in ("xml", "long", "CSV"):
+            with pytest.raises(DomainError):
+                write_report(report, tmp_path / "r.out", fmt)
+        assert not (tmp_path / "r.out").exists()
+
+    def test_unwritable_path_is_output_error(self, report, tmp_path):
+        with pytest.raises(OutputError, match="cannot write report to"):
+            write_report(report, tmp_path / "nodir" / "r.json", "json")
