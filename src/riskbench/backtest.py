@@ -166,7 +166,7 @@ def _z_undefined_reason(es_caps) -> str | None:
     if bad.size == 0:
         return None
     row = int(bad[0])
-    return f"window {row}: non-positive ES capital {es_caps[row]!r}; Z statistic undefined"
+    return f"window {row}: non-positive ES capital {float(es_caps[row])!r}; Z statistic undefined"
 
 
 def acerbi_z(var_capitals, es_capitals, evaluation_windows, alpha):
@@ -216,9 +216,10 @@ def joint_var_es_score(var_forecast, es_forecast, outcome, alpha):
     y = np.asarray(outcome, dtype=float)
     ind = (x1 >= y).astype(float)
     sig = sc.expit(x2)
+    d = x1 - y
     score = (
-        (ind - float(alpha)) * (x1 - y)
-        + sig * ind * (x1 - y) / float(alpha)
+        (ind - float(alpha)) * d
+        + sig * ind * d / float(alpha)
         + sig * (x2 - x1)
         - sig
     )

@@ -8,10 +8,10 @@ Each formula exists once, as an array kernel over the rows of a matrix of
 rolling windows summarised by :func:`window_stats`; the fitted methods
 (Student-t, KDE) fit every row at once. The backtester and the Monte Carlo
 checks call the kernels through :func:`batch_var_capitals` and
-:func:`batch_es_capitals`. A scalar estimate (:func:`estimate`, and the
-``var_*`` / ``es_*`` wrappers around it) is a batch of one row, returned as a
-:class:`RiskEstimate`, and :func:`sample_moments` is one row of
-:func:`window_stats`. No row's result depends on the other rows of its batch.
+:func:`batch_es_capitals`. A scalar estimate, ``estimate(tag, x, alpha,
+measure, **options)``, is a batch of one row returned as a :class:`RiskEstimate`,
+and :func:`sample_moments` is one row of :func:`window_stats`. No row's result
+depends on the other rows of its batch.
 
 :data:`METHODS` is the one place to add an estimator. It maps each canonical
 tag to its kernels, its minimum sample size and its aliases; tag resolution,
@@ -346,7 +346,7 @@ def _batch_gpd_fit(srt: np.ndarray, thresholds: np.ndarray):
         row = int(np.flatnonzero(ks < 5)[0])
         raise InsufficientTailError(
             f"window {row}: only {int(ks[row])} observations strictly below "
-            f"threshold {thresholds[row]!r} (need 5)"
+            f"threshold {float(thresholds[row])!r} (need 5)"
         )
     b0 = np.empty(m)
     b1 = np.empty(m)
@@ -368,7 +368,7 @@ def _batch_gpd_fit(srt: np.ndarray, thresholds: np.ndarray):
 def _gpd_fit_rows(
     ws: WindowStats, gpd_threshold=None, gpd_threshold_quantile=DEFAULT_GPD_THRESHOLD_QUANTILE, **_
 ):
-    """Thresholds and PWM fit (xi, beta, k) of every row."""
+    """Thresholds (by default each row's 0.3 type-7 quantile) and PWM fit (xi, beta, k)."""
     if gpd_threshold is not None:
         thresholds = np.full(ws.windows.shape[0], float(gpd_threshold))
     else:
@@ -391,14 +391,14 @@ def _gpd_var_from_fit(thresholds, xi, beta, ks, n, alpha):
     return np.where(small, log_limit, power)
 
 
-def _gpd_es_from_fit(thresholds, xi, beta, var_empirical):
+def _gpd_es_from_fit(thresholds, xi, beta, var_emp):
     if np.any(xi >= 1.0):
         row = int(np.flatnonzero(xi >= 1.0)[0])
         raise InfiniteMeanTailError(
             f"window {row}: fitted shape {float(xi[row]):.6g} >= 1, tail mean infinite"
         )
     # the tail formula reads the loss threshold, -u
-    return var_empirical / (1.0 - xi) + (beta + xi * thresholds) / (1.0 - xi)
+    return var_emp / (1.0 - xi) + (beta + xi * thresholds) / (1.0 - xi)
 
 
 def gpd_var_capital(fit: "GpdFit", alpha) -> float:
@@ -595,38 +595,50 @@ def _t_capital(mu, sigma, nu, alpha):
 
 
 def _var_empirical(ws, alpha, **_):
+    """Negative type-7 sample quantile (the R/S default, h = alpha*(n-1)+1)."""
     return -_type7_sorted_rows(ws.sorted_rows, alpha)
 
 
 def _var_empirical_simple(ws, alpha, **_):
-    # the (floor(n*alpha)+1)-th order statistic; the index is below n for every alpha in (0, 1)
+    """Negative (floor(n*alpha)+1)-th order statistic; the index is below n for any alpha."""
     return -ws.sorted_rows[:, int(math.floor(ws.n * alpha))]
 
 
 def _var_gaussian(ws, alpha, **_):
+    """Gaussian plug-in: -(mean + sd * Phi^{-1}(alpha))."""
     return -(ws.means + ws.sds * sc.ndtri(alpha))
 
 
 def _var_unbiased(ws, alpha, **_):
+    """Gaussian unbiased VaR: -(mean + sd * sqrt((n+1)/n) * t_{n-1}^{-1}(alpha)).
+
+    The Student-t quantile and the sqrt((n+1)/n) inflation absorb the
+    estimation error of mean and sd, making the exceedance probability of the
+    secured position exactly alpha under Gaussian data.
+    """
     factor = math.sqrt((ws.n + 1) / ws.n) * student_t_quantile(alpha, ws.n - 1)
     return -(ws.means + ws.sds * factor)
 
 
 def _var_cornish_fisher(ws, alpha, **_):
+    """Moment-corrected Gaussian VaR at the Cornish-Fisher quantile."""
     skews, kurts = _require_shape(ws)
     return -(ws.means + ws.sds * _cf_z_values(sc.ndtri(alpha), skews, kurts))
 
 
 def _var_student_t(ws, alpha, **_):
+    """Student-t plug-in (:func:`_t_capital`) at the profile-likelihood nu of every row."""
     return _t_capital(ws.means, ws.sds, fit_student_t(ws), alpha)
 
 
 def _var_gpd(ws, alpha, **options):
+    """Peaks-over-threshold VaR of the PWM tail fit; |xi| < 1e-6 takes the log limit."""
     thresholds, xi, beta, ks = _gpd_fit_rows(ws, **options)
     return _gpd_var_from_fit(thresholds, xi, beta, ks, ws.n, alpha)
 
 
 def _var_kde(ws, alpha, kde_kernel="gaussian", kde_bandwidth=None, **_):
+    """KDE quantile on the exact kernel CDF; the default bandwidth is 1.06*sd*n^(-1/5)."""
     if kde_kernel not in KDE_KERNELS:
         raise ConfigError(f"unknown kernel {kde_kernel!r}; valid kernels: {', '.join(KDE_KERNELS)}")
     m = ws.windows.shape[0]
@@ -671,10 +683,12 @@ def _var_kde(ws, alpha, kde_kernel="gaussian", kde_bandwidth=None, **_):
 
 
 def _mean(ws, alpha, **_):
+    """Negative sample mean, unbiased for the expectation; the level does not enter."""
     return -ws.means
 
 
 def _es_empirical(ws, alpha, **_):
+    """Average loss beyond the empirical VaR (the negated mean of the points below it)."""
     quantiles = _type7_sorted_rows(ws.sorted_rows, alpha)
     counts = (ws.sorted_rows < quantiles[:, None]).sum(axis=1)
     if np.any(counts == 0):
@@ -685,21 +699,29 @@ def _es_empirical(ws, alpha, **_):
 
 
 def _es_gaussian(ws, alpha, **_):
+    """Gaussian plug-in ES: -mean + sd * phi(Phi^{-1}(alpha)) / alpha."""
     z = sc.ndtri(alpha)
     return -ws.means + ws.sds * (np.exp(-0.5 * z * z) / math.sqrt(2 * math.pi)) / alpha
 
 
 def _es_unbiased(ws, alpha, table=None, **_):
+    """Unbiased Gaussian ES: -mean - sd * a_n with a_n < 0.
+
+    a_n makes the secured position's ES zero under Gaussian data: ES_alpha(Z + b_n V_n) = 0
+    (:func:`exact_unbiased_es_constant`). A ``table`` entry for (n, alpha) wins.
+    """
     lookup = exact_unbiased_es_constant if table is None else table.lookup
     return -ws.means - ws.sds * lookup(ws.n, alpha).a_n
 
 
 def _es_cornish_fisher(ws, alpha, **_):
+    """Tail average of the Cornish-Fisher quantile below ``alpha``; Gaussian ES at zero shape."""
     skews, kurts = _require_shape(ws)
     return -(ws.means + ws.sds * _cf_tail_means(alpha, skews, kurts))
 
 
 def _es_gpd(ws, alpha, **options):
+    """GPD tail ES (:func:`gpd_es_capital`) of the PWM fit; needs xi < 1."""
     thresholds, xi, beta, _ = _gpd_fit_rows(ws, **options)
     return _gpd_es_from_fit(thresholds, xi, beta, _var_empirical(ws, alpha))
 
@@ -794,33 +816,8 @@ def estimate(method: str, x, alpha, measure: str = "var", **options) -> RiskEsti
 
 
 # ---------------------------------------------------------------------------
-# scalar estimators and fits
+# fits and the capitals they imply
 # ---------------------------------------------------------------------------
-
-
-def var_empirical(x, alpha) -> RiskEstimate:
-    """Negative type-7 sample quantile (the R/S default, h = alpha*(n-1)+1)."""
-    return estimate("empirical", x, alpha)
-
-
-def var_empirical_simple(x, alpha) -> RiskEstimate:
-    """Negative of the (floor(n*alpha)+1)-th ascending order statistic."""
-    return estimate("empirical_simple", x, alpha)
-
-
-def var_gaussian(x, alpha) -> RiskEstimate:
-    """Gaussian plug-in: capital = -(mean + sd * Phi^{-1}(alpha))."""
-    return estimate("gaussian", x, alpha)
-
-
-def var_gaussian_unbiased(x, alpha) -> RiskEstimate:
-    """Gaussian unbiased VaR: -(mean + sd * sqrt((n+1)/n) * t_{n-1}^{-1}(alpha)).
-
-    The Student-t quantile and the sqrt((n+1)/n) inflation absorb the
-    estimation error of mean and sd, making the exceedance probability of the
-    secured position exactly alpha under Gaussian data.
-    """
-    return estimate("gaussian_unbiased", x, alpha)
 
 
 def cornish_fisher_z(alpha, skew, excess_kurtosis) -> CornishFisherAdjustment:
@@ -829,11 +826,6 @@ def cornish_fisher_z(alpha, skew, excess_kurtosis) -> CornishFisherAdjustment:
     z = float(sc.ndtri(alpha))
     z_cf = float(_cf_z_values(z, float(skew), float(excess_kurtosis)))
     return CornishFisherAdjustment(z_cf, z, float(skew), float(excess_kurtosis))
-
-
-def var_cornish_fisher(x, alpha) -> RiskEstimate:
-    """Moment-corrected Gaussian VaR via the Cornish-Fisher quantile."""
-    return estimate("cornish_fisher", x, alpha)
 
 
 def fit_student_t(x):
@@ -861,11 +853,6 @@ def student_t_var_capital(params: StudentTParams, alpha) -> float:
     return float(_t_capital(params.mu, params.sigma, params.nu, RiskLevel(alpha)))
 
 
-def var_student_t(x, alpha) -> RiskEstimate:
-    """Student-t plug-in: -(mu + sigma * sqrt((nu-2)/nu) * t_nu^{-1}(alpha))."""
-    return estimate("student_t", x, alpha)
-
-
 def fit_gpd_pwm(x, u) -> GpdFit:
     """Probability-weighted-moments GPD fit of exceedances below ``u``.
 
@@ -879,68 +866,3 @@ def fit_gpd_pwm(x, u) -> GpdFit:
     srt = np.sort(arr)
     xi, beta, ks = _batch_gpd_fit(srt[None, :], np.array([u]))
     return GpdFit(u, float(xi[0]), float(beta[0]), int(ks[0]), arr.size)
-
-
-def var_gpd(x, alpha, u=None, threshold_quantile=DEFAULT_GPD_THRESHOLD_QUANTILE) -> RiskEstimate:
-    """Peaks-over-threshold VaR from the PWM Generalized Pareto tail fit.
-
-    The default threshold is the 0.3 type-7 quantile of the returns, i.e. the
-    0.7 quantile of losses. Shapes below 1e-6 in magnitude switch to the
-    exponential (log) limit of the quantile formula.
-    """
-    return estimate("gpd", x, alpha, gpd_threshold=u, gpd_threshold_quantile=threshold_quantile)
-
-
-def var_kde(x, alpha, kernel="gaussian", bandwidth=None) -> RiskEstimate:
-    """Quantile of a kernel density estimate, solved on the exact kernel CDF.
-
-    The quantile is found by bisection on the mixture CDF until it is within
-    1e-10 of ``alpha`` and the bracket is below 1e-12 relative (or below
-    1e-15 relative, whichever comes first). The batch kernel bisects every
-    row at once. The default bandwidth 1.06 * sd * n^{-1/5} needs n >= 10; an
-    explicit bandwidth admits any non-empty sample.
-    """
-    return estimate("kde", x, alpha, kde_kernel=kernel, kde_bandwidth=bandwidth)
-
-
-def es_empirical(x, alpha) -> RiskEstimate:
-    """Average loss beyond the empirical VaR (negated tail mean)."""
-    return estimate("empirical", x, alpha, "es")
-
-
-def es_gaussian(x, alpha) -> RiskEstimate:
-    """Gaussian plug-in ES: -mean + sd * phi(Phi^{-1}(alpha)) / alpha."""
-    return estimate("gaussian", x, alpha, "es")
-
-
-def es_cornish_fisher(x, alpha) -> RiskEstimate:
-    """Tail average of the Cornish-Fisher quantile over levels below ``alpha``.
-
-    The average is exact (truncated-normal moments); with zero skew and excess
-    kurtosis it is the Gaussian ES constant.
-    """
-    return estimate("cornish_fisher", x, alpha, "es")
-
-
-def es_gpd(x, alpha, u=None, threshold_quantile=DEFAULT_GPD_THRESHOLD_QUANTILE) -> RiskEstimate:
-    """GPD tail ES: VaR_emp/(1-xi) + (beta + xi*u)/(1-xi); needs xi < 1."""
-    return estimate(
-        "gpd", x, alpha, "es", gpd_threshold=u, gpd_threshold_quantile=threshold_quantile
-    )
-
-
-def es_gaussian_unbiased(x, alpha, table=None) -> RiskEstimate:
-    """Unbiased Gaussian ES: -mean - sd * a_n with a_n < 0.
-
-    a_n is the exact constant of :func:`exact_unbiased_es_constant`, unless
-    ``table`` stores an entry for (len(x), alpha), which then wins.
-    """
-    return estimate("gaussian_unbiased", x, alpha, "es", table=table)
-
-
-def mean_estimator(x) -> RiskEstimate:
-    """Negative sample mean; unbiased for the expectation-based risk measure.
-
-    The level does not enter the mean functional; the estimate records 0.5.
-    """
-    return estimate("mean", x, 0.5)

@@ -1,5 +1,7 @@
+import functools
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -20,8 +22,7 @@ from riskbench import (
     acerbi_z,
     bias_statistic,
     draw_gaussian,
-    es_empirical,
-    es_gaussian,
+    estimate,
     exact_unbiased_es_constant,
     exceedance_rate,
     joint_var_es_score,
@@ -29,10 +30,6 @@ from riskbench import (
     replication_study,
     rolling_backtest,
     split_windows,
-    var_cornish_fisher,
-    var_empirical,
-    var_gaussian,
-    var_gaussian_unbiased,
     var_score,
 )
 from riskbench import backtest
@@ -216,10 +213,8 @@ class TestRollingBacktest:
         report = rolling_backtest(series, config)
         pairing = split_windows(series, 50)
         scalar_fns = {
-            "empirical": var_empirical,
-            "gaussian": var_gaussian,
-            "cornish_fisher": var_cornish_fisher,
-            "gaussian_unbiased": var_gaussian_unbiased,
+            tag: functools.partial(estimate, tag)
+            for tag in ("empirical", "gaussian", "cornish_fisher", "gaussian_unbiased")
         }
         for tag, fn in scalar_fns.items():
             count = 0
@@ -242,6 +237,22 @@ class TestRollingBacktest:
         assert report.methods["gpd"].failed
         assert "InsufficientTail" in report.methods["gpd"].failure
         assert not report.methods["empirical"].failed
+
+    def test_reasons_quote_plain_floats(self):
+        # numbers in report text print as Python floats that parse back exactly
+        series = draw_gaussian(SeededRng(5), 200, 1.0, 0.5)
+        config = BacktestConfig(alpha=0.05, methods=("mean",), window=20, measure="both")
+        reason = rolling_backtest(series, config).methods["mean"].es_z_reason
+        row, quoted = re.fullmatch(
+            r"window (\d+): non-positive ES capital (\S+); Z statistic undefined", reason
+        ).groups()
+        window = split_windows(series, 20).windows[int(row)]
+        assert float(quoted) == estimate("mean", window, 0.05, "es").capital
+        constant = np.concatenate([np.full(50, 0.1), draw_gaussian(SeededRng(4), 150, 0.0, 1.0)])
+        config = BacktestConfig(alpha=0.1, methods=("gpd",), window=50)
+        failure = rolling_backtest(constant, config).methods["gpd"].failure
+        assert failure.endswith("strictly below threshold 0.1 (need 5)")
+        assert "np." not in reason + failure
 
     def test_es_measure_fields(self, series, table_a50):
         config = BacktestConfig(alpha=0.10, methods=("norm", "u"), window=50, measure="both")

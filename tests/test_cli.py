@@ -7,7 +7,7 @@ import pytest
 from riskbench import (
     CalibrationEntry,
     CalibrationTable,
-    es_gaussian_unbiased,
+    estimate,
     exact_unbiased_es_constant,
     load_returns_csv,
 )
@@ -153,8 +153,8 @@ class TestEstimate:
         x = load_returns_csv(csv_path, "ret", "decimal").values
         _, out, _ = run(capsys, *args, "--table", str(tmp_path / "stored.json"))
         capital = float(out.split("capital=")[1])
-        assert capital == es_gaussian_unbiased(x, 0.10, table).capital
-        assert capital != es_gaussian_unbiased(x, 0.10).capital
+        assert capital == estimate("gaussian_unbiased", x, 0.10, "es", table=table).capital
+        assert capital != estimate("gaussian_unbiased", x, 0.10, "es").capital
 
     def test_missing_column_exits_2(self, capsys, csv_path):
         code, _, _ = run(

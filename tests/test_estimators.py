@@ -24,32 +24,19 @@ from riskbench import (
     InfiniteMeanTailError,
     InsufficientTailError,
     LevelTooHighError,
+    RiskbenchError,
     SeededRng,
     SizeError,
     StudentTParams,
     cornish_fisher_z,
     draw_gaussian,
-    es_cornish_fisher,
-    es_empirical,
-    es_gaussian,
-    es_gaussian_unbiased,
-    es_gpd,
     exact_unbiased_es_constant,
     fit_gpd_pwm,
     fit_student_t,
     gpd_es_capital,
     gpd_var_capital,
-    mean_estimator,
     sample_moments,
     student_t_var_capital,
-    var_cornish_fisher,
-    var_empirical,
-    var_empirical_simple,
-    var_gaussian,
-    var_gaussian_unbiased,
-    var_gpd,
-    var_kde,
-    var_student_t,
 )
 from riskbench.backtest import BacktestConfig
 from riskbench.estimators import (
@@ -96,76 +83,76 @@ def gaussian_sample():
 
 class TestVarEmpirical:
     def test_hand_interpolation(self):
-        est = var_empirical([1, 2, 3, 4, 5], 0.05)
+        est = estimate("empirical", [1, 2, 3, 4, 5], 0.05)
         assert est.capital == pytest.approx(-1.2, abs=1e-12)
         assert est.method == "empirical" and est.measure == "var" and est.n == 5
 
     def test_constant_sample(self):
-        assert var_empirical([4.0] * 10, 0.3).capital == -4.0
+        assert estimate("empirical", [4.0] * 10, 0.3).capital == -4.0
 
     def test_short_sample(self):
         with pytest.raises(SizeError):
-            var_empirical([1.0], 0.05)
+            estimate("empirical", [1.0], 0.05)
 
     @given(st.lists(grid_floats, min_size=2, max_size=40), grid_floats)
     @settings(max_examples=100, deadline=None)
     def test_translation_equivariance(self, xs, d):
-        base = var_empirical(xs, 0.1).capital
-        shifted = var_empirical([x + d for x in xs], 0.1).capital
+        base = estimate("empirical", xs, 0.1).capital
+        shifted = estimate("empirical", [x + d for x in xs], 0.1).capital
         assert shifted == pytest.approx(base - d, abs=1e-10)
 
 
 class TestVarEmpiricalSimple:
     def test_first_order_statistic(self):
         x = [10, 20, 30, 40, 50, 60, 70, 80, 90, 100]
-        assert var_empirical_simple(x, 0.05).capital == -10.0
+        assert estimate("empirical_simple", x, 0.05).capital == -10.0
 
     def test_sixth_order_statistic_at_n100(self):
         x = list(range(1, 101))
-        assert var_empirical_simple(x, 0.05).capital == -6.0
+        assert estimate("empirical_simple", x, 0.05).capital == -6.0
 
     def test_constant(self):
-        assert var_empirical_simple([2.0] * 10, 0.08).capital == -2.0
+        assert estimate("empirical_simple", [2.0] * 10, 0.08).capital == -2.0
 
     def test_level_domain(self):
         # floor(n*alpha)+1 <= n holds for every alpha in (0,1); levels outside
         # the open interval are rejected
         with pytest.raises(DomainError):
-            var_empirical_simple([1.0, 2.0], 1.2)
+            estimate("empirical_simple", [1.0, 2.0], 1.2)
 
 
 class TestVarGaussian:
     def test_standardized_sample(self, gaussian_sample):
-        est = var_gaussian(standardized(gaussian_sample), 0.05)
+        est = estimate("gaussian", standardized(gaussian_sample), 0.05)
         assert est.capital == pytest.approx(-Z_05, abs=1e-6)
 
     def test_degenerate_sd(self):
-        assert var_gaussian([0.1] * 5, 0.3).capital == pytest.approx(-0.1, abs=1e-15)
+        assert estimate("gaussian", [0.1] * 5, 0.3).capital == pytest.approx(-0.1, abs=1e-15)
 
     @given(st.lists(grid_floats, min_size=2, max_size=40),
            st.floats(min_value=0.1, max_value=10.0).map(lambda v: round(v, 3)))
     @settings(max_examples=100, deadline=None)
     def test_positive_homogeneity(self, xs, lam):
-        base = var_gaussian(xs, 0.05).capital
-        scaled = var_gaussian([lam * x for x in xs], 0.05).capital
+        base = estimate("gaussian", xs, 0.05).capital
+        scaled = estimate("gaussian", [lam * x for x in xs], 0.05).capital
         assert scaled == pytest.approx(lam * base, rel=1e-10, abs=1e-10)
 
 
 class TestVarGaussianUnbiased:
     def test_standardized_sample_n50(self, gaussian_sample):
-        est = var_gaussian_unbiased(standardized(gaussian_sample), 0.05)
+        est = estimate("gaussian_unbiased", standardized(gaussian_sample), 0.05)
         assert est.capital == pytest.approx(UNBIASED_FACTOR_50, abs=1e-4)
 
     def test_dominates_plugin(self, gaussian_sample):
         for alpha in (0.01, 0.05, 0.1, 0.25):
             assert (
-                var_gaussian_unbiased(gaussian_sample, alpha).capital
-                > var_gaussian(gaussian_sample, alpha).capital
+                estimate("gaussian_unbiased", gaussian_sample, alpha).capital
+                > estimate("gaussian", gaussian_sample, alpha).capital
             )
 
     def test_large_n_limit(self):
         x = standardized(draw_gaussian(SeededRng(7), 1_000_000, 0.0, 1.0))
-        gap = var_gaussian_unbiased(x, 0.05).capital - var_gaussian(x, 0.05).capital
+        gap = estimate("gaussian_unbiased", x, 0.05).capital - estimate("gaussian", x, 0.05).capital
         assert abs(gap) <= 1e-3
 
 
@@ -193,13 +180,13 @@ class TestVarCornishFisher:
     def test_reduces_to_gaussian_on_mesokurtic_sample(self):
         # {-1, 0, 0, 0, 0, 1} has zero skewness and zero excess kurtosis
         x = [-1.0, 0.0, 0.0, 0.0, 0.0, 1.0]
-        assert var_cornish_fisher(x, 0.05).capital == pytest.approx(
-            var_gaussian(x, 0.05).capital, abs=1e-12
+        assert estimate("cornish_fisher", x, 0.05).capital == pytest.approx(
+            estimate("gaussian", x, 0.05).capital, abs=1e-12
         )
 
     def test_needs_four_points(self):
         with pytest.raises(SizeError):
-            var_cornish_fisher([1.0, 2.0, 3.0], 0.05)
+            estimate("cornish_fisher", [1.0, 2.0, 3.0], 0.05)
 
     def test_noisy_constant_row_shape_matches_scalar_moments(self):
         x = constant_plus_rounding_noise()
@@ -219,8 +206,8 @@ class TestVarCornishFisher:
     @given(st.lists(grid_floats, min_size=4, max_size=40), grid_floats)
     @settings(max_examples=100, deadline=None)
     def test_translation_equivariance(self, xs, d):
-        base = var_cornish_fisher(xs, 0.05).capital
-        shifted = var_cornish_fisher([x + d for x in xs], 0.05).capital
+        base = estimate("cornish_fisher", xs, 0.05).capital
+        shifted = estimate("cornish_fisher", [x + d for x in xs], 0.05).capital
         assert shifted == pytest.approx(base - d, abs=1e-8)
 
 
@@ -274,8 +261,8 @@ class TestStudentT:
 
     def test_var_translation(self, gaussian_sample):
         x = np.concatenate([gaussian_sample, draw_gaussian(SeededRng(56), 50, 0.0, 1.0)])
-        base = var_student_t(x, 0.05).capital
-        shifted = var_student_t(x + 0.37, 0.05).capital
+        base = estimate("student_t", x, 0.05).capital
+        shifted = estimate("student_t", x + 0.37, 0.05).capital
         # nu is re-optimised on the shifted sample, so exactness is limited by
         # the profile-likelihood search tolerance
         assert shifted == pytest.approx(base - 0.37, abs=1e-6)
@@ -340,18 +327,18 @@ class TestVarGpd:
 
     def test_sample_route_matches_fit_route(self, gaussian_sample):
         u = float(np.quantile(gaussian_sample, 0.3))
-        est = var_gpd(gaussian_sample, 0.05, u=u)
+        est = estimate("gpd", gaussian_sample, 0.05, gpd_threshold=u)
         fit = fit_gpd_pwm(gaussian_sample, u)
         assert est.capital == pytest.approx(gpd_var_capital(fit, 0.05), abs=1e-12)
 
     def test_translation_equivariance_with_data_driven_threshold(self, gaussian_sample):
-        base = var_gpd(gaussian_sample, 0.05).capital
-        shifted = var_gpd(gaussian_sample + 0.41, 0.05).capital
+        base = estimate("gpd", gaussian_sample, 0.05).capital
+        shifted = estimate("gpd", gaussian_sample + 0.41, 0.05).capital
         assert shifted == pytest.approx(base - 0.41, abs=1e-10)
 
     def test_positive_homogeneity(self, gaussian_sample):
-        base = var_gpd(gaussian_sample, 0.05).capital
-        scaled = var_gpd(2.5 * gaussian_sample, 0.05).capital
+        base = estimate("gpd", gaussian_sample, 0.05).capital
+        scaled = estimate("gpd", 2.5 * gaussian_sample, 0.05).capital
         assert scaled == pytest.approx(2.5 * base, abs=1e-10)
 
 
@@ -394,70 +381,72 @@ class TestVarKde:
                 assert capital.hex() == kde_row_reference(row, alpha, kernel, h).hex()
 
     def test_single_point_gaussian_kernel(self):
-        est = var_kde([5.0], 0.05, kernel="gaussian", bandwidth=1.0)
+        est = estimate("kde", [5.0], 0.05, kde_kernel="gaussian", kde_bandwidth=1.0)
         assert est.capital == pytest.approx(-(5.0 + Z_05), abs=1e-8)
 
     def test_small_bandwidth_approaches_empirical(self):
         x = draw_gaussian(SeededRng(10), 1000, 0.0, 1.0)
-        kde_cap = var_kde(x, 0.05, bandwidth=1e-4).capital
-        emp_cap = var_empirical(x, 0.05).capital
+        kde_cap = estimate("kde", x, 0.05, kde_bandwidth=1e-4).capital
+        emp_cap = estimate("empirical", x, 0.05).capital
         assert abs(kde_cap - emp_cap) <= 0.01
 
     def test_translation_equivariance(self, gaussian_sample):
-        base = var_kde(gaussian_sample, 0.05).capital
-        shifted = var_kde(gaussian_sample + 0.73, 0.05).capital
+        base = estimate("kde", gaussian_sample, 0.05).capital
+        shifted = estimate("kde", gaussian_sample + 0.73, 0.05).capital
         assert shifted == pytest.approx(base - 0.73, abs=1e-10)
 
     def test_epanechnikov_self_consistent(self, gaussian_sample):
-        est = var_kde(gaussian_sample, 0.1, kernel="epanechnikov")
+        est = estimate("kde", gaussian_sample, 0.1, kde_kernel="epanechnikov")
         h = 1.06 * np.std(gaussian_sample, ddof=1) * 50 ** (-0.2)
         t = np.clip((-est.capital - gaussian_sample) / h, -1.0, 1.0)
         assert np.mean((2 + 3 * t - t**3) / 4) == pytest.approx(0.1, abs=1e-9)
 
     def test_bandwidth_domain(self):
         with pytest.raises(DomainError):
-            var_kde([1.0, 2.0], 0.05, bandwidth=0.0)
+            estimate("kde", [1.0, 2.0], 0.05, kde_bandwidth=0.0)
 
     def test_constant_plus_rounding_noise_rejected(self):
         with pytest.raises(DataError):
-            var_kde(constant_plus_rounding_noise(), 0.05)
+            estimate("kde", constant_plus_rounding_noise(), 0.05)
 
     def test_unknown_kernel(self):
         with pytest.raises(ConfigError):
-            var_kde([1.0, 2.0], 0.05, kernel="triangle", bandwidth=1.0)
+            estimate("kde", [1.0, 2.0], 0.05, kde_kernel="triangle", kde_bandwidth=1.0)
 
 
 class TestEsEmpirical:
     def test_two_tail_points(self):
         x = [-10.0, -5.0] + [0.0] * 18
-        assert es_empirical(x, 0.10).capital == pytest.approx(7.5, abs=1e-12)
+        assert estimate("empirical", x, 0.10, "es").capital == pytest.approx(7.5, abs=1e-12)
 
     def test_constant_sample_empty_tail(self):
         with pytest.raises(EmptyTailError):
-            es_empirical([1.0] * 20, 0.1)
+            estimate("empirical", [1.0] * 20, 0.1, "es")
 
     def test_es_geq_var(self):
         for seed in range(5):
             x = draw_gaussian(SeededRng(seed), 50, 0.0, 1.0)
-            assert es_empirical(x, 0.1).capital >= var_empirical(x, 0.1).capital
+            es = estimate("empirical", x, 0.1, "es").capital
+            assert es >= estimate("empirical", x, 0.1).capital
 
 
 class TestEsGaussian:
     def test_frozen_constants(self, gaussian_sample):
         z = standardized(gaussian_sample)
-        assert es_gaussian(z, 0.10).capital == pytest.approx(ES_GAUSS_10, abs=1e-5)
-        assert es_gaussian(z, 0.05).capital == pytest.approx(ES_GAUSS_05, abs=1e-5)
+        assert estimate("gaussian", z, 0.10, "es").capital == pytest.approx(ES_GAUSS_10, abs=1e-5)
+        assert estimate("gaussian", z, 0.05, "es").capital == pytest.approx(ES_GAUSS_05, abs=1e-5)
 
     def test_dominates_var(self, gaussian_sample):
         for alpha in (0.01, 0.05, 0.1, 0.4):
-            assert es_gaussian(gaussian_sample, alpha).capital > var_gaussian(gaussian_sample, alpha).capital
+            es = estimate("gaussian", gaussian_sample, alpha, "es").capital
+            assert es > estimate("gaussian", gaussian_sample, alpha).capital
 
 
 class TestEsCornishFisher:
     def test_zero_skew_matches_gaussian(self):
         x = [-1.0, 0.0, 0.0, 0.0, 0.0, 1.0]
-        assert es_cornish_fisher(x, 0.10).capital == pytest.approx(
-            es_gaussian(x, 0.10).capital, abs=1e-4
+        assert estimate("cornish_fisher", x, 0.10, "es").capital == pytest.approx(
+            estimate("gaussian", x, 0.10, "es").capital, abs=1e-4
         )
 
     @pytest.mark.parametrize(
@@ -490,8 +479,8 @@ class TestEsCornishFisher:
         assert abs(capital + tail / alpha) <= 1e-10
 
     def test_translation(self, gaussian_sample):
-        base = es_cornish_fisher(gaussian_sample, 0.10).capital
-        shifted = es_cornish_fisher(gaussian_sample + 0.21, 0.10).capital
+        base = estimate("cornish_fisher", gaussian_sample, 0.10, "es").capital
+        shifted = estimate("cornish_fisher", gaussian_sample + 0.21, 0.10, "es").capital
         assert shifted == pytest.approx(base - 0.21, abs=1e-10)
 
 
@@ -530,9 +519,9 @@ class TestEsGpd:
 
     def test_sample_route(self, gaussian_sample):
         u = float(np.quantile(gaussian_sample, 0.3))
-        est = es_gpd(gaussian_sample, 0.10, u=u)
+        est = estimate("gpd", gaussian_sample, 0.10, "es", gpd_threshold=u)
         fit = fit_gpd_pwm(gaussian_sample, u)
-        expected = gpd_es_capital(fit, var_empirical(gaussian_sample, 0.10).capital)
+        expected = gpd_es_capital(fit, estimate("empirical", gaussian_sample, 0.10).capital)
         assert est.capital == pytest.approx(expected, abs=1e-12)
 
 
@@ -543,33 +532,34 @@ class TestEsGaussianUnbiased:
         table = CalibrationTable()
         table.add(CalibrationEntry(50, 0.10, b_n, a_n, 1_000_000, 0, 0.0))
         z = standardized(gaussian_sample)
-        assert es_gaussian_unbiased(z, 0.10, table).capital == pytest.approx(1.81033, abs=1e-9)
+        est = estimate("gaussian_unbiased", z, 0.10, "es", table=table)
+        assert est.capital == pytest.approx(1.81033, abs=1e-9)
 
     def test_paper_constant_from_solver(self, gaussian_sample):
         table = CalibrationTable()
         table.add(exact_unbiased_es_constant(50, 0.10))
         z = standardized(gaussian_sample)
-        est = es_gaussian_unbiased(z, 0.10, table)
+        est = estimate("gaussian_unbiased", z, 0.10, "es", table=table)
         assert est.capital == pytest.approx(1.8101034, abs=1e-6)
 
     def test_missing_entry(self, table_a50, gaussian_sample):
         # without a stored entry the exact constant is used, to the bit
         exact = CalibrationTable()
         exact.add(exact_unbiased_es_constant(50, 0.05))
-        want = es_gaussian_unbiased(gaussian_sample, 0.05, exact).capital
-        assert es_gaussian_unbiased(gaussian_sample, 0.05, table_a50).capital == want
-        assert es_gaussian_unbiased(gaussian_sample, 0.05).capital == want
+        want = estimate("gaussian_unbiased", gaussian_sample, 0.05, "es", table=exact).capital
+        stored = estimate("gaussian_unbiased", gaussian_sample, 0.05, "es", table=table_a50)
+        assert stored.capital == want
+        assert estimate("gaussian_unbiased", gaussian_sample, 0.05, "es").capital == want
         ws = window_stats(gaussian_sample[None, :])
         assert batch_es_capitals("gaussian_unbiased", ws, 0.05)[0] == want
         # a stored entry wins over the exact constant
-        assert es_gaussian_unbiased(gaussian_sample, 0.10, table_a50).capital != (
-            es_gaussian_unbiased(gaussian_sample, 0.10).capital
-        )
+        stored = estimate("gaussian_unbiased", gaussian_sample, 0.10, "es", table=table_a50)
+        assert stored.capital != estimate("gaussian_unbiased", gaussian_sample, 0.10, "es").capital
 
     def test_dominates_plugin_at_n50(self, table_a50, gaussian_sample):
         assert (
-            es_gaussian_unbiased(gaussian_sample, 0.10, table_a50).capital
-            > es_gaussian(gaussian_sample, 0.10).capital
+            estimate("gaussian_unbiased", gaussian_sample, 0.10, "es", table=table_a50).capital
+            > estimate("gaussian", gaussian_sample, 0.10, "es").capital
         )
 
     @pytest.mark.slow
@@ -579,27 +569,27 @@ class TestEsGaussianUnbiased:
         table = CalibrationTable()
         table.add(solve_unbiased_es_constant(10_000, 0.10, 1_000_000, seed=9))
         x = standardized(draw_gaussian(SeededRng(8), 10_000, 0.0, 1.0))
-        assert es_gaussian_unbiased(x, 0.10, table).capital == pytest.approx(
-            es_gaussian(x, 0.10).capital, abs=0.005
+        assert estimate("gaussian_unbiased", x, 0.10, "es", table=table).capital == pytest.approx(
+            estimate("gaussian", x, 0.10, "es").capital, abs=0.005
         )
 
 
 class TestMeanEstimator:
     def test_arithmetic(self):
-        assert mean_estimator([1.0, 2.0, 3.0]).capital == -2.0
+        assert estimate("mean", [1.0, 2.0, 3.0], 0.5).capital == -2.0
 
     def test_constant(self):
-        assert mean_estimator([5.0] * 4).capital == -5.0
+        assert estimate("mean", [5.0] * 4, 0.5).capital == -5.0
 
     def test_empty(self):
         with pytest.raises(SizeError):
-            mean_estimator([])
+            estimate("mean", [], 0.5)
 
     @given(st.lists(grid_floats, min_size=1, max_size=30), grid_floats)
     @settings(max_examples=50, deadline=None)
     def test_translation(self, xs, d):
-        assert mean_estimator([x + d for x in xs]).capital == pytest.approx(
-            mean_estimator(xs).capital - d, abs=1e-10
+        assert estimate("mean", [x + d for x in xs], 0.5).capital == pytest.approx(
+            estimate("mean", xs, 0.5).capital - d, abs=1e-10
         )
 
 
@@ -632,6 +622,24 @@ class TestCrossCuttingInvariants:
                 lam * base, rel=1e-10, abs=1e-10
             )
 
+    @pytest.mark.parametrize("tag, measure", CASES)
+    def test_constant_plus_rounding_noise_acts_as_constant(self, tag, measure):
+        # the same exception as the exact constant, or its capital up to rounding
+        noisy = constant_plus_rounding_noise()
+        exact = np.full(noisy.size, noisy.min())
+
+        def outcome(x):
+            try:
+                return estimate(tag, x, 0.1, measure).capital
+            except RiskbenchError as exc:
+                return type(exc)
+
+        want, got = outcome(exact), outcome(noisy)
+        if isinstance(want, type):
+            assert got is want
+        else:
+            assert abs(got - want) <= 4 * noisy.size * np.finfo(float).eps * np.abs(noisy).max()
+
 
 class TestMethodTags:
     def test_aliases(self):
@@ -654,7 +662,7 @@ class TestMethodTags:
 
     def test_non_finite_sample_rejected(self):
         with pytest.raises(DataError):
-            var_gaussian([1.0, float("inf")], 0.05)
+            estimate("gaussian", [1.0, float("inf")], 0.05)
 
 
 class TestMethodRegistry:
@@ -720,11 +728,12 @@ class TestMethodRegistry:
     def test_single_observation_where_defined(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert var_empirical_simple([3.0], 0.5).capital == -3.0
-            assert mean_estimator([2.0]).capital == -2.0
-            assert var_kde([5.0], 0.05, bandwidth=1.0).capital == pytest.approx(-(5.0 + Z_05), abs=1e-8)
+            assert estimate("empirical_simple", [3.0], 0.5).capital == -3.0
+            assert estimate("mean", [2.0], 0.5).capital == -2.0
+            est = estimate("kde", [5.0], 0.05, kde_bandwidth=1.0)
+            assert est.capital == pytest.approx(-(5.0 + Z_05), abs=1e-8)
         with pytest.raises(SizeError):
-            var_kde([5.0], 0.05)
+            estimate("kde", [5.0], 0.05)
 
 
 class TestImports:
