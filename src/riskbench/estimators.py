@@ -223,6 +223,7 @@ class WindowStats:
 def window_stats(windows: np.ndarray, with_shape: bool = False) -> WindowStats:
     """Sort each row and compute its mean and sd (divisor n-1).
 
+    A constant row's mean is that constant, which a sum can round one ulp off.
     An sd whose population spread :func:`is_rounding_noise` judges to be noise
     is zero, and rows whose squares could overflow are scaled by a power of two
     first. The skew and kurtosis that Cornish-Fisher needs are filled on first
@@ -236,7 +237,8 @@ def window_stats(windows: np.ndarray, with_shape: bool = False) -> WindowStats:
     max_abs = ws.max_abs
     shift = _overflow_shift(max_abs, n)
     scaled = np.ldexp(w, -shift[:, None]) if shift.any() else w
-    ws.means = np.ldexp(scaled.mean(axis=1), shift)
+    lo, hi = ws.sorted_rows[:, 0], ws.sorted_rows[:, -1]
+    ws.means = np.where(lo == hi, lo, np.ldexp(scaled.mean(axis=1), shift))
     sds = np.ldexp(scaled.std(axis=1, ddof=1), shift) if n > 1 else np.full(m, np.nan)
     ws.sds = np.where(is_rounding_noise(sds * math.sqrt((n - 1) / n), max_abs, n), 0.0, sds)
     if with_shape:
@@ -658,28 +660,38 @@ def _var_kde(ws, alpha, kde_kernel="gaussian", kde_bandwidth=None, **_):
     # the quantile lies within |z_alpha| bandwidths (one, for the compact kernel) of the data
     reach_lo, reach_hi = (min(z, 0.0), max(z, 0.0)) if kde_kernel == "gaussian" else (-1.0, 1.0)
     lo, hi = ws.sorted_rows[:, 0] + h * reach_lo, ws.sorted_rows[:, -1] + h * reach_hi
-    # bisection on every row's mixture CDF at once; a row leaves the active set on its
-    # own stopping rule, past the 1e-10 probability tolerance down to a ~1e-12 bracket,
-    # so equivariance holds to 1e-10. Ties (F == alpha on a numerically flat stretch)
-    # resolve upward: the sample-quantile limit as the bandwidth vanishes.
-    mid, active = np.empty(m), np.arange(m)
+    # safeguarded Newton on every row's mixture CDF at once: the point tried shrinks the
+    # bracket [lo, hi], and the next point is the Newton point, or the midpoint when that
+    # leaves the open bracket. A row leaves the active set on its own stopping rule, past
+    # the 1e-10 probability tolerance down to a ~1e-12 bracket, so equivariance holds to
+    # 1e-10; the Newton point aims 2.5e-13*scale past the root so that the bracket also
+    # closes from the side Newton does not approach. Ties (F == alpha on a numerically
+    # flat stretch) resolve upward: the sample-quantile limit as the bandwidth vanishes.
+    q, active = 0.5 * (lo + hi), np.arange(m)
     for _ in range(200):
-        a, b = lo[active], hi[active]
-        mid[active] = q = 0.5 * (a + b)
-        t = (q[:, None] - ws.windows[active]) / h[active, None]
+        a, b, x, hx = lo[active], hi[active], q[active], h[active]
+        t = (x[:, None] - ws.windows[active]) / hx[:, None]
         if kde_kernel == "gaussian":
             f = np.mean(sc.ndtr(t), axis=1)
+            density = np.mean(np.exp(-0.5 * (t * t)), axis=1) / (math.sqrt(2.0 * math.pi) * hx)
         else:
             t = np.clip(t, -1.0, 1.0)
             f = np.mean((2.0 + 3.0 * t - t**3) / 4.0, axis=1)
+            density = np.mean(0.75 * (1.0 - t * t), axis=1) / hx
         scale = np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
         done = (np.abs(f - alpha) <= 1e-10) & (b - a <= 1e-12 * scale) | (b - a <= 1e-15 * scale)
         below = f <= alpha
-        lo[active], hi[active] = np.where(below, q, a), np.where(below, b, q)
-        active = active[~done]
+        lo[active] = a = np.where(below, x, a)
+        hi[active] = b = np.where(below, b, x)
+        with np.errstate(divide="ignore", invalid="ignore"):  # zero density: no Newton point
+            step = (alpha - f) / density
+            newton = x + step + 2.5e-13 * scale * np.sign(step)
+        go = ~done
+        active = active[go]
         if active.size == 0:
             break
-    return -mid
+        q[active] = np.where((a < newton) & (newton < b), newton, 0.5 * (a + b))[go]
+    return -q
 
 
 def _mean(ws, alpha, **_):

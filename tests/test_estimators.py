@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate, special, stats
+from scipy import integrate, optimize, special, stats
 
 import riskbench
 from riskbench import (
@@ -342,28 +342,43 @@ class TestVarGpd:
         assert scaled == pytest.approx(2.5 * base, abs=1e-10)
 
 
-def kde_row_reference(row, alpha, kernel, h):
-    """One row's KDE quantile by the scalar bisection loop the batch kernel replaced."""
+def kde_cdf_and_density(q, row, kernel, h):
+    """One row's mixture CDF and density at ``q``, in the batch kernel's arithmetic."""
     if kernel == "gaussian":
-        def cdf(q):
-            return float(np.mean(special.ndtr((q - row) / h)))
+        t = (q - row) / h
+        density = np.mean(np.exp(-0.5 * (t * t))) / (math.sqrt(2.0 * math.pi) * h)
+        return float(np.mean(special.ndtr(t))), float(density)
+    t = np.clip((q - row) / h, -1.0, 1.0)
+    return float(np.mean((2.0 + 3.0 * t - t**3) / 4.0)), float(np.mean(0.75 * (1.0 - t * t)) / h)
 
+
+def kde_row_reference(row, alpha, kernel, h):
+    """One row's KDE quantile by the scalar form of the batch kernel's safeguarded Newton iteration."""
+    if kernel == "gaussian":
         z = float(special.ndtri(alpha))
         lo, hi = float(row.min()) + h * min(z, 0.0), float(row.max()) + h * max(z, 0.0)
     else:
-        def cdf(q):
-            t = np.clip((q - row) / h, -1.0, 1.0)
-            return float(np.mean((2.0 + 3.0 * t - t**3) / 4.0))
-
         lo, hi = float(row.min()) - h, float(row.max()) + h
+    q = 0.5 * (lo + hi)
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        f = cdf(mid)
+        f, density = kde_cdf_and_density(q, row, kernel, h)
         width, scale = hi - lo, max(1.0, abs(lo), abs(hi))
         if abs(f - alpha) <= 1e-10 and width <= 1e-12 * scale or width <= 1e-15 * scale:
             break
-        lo, hi = (mid, hi) if f <= alpha else (lo, mid)
-    return -mid
+        lo, hi = (q, hi) if f <= alpha else (lo, q)
+        newton = math.nan
+        if density > 0.0:
+            step = (alpha - f) / density
+            newton = q + step + 2.5e-13 * scale * float(np.sign(step))
+        q = newton if lo < newton < hi else 0.5 * (lo + hi)
+    return -q
+
+
+def kde_mixture_root(row, alpha, kernel, h):
+    """The root of the mixture CDF minus alpha, by brentq over 40 bandwidths past the data."""
+    return optimize.brentq(lambda q: kde_cdf_and_density(q, row, kernel, h)[0] - alpha,
+                           row.min() - 40.0 * h, row.max() + 40.0 * h,
+                           xtol=1e-300, rtol=4 * np.finfo(float).eps, maxiter=1000)
 
 
 class TestVarKde:
@@ -379,6 +394,22 @@ class TestVarKde:
             for row, capital in zip(rows, batch):
                 h = 1.06 * np.std(row, ddof=1) * row.size ** (-0.2) if bandwidth is None else bandwidth
                 assert capital.hex() == kde_row_reference(row, alpha, kernel, h).hex()
+
+    @pytest.mark.parametrize("kernel", ["gaussian", "epanechnikov"])
+    def test_quantile_is_the_mixture_root_to_1e12(self, kernel):
+        gen = SeededRng(58).generator()
+        rows = np.vstack([gen.standard_t(3, 40) * s + m for s, m in [(0.01, 0), (1, 5), (30, -2)]])
+        for alpha in (0.01, 0.1, 0.5):
+            batch = batch_var_capitals("kde", window_stats(rows), alpha, kde_kernel=kernel)
+            for row, capital in zip(rows, batch):
+                root = kde_mixture_root(row, alpha, kernel, 1.06 * np.std(row, ddof=1) * row.size ** (-0.2))
+                assert abs(-capital - root) <= 1e-12 * max(1.0, abs(root))
+
+    def test_flat_stretch_resolves_upward(self):
+        # F == alpha on all of [0.1, 0.9]; the tie resolves to its upper end
+        x = np.arange(20.0)
+        est = estimate("kde", x, 0.05, kde_kernel="epanechnikov", kde_bandwidth=0.1)
+        assert est.capital == pytest.approx(-0.9, abs=1e-8)
 
     def test_single_point_gaussian_kernel(self):
         est = estimate("kde", [5.0], 0.05, kde_kernel="gaussian", kde_bandwidth=1.0)
@@ -639,6 +670,13 @@ class TestCrossCuttingInvariants:
             assert got is want
         else:
             assert abs(got - want) <= 4 * noisy.size * np.finfo(float).eps * np.abs(noisy).max()
+
+    @pytest.mark.parametrize("tag", ["gaussian", "gaussian_unbiased", "cornish_fisher", "mean"])
+    @pytest.mark.parametrize("measure", ["var", "es"])
+    @pytest.mark.parametrize("value, n", [(5.589843, 12), (-7.77, 30)])
+    def test_exact_constant_gives_its_own_value(self, tag, measure, value, n):
+        # the mean of n copies of c can round one ulp off c; the capital must not
+        assert estimate(tag, np.full(n, value), 0.1, measure).capital == -value
 
 
 class TestMethodTags:
