@@ -4,19 +4,21 @@ Returns are stored in decimal units internally. The public portfolio CSVs
 circulate in percent, so ingestion demands an explicit ``scale`` flag rather
 than guessing; silent unit errors would corrupt every capital figure.
 
-The CSV loader parses the requested column once into a float array, with NaN
-for a missing or unparseable cell, and itemises bad rows from array masks by
-their file line. Every file the package writes goes through
-:func:`write_text`, which turns an ``OSError`` into :class:`OutputError`.
+numpy's C reader (``np.loadtxt``) is the one reader of accepted CSV files; the
+``csv`` module finds the header and reads a file again only to explain a
+rejection by the file lines of its bad rows. Every file the package writes goes
+through :func:`write_text`, which turns an ``OSError`` into :class:`OutputError`.
 """
 from __future__ import annotations
 
 import csv
+import io
 import math
 import operator
 import re
+import warnings
 from dataclasses import dataclass
-from itertools import compress, islice, repeat
+from itertools import compress, count, islice, repeat
 
 import numpy as np
 
@@ -27,17 +29,15 @@ from .stats_core import SeededRng, as_sample, draw_gaussian
 SCALES = ("decimal", "percent")
 # missing-value sentinels used by the public portfolio files
 _SENTINELS = (-99.99, -999.0)
-# YYYYMMDD or YYYY-MM-DD
-_DATE = re.compile(r"^(\d{4})(-?)(\d{2})\2(\d{2})$")
+# a line the csv module reads as a blank row: commas between whitespace, quoted or not
+_BLANK_LINE = re.compile(r'^(?:"[^\S\n]*")?[^\S\n]*(?:,(?:"[^\S\n]*")?[^\S\n]*)*$', re.M)
 # the report method that renders each output format
 REPORT_FORMATS = {"json": "to_json", "csv": "to_csv", "csv-long": "to_csv_long"}
 
 
 def _first_unordered_date(dates) -> int | None:
     """Position of the first date not strictly after its predecessor, or None."""
-    later = np.fromiter(map(operator.gt, islice(dates, 1, None), dates), bool, len(dates) - 1)
-    late = np.flatnonzero(~later)
-    return int(late[0]) + 1 if late.size else None
+    return next(compress(count(1), map(operator.le, islice(dates, 1, None), dates)), None)
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,81 +83,111 @@ class SimulationSpec:
             raise DomainError(f"length must be at least 1, got {self.length!r}")
 
 
-def _parse_date(cell: str) -> str | None:
-    """The cell as an ISO date, or None when it is not YYYYMMDD or YYYY-MM-DD."""
-    m = _DATE.match(cell.strip())
-    return f"{m[1]}-{m[3]}-{m[4]}" if m else None
+def _iso_dates(cells) -> tuple | None:
+    """The cells as ISO dates if each is YYYYMMDD or YYYY-MM-DD by digit shape, else None."""
+    cut = np.char.str_len(cells) == cells.itemsize // 4  # a full-width cell may have been cut
+    cells = np.char.strip(cells)
+    size = np.char.str_len(cells)
+    codes = cells.view(np.uint32).reshape(cells.size, -1)
+    at = [0, 1, 2, 3, 5, 6, 8, 9]  # where YYYY-MM-DD holds its digits
+    digit = (codes >= ord("0")) & (codes <= ord("9"))
+    iso = (size == 10) & digit[:, at].all(1) & (codes[:, [4, 7]] == ord("-")).all(1)
+    if not (~cut & (iso | (size == 8) & digit[:, :8].all(1))).all():
+        return None
+    out = np.full((cells.size, 10), ord("-"), np.uint32)
+    out[:, at] = np.where(iso[:, None], codes[:, at], codes[:, :8])
+    return tuple(out.view("U10").ravel().tolist())
 
 
-def _itemise(kept, rows, limit: int = 20) -> str:
-    """Itemise the file lines of the data rows ``rows`` selects; ``kept`` marks non-blank records."""
-    lines = (np.flatnonzero(kept)[1:] + 1)[rows]
-    shown = ", ".join(str(r) for r in lines[:limit])
-    extra = len(lines) - limit
-    return shown + (f", and {extra} more" if extra > 0 else "")
+def _itemise(fh, rows, limit: int = 20) -> str:
+    """Itemise the file lines of the data rows ``rows`` selects; blank records are no rows."""
+    fh.seek(0)
+    records = csv.reader(fh)
+    lines = np.array([records.line_num for row in records if "".join(row).strip()][1:])[rows]
+    more = f", and {len(lines) - limit} more" if len(lines) > limit else ""
+    return ", ".join(str(r) for r in lines[:limit]) + more
 
 
 def _cell_value(row: list, col: int) -> float:
-    """The row's cell in column ``col`` as a float; NaN when it is missing or unparseable."""
+    """The row's cell in column ``col`` by the C reader's syntax; NaN if missing or unparseable."""
     try:
-        return float(row[col])
+        cell = row[col]
+        return math.nan if "_" in cell or not cell.strip().isascii() else float(cell)
     except (IndexError, ValueError):
         return math.nan
 
 
-def load_returns_csv(path, column: str, scale: str) -> ReturnSeries:
-    """Read one return column from a headed CSV file.
+def _read_cells(fh, skiprows: int, col: int):
+    """Column 0 as text and column ``col`` as floats, read on from ``fh`` by the C reader."""
+    source, skip = fh, 0
+    for _ in range(2):
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # a body with no data rows
+                return np.loadtxt(source, delimiter=",", comments=None, quotechar='"', ndmin=1,
+                                  skiprows=skip, usecols=(0, col), dtype=[("d", "U16"), ("v", "f8")])
+        except ValueError:  # it rejects blank rows; emptied, they keep their line
+            fh.seek(0)
+            source, skip = io.StringIO(_BLANK_LINE.sub("", fh.read())), skiprows
+    return None  # the csv module explains the rejection
 
-    The first column is treated as dates when every data row parses as
-    YYYYMMDD or ISO. Percent scale divides by 100. Blank rows are skipped.
-    Missing, unparseable or non-finite cells, and then rows holding the public
-    data libraries' missing-value sentinels (-99.99, -999), abort ingestion
-    with an error itemising their file lines; nothing is imputed silently.
+
+def _load(fh, path, column: str, scale: str) -> ReturnSeries:
+    """:func:`load_returns_csv` on the open file ``fh``, whose errors name ``path``."""
+    reader = csv.reader(fh)
+    header = next((row for row in reader if "".join(row).strip()), None)
+    if header is None:
+        raise IngestionError(f"{path}: file is empty")
+    header = [cell.strip() for cell in header]
+    col = header.index(column) if column in header else None
+    cells = None if col is None else _read_cells(fh, reader.line_num, col)
+    if cells is not None:
+        values = cells["v"]
+    else:  # the csv module reads the file again, only to explain the rejection
+        fh.seek(0)
+        body = [row for row in csv.reader(fh) if "".join(row).strip()][1:]
+        if body and col is None:
+            raise IngestionError(
+                f"{path}: column {column!r} not found; available columns: {', '.join(header)}"
+            )
+        values = np.fromiter(map(_cell_value, body, repeat(col)), float, len(body))
+    if not values.size:
+        raise IngestionError(f"{path}: no data rows below the header")
+    if (bad := ~np.isfinite(values)).any():
+        raise IngestionError(
+            f"{path}: column {column!r} has unparseable cells on rows {_itemise(fh, bad)}"
+        )
+    if cells is None:
+        raise IngestionError(f"{path}: column {column!r} could not be read")
+    sentinel = np.logical_or.reduce([np.abs(values - s) < 1e-9 for s in _SENTINELS])
+    if sentinel.any():
+        raise IngestionError(f"{path}: missing-value sentinels on rows {_itemise(fh, sentinel)}")
+    dates = _iso_dates(cells["d"]) if col else None
+    try:  # the series checks the date order, once
+        return ReturnSeries(column, values / (100.0 if scale == "percent" else 1.0), dates)
+    except DataError:
+        at = _itemise(fh, [_first_unordered_date(dates)])
+        raise IngestionError(f"{path}: dates not strictly increasing on row {at}") from None
+
+
+def load_returns_csv(path, column: str, scale: str) -> ReturnSeries:
+    """Read one return column from a headed CSV file with numpy's C reader.
+
+    A cell holds ASCII digits with optional sign, point and exponent, or nan or
+    inf, in optional whitespace or double quotes (``1_000`` is no number, and
+    ``#`` starts no comment). Column 0 is read as dates when every data row is
+    YYYYMMDD or ISO. Percent scale divides by 100; blank rows are skipped.
+    Missing, unparseable or non-finite cells, then missing-value sentinels
+    (-99.99, -999), then unordered dates abort ingestion; a csv-module pass that
+    only explains the rejection itemises their file lines. Nothing is imputed.
     """
     if scale not in SCALES:
         raise DomainError(f"scale must be one of {SCALES}, got {scale!r}")
     try:
-        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            rows = list(csv.reader(fh))
-    except OSError as exc:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            return _load(fh if fh.seekable() else io.StringIO(fh.read()), path, column, scale)
+    except (OSError, UnicodeDecodeError) as exc:
         raise IngestionError(f"cannot read {path}: {exc}") from exc
-    # blank rows are dropped; a row is one file line unless a quoted cell spans lines
-    kept = np.fromiter(map(bool, map(str.strip, map("".join, rows))), bool, len(rows))
-    rows = list(compress(rows, kept))
-    if not rows:
-        raise IngestionError(f"{path}: file is empty")
-    header = [cell.strip() for cell in rows[0]]
-    body = rows[1:]
-    if not body:
-        raise IngestionError(f"{path}: no data rows below the header")
-    if column not in header:
-        raise IngestionError(
-            f"{path}: column {column!r} not found; available columns: {', '.join(header)}"
-        )
-    col = header.index(column)
-
-    values = np.fromiter(map(_cell_value, body, repeat(col)), float, len(body))
-    bad = ~np.isfinite(values)
-    if bad.any():
-        raise IngestionError(
-            f"{path}: column {column!r} has unparseable cells on rows {_itemise(kept, bad)}"
-        )
-    sentinel = np.logical_or.reduce([np.abs(values - s) < 1e-9 for s in _SENTINELS])
-    if sentinel.any():
-        raise IngestionError(f"{path}: missing-value sentinels on rows {_itemise(kept, sentinel)}")
-    if scale == "percent":
-        values = values / 100.0
-
-    dates = None
-    if col != 0:
-        parsed = tuple(_parse_date(row[0]) for row in body)
-        if None not in parsed:
-            dates = parsed
-            if (i := _first_unordered_date(dates)) is not None:
-                raise IngestionError(
-                    f"{path}: dates not strictly increasing on row {_itemise(kept, [i])}"
-                )
-    return ReturnSeries(name=column, values=values, dates=dates)
 
 
 def fit_gaussian(series) -> GaussianParams:

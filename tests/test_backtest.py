@@ -387,6 +387,19 @@ class TestReplicationStudy:
         assert summary.samples is not None
         assert summary.samples["empirical"]["er"].shape == (5,)
 
+    @pytest.mark.parametrize("seed", [5, 29])
+    @pytest.mark.parametrize("mu, sigma", [(0.0, 1.0), (0.3, 2.5)])
+    def test_empirical_exceedance_matches_order_statistic_oracle(self, mu, sigma, seed):
+        # for any continuous law the next draw falls below the k-th of n order statistics
+        # with probability exactly k/(n+1): k = 3 for empirical_simple at n = 50, alpha = .05,
+        # and type-7 interpolates between the 3rd and 4th order statistics
+        config = BacktestConfig(alpha=0.05, methods=("emp_simple", "emp"), window=50)
+        summary = replication_study(config, GaussianParams(mu, sigma), 2500, 400, seed=seed)
+        simple, type7 = summary.methods["empirical_simple"], summary.methods["empirical"]
+        se_simple, se_type7 = simple.er_sd / math.sqrt(400), type7.er_sd / math.sqrt(400)
+        assert abs(simple.er_mean - 3 / 51) < 4 * se_simple
+        assert 3 / 51 - 4 * se_type7 <= type7.er_mean <= 4 / 51 + 4 * se_type7
+
     def test_replication_floor(self):
         with pytest.raises(DomainError):
             replication_study(self.CONFIG, GaussianParams(0.0, 1.0), 300, 1, seed=0)

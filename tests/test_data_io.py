@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -91,6 +93,15 @@ class TestLoadReturnsCsv:
         with pytest.raises(IngestionError):
             load_returns_csv(tmp_path / "nope.csv", "A", "decimal")
 
+    @pytest.mark.parametrize(
+        "body", [b"A\n\xe9\n", b"A\n1\n" * 20000 + b"\xe9\n"], ids=["header", "tail"]
+    )
+    def test_undecodable_file_is_an_ingestion_error(self, tmp_path, body):
+        path = tmp_path / "a.csv"
+        path.write_bytes(body)
+        with pytest.raises(IngestionError, match="cannot read .*can't decode byte 0xe9"):
+            load_returns_csv(path, "A", "decimal")
+
     def test_short_row_itemised_as_unparseable(self, tmp_path):
         path = _write(tmp_path, "a.csv", "date,A\n20200101,1\n20200102\n20200103,2\n")
         with pytest.raises(IngestionError, match="unparseable cells on rows 3$"):
@@ -111,6 +122,17 @@ class TestLoadReturnsCsv:
         series = load_returns_csv(path, "A", "decimal")
         np.testing.assert_array_equal(series.values, [1.0, 2.0])
         assert series.dates == ("2020-01-01", "2020-01-02")
+
+    def test_quoted_empty_cells_row_skipped(self, tmp_path):
+        path = _write(tmp_path, "a.csv", 'date,A\n20200101,1\n"",""\n" "\n20200102,2\n')
+        series = load_returns_csv(path, "A", "decimal")
+        np.testing.assert_array_equal(series.values, [1.0, 2.0])
+        assert series.dates == ("2020-01-01", "2020-01-02")
+
+    def test_quotes_after_a_space_are_not_a_blank_row(self, tmp_path):
+        path = _write(tmp_path, "a.csv", 'date,A\n20200101,1\n ""\n20200102,2\n')
+        with pytest.raises(IngestionError, match="unparseable cells on rows 3$"):
+            load_returns_csv(path, "A", "decimal")
 
     def test_mixed_date_forms_recognised(self, tmp_path):
         path = _write(tmp_path, "a.csv", "date,A\n20200101,1\n2020-01-02,2\n 20200103 ,3\n")
@@ -150,6 +172,85 @@ class TestLoadReturnsCsv:
     def test_unordered_date_named_by_file_line_after_blank_lines(self, tmp_path):
         path = _write(tmp_path, "a.csv", "\ndate,A\n20200102,1\n\n20200101,2\n")
         with pytest.raises(IngestionError, match="not strictly increasing on row 5$"):
+            load_returns_csv(path, "A", "decimal")
+
+    @pytest.mark.parametrize(
+        "cell", ["1_000", "\u0661"], ids=["digit-separator", "arabic-indic-one"]
+    )
+    def test_python_only_number_syntax_itemised_as_unparseable(self, tmp_path, cell):
+        # float() reads both cells; the C reader takes ASCII digits without separators
+        path = _write(tmp_path, "a.csv", f"date,A\n20200101,{cell}\n20200102,2")
+        with pytest.raises(IngestionError, match="unparseable cells on rows 2$"):
+            load_returns_csv(path, "A", "decimal")
+
+    def test_hash_in_value_cell_itemised_not_cut_as_comment(self, tmp_path):
+        path = _write(tmp_path, "a.csv", "date,A\n20200101,1.0#x\n20200102,2\n")
+        with pytest.raises(IngestionError, match="unparseable cells on rows 2$"):
+            load_returns_csv(path, "A", "decimal")
+
+    def test_quoted_numeric_cell(self, tmp_path):
+        path = _write(tmp_path, "a.csv", 'date,A\n20200101,"2.5"\n"20200102",-1\n')
+        series = load_returns_csv(path, "A", "decimal")
+        np.testing.assert_array_equal(series.values, [2.5, -1.0])
+        assert series.dates == ("2020-01-01", "2020-01-02")
+
+    @pytest.mark.parametrize(
+        "raw",
+        [b"date,A\r\n20200101,1.5\r\n20200102,-2\r\n", b"date,A\n20200101,1.5\n20200102,-2"],
+        ids=["crlf", "no-final-newline"],
+    )
+    def test_line_endings(self, tmp_path, raw):
+        path = tmp_path / "a.csv"
+        path.write_bytes(raw)
+        series = load_returns_csv(path, "A", "decimal")
+        np.testing.assert_array_equal(series.values, [1.5, -2.0])
+        assert series.dates == ("2020-01-01", "2020-01-02")
+
+    def test_single_data_row(self, tmp_path):
+        path = _write(tmp_path, "a.csv", "date,A,B\n20200101,1.5,2\n")
+        series = load_returns_csv(path, "B", "percent")
+        np.testing.assert_array_equal(series.values, [0.02])
+        assert series.dates == ("2020-01-01",)
+        assert load_returns_csv(path, "date", "decimal").values.shape == (1,)
+
+    def test_dates_are_digit_shape_not_calendar(self, tmp_path):
+        path = _write(tmp_path, "a.csv", "date,A\n20201340,1\n2020-14-01,2\n")
+        assert load_returns_csv(path, "A", "decimal").dates == ("2020-13-40", "2020-14-01")
+
+    def test_long_first_cell_is_not_a_date(self, tmp_path):
+        # 17 characters: cut to a fixed width and stripped, it would read as 20200101
+        path = _write(tmp_path, "a.csv", "date,A\n20200101        x,1\n20200102,2\n")
+        assert load_returns_csv(path, "A", "decimal").dates is None
+
+    def test_bad_cell_named_by_file_line_after_multiline_quoted_cell(self, tmp_path):
+        path = _write(tmp_path, "a.csv", 'date,A,note\n20200101,1,"two\nlines"\n20200102,x,\n')
+        with pytest.raises(IngestionError, match="unparseable cells on rows 4$"):
+            load_returns_csv(path, "A", "decimal")
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs POSIX named pipes")
+    def test_pipe_with_blank_line(self, tmp_path):
+        fifo = tmp_path / "returns.fifo"
+        os.mkfifo(fifo)
+        text = "date,A\n20200101,1\n  \n20200102,2\n"
+        writer = threading.Thread(target=fifo.write_text, args=(text,), daemon=True)
+        writer.start()
+        try:
+            series = load_returns_csv(fifo, "A", "decimal")
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        np.testing.assert_array_equal(series.values, [1.0, 2.0])
+        assert series.dates == ("2020-01-01", "2020-01-02")
+
+    @pytest.mark.parametrize(
+        "cell, message",
+        [("x", "unparseable cells on rows 5$"), ("-99.99", "sentinels on rows 5$")],
+    )
+    def test_rows_itemised_after_blank_line_before_header_and_empty_cells_row(
+        self, tmp_path, cell, message
+    ):
+        path = _write(tmp_path, "a.csv", f"\ndate,A\n20200101,1\n,,\n20200102,{cell}\n")
+        with pytest.raises(IngestionError, match=message):
             load_returns_csv(path, "A", "decimal")
 
 
