@@ -76,7 +76,6 @@ from .stats_core import (
     draw_gaussian,
     draw_pivotal_pairs,
     gaussian_cdf,
-    gaussian_pdf,
     gaussian_quantile,
     student_t_quantile,
     type7_quantile,

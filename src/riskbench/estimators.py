@@ -14,8 +14,8 @@ and :func:`sample_moments` is one row of :func:`window_stats`. No row's result
 depends on the other rows of its batch.
 
 :data:`METHODS` is the one place to add an estimator. It maps each canonical
-tag to its kernels, its minimum sample size and its aliases; tag resolution,
-the size check, the "has an ES form" check and the CLI all read it.
+tag to its kernels, minimum sample size, aliases and location-scale flag; tag
+resolution, the size and form checks, the Monte Carlo checks and the CLI read it.
 
 The unbiased Gaussian ES kernel needs the constant ``a_n``, which
 :func:`exact_unbiased_es_constant` computes by quadrature and caches, so every
@@ -195,18 +195,19 @@ class CalibrationEntry:
 
 @dataclass
 class WindowStats:
-    """Per-row statistics of an (m, n) matrix of windows, computed once."""
+    """Per-row statistics of an (m, n) matrix of windows, computed once.
 
-    windows: np.ndarray
-    sorted_rows: np.ndarray
+    A moments-only instance has no windows or sorted rows, and its ``n`` is given:
+    only the location-scale kernels (see :class:`Method`) can read it.
+    """
+
+    windows: np.ndarray | None
+    sorted_rows: np.ndarray | None
     means: np.ndarray
     sds: np.ndarray
+    n: int
     skews: np.ndarray | None = None
     kurts: np.ndarray | None = None
-
-    @property
-    def n(self) -> int:
-        return self.windows.shape[1]
 
     @property
     def max_abs(self) -> np.ndarray:
@@ -214,10 +215,9 @@ class WindowStats:
         return np.maximum(np.abs(self.sorted_rows[:, 0]), np.abs(self.sorted_rows[:, -1]))
 
     def take(self, rows: slice) -> "WindowStats":
-        """The statistics of a run of rows, as views of these."""
-        return WindowStats(
-            **{f.name: None if (a := getattr(self, f.name)) is None else a[rows] for f in fields(self)}
-        )
+        """The statistics of a run of rows, as views of these; ``n`` and absent arrays carry over."""
+        values = (getattr(self, f.name) for f in fields(self))
+        return WindowStats(*(a[rows] if isinstance(a, np.ndarray) else a for a in values))
 
 
 def window_stats(windows: np.ndarray, with_shape: bool = False) -> WindowStats:
@@ -233,7 +233,7 @@ def window_stats(windows: np.ndarray, with_shape: bool = False) -> WindowStats:
     if w.ndim != 2 or w.shape[1] < 1:
         raise SizeError(f"windows must be (m, n>=1), got shape {w.shape}")
     m, n = w.shape
-    ws = WindowStats(w, np.sort(w, axis=1), None, None)
+    ws = WindowStats(w, np.sort(w, axis=1), None, None, n)
     max_abs = ws.max_abs
     shift = _overflow_shift(max_abs, n)
     scaled = np.ldexp(w, -shift[:, None]) if shift.any() else w
@@ -744,28 +744,31 @@ def _es_gpd(ws, alpha, **options):
 
 
 class Method(NamedTuple):
-    """One estimator: its VaR kernel, its ES kernel (None without an ES form),
-    the smallest sample it accepts, and the alias tags that resolve to it."""
+    """One estimator: its VaR kernel, its ES kernel (None without an ES form), the smallest
+    sample it accepts, the alias tags that resolve to it, and whether it is location-scale:
+    it reads a window only through its mean, sd and n."""
 
     var: Callable
     es: Callable | None
     min_n: int
     aliases: tuple = ()
+    location_scale: bool = False
 
 
 METHODS = {
     "empirical": Method(_var_empirical, _es_empirical, 2, ("emp", "hist")),
     "empirical_simple": Method(_var_empirical_simple, None, 1, ("simple", "emp_simple")),
-    "gaussian": Method(_var_gaussian, _es_gaussian, 2, ("norm", "gauss")),
+    "gaussian": Method(_var_gaussian, _es_gaussian, 2, ("norm", "gauss"), location_scale=True),
     "cornish_fisher": Method(_var_cornish_fisher, _es_cornish_fisher, 4, ("cf",)),
     "student_t": Method(_var_student_t, None, 10, ("t", "student")),
     "gpd": Method(_var_gpd, _es_gpd, 2, ("evt",)),
     # an explicit bandwidth admits one point; the default bandwidth needs ten
     "kde": Method(_var_kde, None, 1),
-    "gaussian_unbiased": Method(_var_unbiased, _es_unbiased, 2, ("u", "unbiased")),
-    "mean": Method(_mean, _mean, 1),
+    "gaussian_unbiased": Method(_var_unbiased, _es_unbiased, 2, ("u", "unbiased"), location_scale=True),
+    "mean": Method(_mean, _mean, 1, location_scale=True),
 }
 ES_METHODS = tuple(tag for tag, spec in METHODS.items() if spec.es is not None)
+LOCATION_SCALE_METHODS = tuple(tag for tag, spec in METHODS.items() if spec.location_scale)
 # the settings a kernel may read; each method ignores those it does not use
 OPTIONS = ("gpd_threshold", "gpd_threshold_quantile", "kde_kernel", "kde_bandwidth", "table")
 _TAGS = {alias: tag for tag, spec in METHODS.items() for alias in (tag, *spec.aliases)}
@@ -789,14 +792,17 @@ def check_es_form(methods) -> None:
         )
 
 
-def _kernel(method: str, measure: str, n: int, options: dict) -> Callable:
-    """The registered kernel for ``measure``, once the tag, form, size and options check out."""
+def _kernel(method: str, measure: str, ws: WindowStats, options: dict) -> Callable:
+    """The registered kernel for ``measure``, once the tag, windows, form, size and options check out."""
     if method not in METHODS:
         raise ConfigError(f"unknown method tag {method!r}")
+    if ws.windows is None and not METHODS[method].location_scale:
+        raise ConfigError(f"{method} reads whole windows; location-scale methods: "
+                          f"{', '.join(LOCATION_SCALE_METHODS)}")
     if measure == "es":
         check_es_form([method])
-    if n < METHODS[method].min_n:
-        raise SizeError(f"{method} needs at least {METHODS[method].min_n} observations, got {n}")
+    if ws.n < METHODS[method].min_n:
+        raise SizeError(f"{method} needs at least {METHODS[method].min_n} observations, got {ws.n}")
     unknown = set(options) - set(OPTIONS)
     if unknown:
         raise TypeError(f"unknown estimator options {sorted(unknown)}; valid: {', '.join(OPTIONS)}")
@@ -805,12 +811,12 @@ def _kernel(method: str, measure: str, n: int, options: dict) -> Callable:
 
 def batch_var_capitals(method: str, ws: WindowStats, alpha: float, **options) -> np.ndarray:
     """VaR capital per window row for one canonical method tag; see :data:`OPTIONS`."""
-    return _kernel(method, "var", ws.n, options)(ws, RiskLevel(alpha), **options)
+    return _kernel(method, "var", ws, options)(ws, RiskLevel(alpha), **options)
 
 
 def batch_es_capitals(method: str, ws: WindowStats, alpha: float, **options) -> np.ndarray:
     """Expected Shortfall capital per window row for one canonical method tag."""
-    return _kernel(method, "es", ws.n, options)(ws, RiskLevel(alpha), **options)
+    return _kernel(method, "es", ws, options)(ws, RiskLevel(alpha), **options)
 
 
 def estimate(method: str, x, alpha, measure: str = "var", **options) -> RiskEstimate:

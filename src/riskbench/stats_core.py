@@ -86,14 +86,6 @@ def gaussian_cdf(z: float) -> float:
     return float(sc.ndtr(z))
 
 
-def gaussian_pdf(z: float) -> float:
-    """Standard normal density."""
-    z = float(z)
-    if not math.isfinite(z):
-        raise DomainError(f"gaussian_pdf requires a finite argument, got {z!r}")
-    return math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-
-
 def gaussian_quantile(p: float) -> float:
     """Inverse of the standard normal CDF on (0, 1)."""
     p = float(p)

@@ -24,11 +24,15 @@ from riskbench import (
     secured_position_es,
     solve_unbiased_es_constant,
 )
+from riskbench.calibration import _CHUNK_TRIALS, _simulated_secured_positions
 from riskbench.estimators import _log_chi_rule, _pivot_es
 
 PLUGIN_ES_CONST_10 = 1.7549833193248680  # phi(Phi^{-1}(0.10)) / 0.10
 # sd of the 200k-draw MC solve of a_50 at alpha = 0.10, measured over 40 seeds
 MC_SD_A50_AT_2E5 = 0.0046
+GRID_N = (2, 5, 10, 50, 250)
+GRID_ALPHA = (0.01, 0.05, 0.10)
+LOCATION_SCALE = ("gaussian", "gaussian_unbiased", "mean")
 
 
 def es_by_conditioning_on_z(n, alpha, b):
@@ -59,16 +63,15 @@ def es_by_conditioning_on_z(n, alpha, b):
     return -tail / alpha
 
 
-def plugin_secured_es(n, alpha):
-    """Exact secured-position ES of plug-in Gaussian ES at sigma = 1, and the sd of (q - Y)+.
+def pivot_secured_es(n, alpha, b):
+    """Exact ES of the secured position sqrt((n+1)/n) * (Z + b V), and the sd of (q - Y)+.
 
-    X_out - mean is N(0, (n+1)/n) and the sd is V/sqrt(n-1) with V ~ chi_{n-1},
-    so the secured position is sqrt((n+1)/n) * (Z + b V) with
-    b = (phi(z_alpha)/alpha) / sqrt((n-1)(n+1)/n). The sd of (q - Y)+ over the
-    quantile q sizes the MC error of an empirical ES: sd / (alpha sqrt(N)).
+    At sigma = 1, X_out - mean is N(0, (n+1)/n) and the sd is V/sqrt(n-1) with
+    V ~ chi_{n-1}, so an ES capital -mean + sd * c gives that position with
+    b = c / sqrt((n-1)(n+1)/n). The sd of (q - Y)+ over the quantile q sizes the
+    MC error of an empirical ES: sd / (alpha sqrt(N)).
     """
     z = float(ndtri(alpha))
-    b = math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi) / alpha / math.sqrt((n - 1) * (n + 1) / n)
     scale = math.sqrt((n + 1) / n)
     v, w = _log_chi_rule(n - 1, 256)
     q = brentq(lambda q: w @ ndtr(q - b * v) - alpha, z + b * v[0] - 1.0, z + b * v[-1] + 1.0,
@@ -78,6 +81,13 @@ def plugin_secured_es(n, alpha):
     m1 = w @ (u * ndtr(u) + phi)  # E[(q - Y)+] given V, averaged over V
     m2 = w @ ((u * u + 1.0) * ndtr(u) + u * phi)  # E[((q - Y)+)^2]
     return scale * _pivot_es(b, alpha, v, w), scale * math.sqrt(m2 - m1 * m1)
+
+
+def plugin_secured_es(n, alpha):
+    """:func:`pivot_secured_es` of plug-in Gaussian ES, whose c is phi(z_alpha)/alpha."""
+    z = float(ndtri(alpha))
+    c = math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi) / alpha
+    return pivot_secured_es(n, alpha, c / math.sqrt((n - 1) * (n + 1) / n))
 
 
 class TestEmpiricalEs:
@@ -292,10 +302,18 @@ class TestPivotalityCheck:
         # same underlying standard draws + exact scale equivariance
         assert moved.frequency == base.frequency
 
-    @pytest.mark.parametrize("n", [2, 5, 10, 50, 250])
+    @pytest.mark.parametrize("n", GRID_N)
+    def test_unbiased_exceedance_is_alpha_on_the_grid(self, n):
+        # the paper's VaR property: unbiased VaR is exceeded with probability exactly alpha
+        for alpha in GRID_ALPHA:
+            trials = 200_000
+            res = pivotality_check("u", n, alpha, trials, seed=1000 * n + int(100 * alpha))
+            assert abs(res.frequency - alpha) <= 4.0 * math.sqrt(alpha * (1 - alpha) / trials)
+
+    @pytest.mark.parametrize("n", GRID_N)
     def test_plugin_exceedance_matches_exact(self, n):
         # plug-in VaR (ddof = 1) is exceeded with probability F_{t,n-1}(z_alpha sqrt(n/(n+1)))
-        for alpha in (0.01, 0.05, 0.10):
+        for alpha in GRID_ALPHA:
             exact = stdtr(n - 1, ndtri(alpha) * math.sqrt(n / (n + 1)))
             res = pivotality_check("gaussian", n, alpha, 100_000, seed=100 * n + int(100 * alpha))
             assert abs(res.frequency - exact) <= 4.0 * res.standard_error
@@ -311,6 +329,27 @@ class TestPivotalityCheck:
             pivotality_check("nope", 50, 0.05, 10_000, seed=0)
         with pytest.raises(DomainError):
             pivotality_check("u", 50, 0.05, 5_000, seed=0)
+
+    @pytest.mark.parametrize("method", ["empirical", "kde", "cornish_fisher"])
+    def test_window_reading_method_is_config_error(self, method):
+        # the check simulates only each window's mean and sd
+        with pytest.raises(ConfigError) as info:
+            pivotality_check(method, 50, 0.05, 10_000, seed=0)
+        assert all(tag in str(info.value) for tag in LOCATION_SCALE)
+
+
+class TestSimulatedPositions:
+    @pytest.mark.parametrize("measure", ["var", "es"])
+    def test_shorter_run_is_prefix_of_longer(self, measure):
+        # a trial's draws depend only on the seed and its index, across chunk boundaries too
+        def run(trials):
+            params = GaussianParams(0.3, 2.0)
+            return _simulated_secured_positions("u", 10, 0.05, trials, 4, params, measure, None)
+
+        longest = run(_CHUNK_TRIALS + 20_000)
+        for trials in (10_000, _CHUNK_TRIALS + 10_000):
+            assert np.array_equal(run(trials), longest[:trials])
+        assert not np.any(longest[_CHUNK_TRIALS:] == longest[:20_000])  # chunks draw their own values
 
 
 class TestSecuredPositionEs:
@@ -328,9 +367,20 @@ class TestSecuredPositionEs:
         value = secured_position_es("norm", 50, 0.10, 200_000, seed=13)
         assert value > 0.02
 
-    @pytest.mark.parametrize("n", [2, 5, 10, 50])
+    @pytest.mark.parametrize("n", GRID_N)
+    def test_unbiased_es_is_zero_on_the_grid(self, n):
+        # the paper's ES property: the secured position of unbiased ES has ES zero
+        for alpha in GRID_ALPHA:
+            b_n = exact_unbiased_es_constant(n, alpha).b_n
+            exact, sd = pivot_secured_es(n, alpha, b_n)
+            assert abs(exact) <= 1e-9
+            trials = 200_000
+            value = secured_position_es("u", n, alpha, trials, seed=1000 * n + int(100 * alpha))
+            assert abs(value) <= 4.0 * sd / (alpha * math.sqrt(trials))
+
+    @pytest.mark.parametrize("n", GRID_N)
     def test_plugin_es_matches_exact(self, n):
-        for alpha in (0.01, 0.05, 0.10):
+        for alpha in GRID_ALPHA:
             exact, sd = plugin_secured_es(n, alpha)
             trials = 200_000
             value = secured_position_es("gaussian", n, alpha, trials, seed=10 * n + int(100 * alpha))
@@ -345,3 +395,9 @@ class TestSecuredPositionEs:
     def test_mean_estimator_alpha_near_one(self):
         value = secured_position_es("mean", 50, 0.999, 200_000, seed=14)
         assert abs(value) <= 0.01
+
+    @pytest.mark.parametrize("method", ["empirical", "kde", "cornish_fisher"])
+    def test_window_reading_method_is_config_error(self, method):
+        with pytest.raises(ConfigError) as info:
+            secured_position_es(method, 50, 0.05, 10_000, seed=0)
+        assert all(tag in str(info.value) for tag in LOCATION_SCALE)

@@ -503,6 +503,7 @@ class TestEsCornishFisher:
             sorted_rows=np.zeros((1, 4)),
             means=np.zeros(1),
             sds=np.ones(1),
+            n=4,
             skews=np.array([skew]),
             kurts=np.array([kurt]),
         )
@@ -804,3 +805,19 @@ class TestWindowStats:
         assert np.array_equal(scaled.sds, np.concatenate([base.sds * 2.0**530, base.sds]))
         assert np.array_equal(scaled.skews, np.tile(base.skews, 2))
         assert np.array_equal(scaled.kurts, np.tile(base.kurts, 2))
+
+    def test_moments_only_form_feeds_location_scale_kernels_to_the_bit(self):
+        full = window_stats(draw_gaussian(SeededRng(8), 6 * 20, 0.3, 2.0).reshape(6, 20))
+        moments = WindowStats(None, None, full.means, full.sds, 20)
+        for tag, spec in METHODS.items():
+            if spec.location_scale:
+                for batch in (batch_var_capitals, batch_es_capitals):
+                    assert np.array_equal(batch(tag, moments, 0.05), batch(tag, full, 0.05))
+
+    def test_moments_only_form_refuses_kernels_that_read_sorted_rows(self):
+        moments = WindowStats(None, None, np.zeros(3), np.ones(3), 20)
+        for tag in ("empirical", "empirical_simple", "gpd", "kde", "cornish_fisher", "student_t"):
+            assert not METHODS[tag].location_scale
+            with pytest.raises(ConfigError, match="gaussian, gaussian_unbiased, mean"):
+                batch_var_capitals(tag, moments, 0.05)
+        assert moments.take(slice(1, 3)).n == 20
