@@ -9,7 +9,6 @@ from .backtest import (
     WindowPairing,
     acerbi_z,
     bias_statistic,
-    exceedance_rate,
     joint_var_es_score,
     mean_score,
     replication_study,
@@ -54,31 +53,20 @@ from .errors import (
 )
 from .estimators import (
     METHODS,
-    CornishFisherAdjustment,
     GaussianParams,
-    GpdFit,
     MomentSummary,
     RiskEstimate,
     RiskLevel,
     StudentTParams,
     canonical_method,
-    cornish_fisher_z,
     estimate,
-    fit_gpd_pwm,
     fit_student_t,
-    gpd_es_capital,
-    gpd_var_capital,
     sample_moments,
-    student_t_var_capital,
 )
 from .stats_core import (
     SeededRng,
     draw_gaussian,
     draw_pivotal_pairs,
-    gaussian_cdf,
-    gaussian_quantile,
-    student_t_quantile,
-    type7_quantile,
 )
 
 __version__ = "0.1.0"

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 import typing
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
@@ -33,6 +32,7 @@ from .estimators import (
     batch_var_capitals,
     canonical_method,
     check_es_form,
+    check_gpd_threshold_quantile,
     window_stats,
 )
 from .stats_core import SeededRng, _type7_sorted_rows, as_sample, draw_gaussian
@@ -72,9 +72,7 @@ class BacktestConfig:
         if self.measure in ("es", "both"):
             check_es_form(tags)
         object.__setattr__(self, "methods", tags)
-        q = float(self.gpd_threshold_quantile)
-        if not 0.0 < q < 1.0:
-            raise ConfigError(f"gpd_threshold_quantile must lie in (0, 1), got {q!r}")
+        q = check_gpd_threshold_quantile(self.gpd_threshold_quantile)
         object.__setattr__(self, "gpd_threshold_quantile", q)
 
 
@@ -122,17 +120,6 @@ def _exceedances(capitals, windows):
     return windows + capitals[..., None] < 0.0
 
 
-def exceedance_rate(capitals, evaluation_windows) -> float:
-    """Fraction of evaluation observations with outcome + capital < 0."""
-    caps = np.asarray(capitals, dtype=float)
-    windows = np.asarray(evaluation_windows, dtype=float)
-    if windows.ndim != 2 or caps.shape != (windows.shape[0],):
-        raise DomainError(
-            f"capitals {caps.shape} and evaluation windows {windows.shape} are not aligned"
-        )
-    return float(np.count_nonzero(_exceedances(caps, windows)) / windows.size)
-
-
 def bias_statistic(samples, capitals, alpha, measure: str = "var") -> float:
     """Empirical risk of the secured positions y_i = x_i + capital_i.
 
@@ -145,7 +132,7 @@ def bias_statistic(samples, capitals, alpha, measure: str = "var") -> float:
     if x.shape != caps.shape or x.ndim != 1:
         raise DomainError(f"samples {x.shape} and capitals {caps.shape} are not aligned")
     alpha = RiskLevel(alpha)
-    if x.size < 1 or math.ceil(alpha * x.size) < 1:
+    if x.size < 1:
         raise SizeError("bias_statistic needs at least one secured observation")
     if measure not in ("var", "es"):
         raise ConfigError(f"measure must be 'var' or 'es', got {measure!r}")
@@ -210,19 +197,14 @@ def var_score(forecast, outcome, alpha):
 
 def joint_var_es_score(var_forecast, es_forecast, outcome, alpha):
     """Joint VaR-ES consistent score with logistic weighting of the ES leg."""
-    alpha = RiskLevel(alpha)
+    alpha = float(RiskLevel(alpha))
     x1 = np.asarray(var_forecast, dtype=float)
     x2 = np.asarray(es_forecast, dtype=float)
     y = np.asarray(outcome, dtype=float)
     ind = (x1 >= y).astype(float)
     sig = sc.expit(x2)
     d = x1 - y
-    score = (
-        (ind - float(alpha)) * d
-        + sig * ind * d / float(alpha)
-        + sig * (x2 - x1)
-        - sig
-    )
+    score = (ind - alpha) * d + sig * ind * d / alpha + sig * (x2 - x1) - sig
     return float(score) if score.ndim == 0 else score
 
 
@@ -344,13 +326,11 @@ class BacktestReport(_MethodTable):
 
 def _capitals(method, ws: WindowStats, config: BacktestConfig, table):
     """VaR and (under an ES measure) ES capitals of every row of ``ws``."""
-    q = config.gpd_threshold_quantile
-    var_caps = batch_var_capitals(method, ws, config.alpha, gpd_threshold_quantile=q)
+    options = {"gpd_threshold_quantile": config.gpd_threshold_quantile, "table": table}
+    var_caps = batch_var_capitals(method, ws, config.alpha, **options)
     if config.measure == "var":
         return var_caps, None
-    return var_caps, batch_es_capitals(
-        method, ws, config.alpha, gpd_threshold_quantile=q, table=table
-    )
+    return var_caps, batch_es_capitals(method, ws, config.alpha, **options)
 
 
 def _group_capitals(method, ws: WindowStats, groups: int, config, table):

@@ -235,8 +235,11 @@ class ExceedanceCheck:
     standard_error: float
 
 
-def _simulated_secured_positions(method, n, alpha, trials, seed, params, measure, table):
-    """x_out + capital over ``trials`` simulated Gaussian windows, each drawn as (Z, V, W)."""
+def _secured_chunks(method, n, alpha, trials, seed, params, measure, table):
+    """x_out + capital over ``trials`` simulated Gaussian windows, each drawn as (Z, V, W).
+
+    Checks its arguments, then draws lazily: (first trial, chunk) per 2^20 trials.
+    """
     method = canonical_method(method)
     n = int(n)
     if n < 2:
@@ -247,17 +250,17 @@ def _simulated_secured_positions(method, n, alpha, trials, seed, params, measure
     alpha = RiskLevel(alpha)
     if params is None:
         params = GaussianParams(0.0, 1.0)
-
     batch = batch_var_capitals if measure == "var" else batch_es_capitals
-    out = np.empty(trials)
-    for chunk, start in enumerate(range(0, trials, _CHUNK_TRIALS)):
-        rows = min(_CHUNK_TRIALS, trials - start)
+
+    def draw(start):
+        chunk, rows = start // _CHUNK_TRIALS, min(_CHUNK_TRIALS, trials - start)
         z, v, w = (SeededRng(int(seed), 3 * chunk + k).generator() for k in range(3))
         means = params.mu + params.sigma / math.sqrt(n) * z.standard_normal(rows)
         sds = params.sigma / math.sqrt(n - 1) * np.sqrt(v.chisquare(n - 1, rows))
         caps = batch(method, WindowStats(None, None, means, sds, n), alpha, table=table)
-        out[start : start + rows] = w.normal(params.mu, params.sigma, rows) + caps
-    return out
+        return start, w.normal(params.mu, params.sigma, rows) + caps
+
+    return map(draw, range(0, trials, _CHUNK_TRIALS))
 
 
 def pivotality_check(method, n, alpha, trials, seed, params=None) -> ExceedanceCheck:
@@ -268,15 +271,16 @@ def pivotality_check(method, n, alpha, trials, seed, params=None) -> ExceedanceC
     the frequency equals alpha up to Monte Carlo noise, for any (mu, sigma);
     the reported standard error is sqrt(p(1-p)/trials).
     """
-    secured = _simulated_secured_positions(method, n, alpha, trials, seed, params, "var", None)
-    exceed = int(np.count_nonzero(secured < 0.0))
-    freq = exceed / secured.size
-    se = math.sqrt(max(freq * (1.0 - freq), 1e-300) / secured.size)
+    chunks = _secured_chunks(method, n, alpha, trials, seed, params, "var", None)
+    exceed = sum(int(np.count_nonzero(secured < 0.0)) for _, secured in chunks)
+    trials = int(trials)
+    freq = exceed / trials
+    se = math.sqrt(max(freq * (1.0 - freq), 1e-300) / trials)
     return ExceedanceCheck(
         method=canonical_method(method),
         n=int(n),
         alpha=float(RiskLevel(alpha)),
-        trials=secured.size,
+        trials=trials,
         exceedances=exceed,
         frequency=freq,
         standard_error=se,
@@ -289,5 +293,9 @@ def secured_position_es(method, n, alpha, trials, seed, params=None, table=None)
     Near zero for an unbiased ES estimator; strictly positive when risk is
     systematically underestimated. Windows and methods as in :func:`pivotality_check`.
     """
-    secured = _simulated_secured_positions(method, n, alpha, trials, seed, params, "es", table)
+    chunks = _secured_chunks(method, n, alpha, trials, seed, params, "es", table)
+    secured = np.empty(int(trials))
+    for start, chunk in chunks:
+        secured[start : start + chunk.size] = chunk
+    del chunk  # held, the last chunk pins heap that the partition in empirical_es would reuse
     return empirical_es(secured, alpha)

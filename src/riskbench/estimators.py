@@ -50,7 +50,6 @@ from .stats_core import (
     _type7_sorted_rows,
     as_sample,
     is_rounding_noise,
-    student_t_quantile,
 )
 
 DEFAULT_GPD_THRESHOLD_QUANTILE = 0.3
@@ -123,33 +122,6 @@ class StudentTParams:
             raise DomainError(f"sigma must be positive, got {self.sigma!r}")
         if not self.nu > 2.0:
             raise DomainError(f"nu must exceed 2, got {self.nu!r}")
-
-
-@dataclass(frozen=True)
-class GpdFit:
-    """Generalized Pareto fit of exceedances below threshold ``u``."""
-
-    u: float
-    xi: float
-    beta: float
-    k: int
-    n: int
-
-    def __post_init__(self):
-        if self.beta <= 0.0:
-            raise DomainError(f"beta must be positive, got {self.beta!r}")
-        if not 0 <= self.k <= self.n:
-            raise DomainError(f"exceedance count {self.k} outside [0, {self.n}]")
-
-
-@dataclass(frozen=True)
-class CornishFisherAdjustment:
-    """Moment-adjusted standard quantile."""
-
-    z_cf: float
-    base_z: float
-    skew: float
-    excess_kurtosis: float
 
 
 @dataclass(frozen=True)
@@ -304,13 +276,11 @@ def sample_moments(x) -> MomentSummary:
 
 def _cf_z_values(z, skew, excess_kurtosis):
     """Fourth-order Cornish-Fisher adjustment; broadcasts over its arguments."""
-    s = np.asarray(skew, dtype=float)
-    k = np.asarray(excess_kurtosis, dtype=float)
     return (
         z
-        + (z * z - 1.0) * s / 6.0
-        + (z**3 - 3.0 * z) * k / 24.0
-        - (2.0 * z**3 - 5.0 * z) * s * s / 36.0
+        + (z * z - 1.0) * skew / 6.0
+        + (z**3 - 3.0 * z) * excess_kurtosis / 24.0
+        - (2.0 * z**3 - 5.0 * z) * skew * skew / 36.0
     )
 
 
@@ -367,14 +337,22 @@ def _batch_gpd_fit(srt: np.ndarray, thresholds: np.ndarray):
     return 2.0 - b0 / denom, 2.0 * b0 * b1 / denom, ks
 
 
+def check_gpd_threshold_quantile(q) -> float:
+    """``q`` as a float; :class:`ConfigError` unless it lies in the open interval (0, 1)."""
+    if not 0.0 < (q := float(q)) < 1.0:
+        raise ConfigError(f"gpd_threshold_quantile must lie in (0, 1), got {q!r}")
+    return q
+
+
 def _gpd_fit_rows(
     ws: WindowStats, gpd_threshold=None, gpd_threshold_quantile=DEFAULT_GPD_THRESHOLD_QUANTILE, **_
 ):
     """Thresholds (by default each row's 0.3 type-7 quantile) and PWM fit (xi, beta, k)."""
+    q = check_gpd_threshold_quantile(gpd_threshold_quantile)
     if gpd_threshold is not None:
         thresholds = np.full(ws.windows.shape[0], float(gpd_threshold))
     else:
-        thresholds = _type7_sorted_rows(ws.sorted_rows, float(gpd_threshold_quantile))
+        thresholds = _type7_sorted_rows(ws.sorted_rows, q)
     return (thresholds, *_batch_gpd_fit(ws.sorted_rows, thresholds))
 
 
@@ -401,21 +379,6 @@ def _gpd_es_from_fit(thresholds, xi, beta, var_emp):
         )
     # the tail formula reads the loss threshold, -u
     return var_emp / (1.0 - xi) + (beta + xi * thresholds) / (1.0 - xi)
-
-
-def gpd_var_capital(fit: "GpdFit", alpha) -> float:
-    """VaR capital implied by a GPD fit: -u + beta/xi * ((alpha*n/k)^(-xi) - 1)."""
-    u, xi, beta, k = np.array([[fit.u], [fit.xi], [fit.beta], [fit.k]], dtype=float)
-    return float(_gpd_var_from_fit(u, xi, beta, k, fit.n, RiskLevel(alpha))[0])
-
-
-def gpd_es_capital(fit: "GpdFit", var_empirical_capital: float) -> float:
-    """ES capital implied by a GPD fit: VaR_emp/(1-xi) + (beta + xi*u)/(1-xi).
-
-    ``u`` is a threshold on returns; the tail formula's loss threshold is ``-u``.
-    """
-    args = np.array([[fit.u], [fit.xi], [fit.beta], [var_empirical_capital]], dtype=float)
-    return float(_gpd_es_from_fit(*args)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -489,11 +452,12 @@ def exact_unbiased_es_constant(n: int, alpha) -> CalibrationEntry:
         P(Y < q) = E[Phi(q - b*V)],
         E[Y * 1{Y < q}] = E[b*V * Phi(q - b*V) - phi(q - b*V)],
 
-    evaluated by Gauss-Legendre quadrature in log V. The root is solved with a 64-node rule, then with doubled node counts
-    until two successive values of a_n agree to 1e-10 relative; the finer one
-    is returned. If 4096 nodes do not converge, or the numerics break down at
-    an extreme level, :class:`CalibrationFailureError` is raised. Results are
-    cached per (n, alpha).
+    evaluated by Gauss-Legendre quadrature in log V. The root is solved with a
+    64-node rule, then with doubled node counts until two successive values of
+    a_n agree to 1e-10 relative; the finer one is returned. If 4096 nodes do
+    not converge, or the numerics break down at an extreme level,
+    :class:`CalibrationFailureError` is raised. Results are cached per
+    (n, alpha).
     """
     n = int(n)
     if n < 2:
@@ -618,7 +582,7 @@ def _var_unbiased(ws, alpha, **_):
     estimation error of mean and sd, making the exceedance probability of the
     secured position exactly alpha under Gaussian data.
     """
-    factor = math.sqrt((ws.n + 1) / ws.n) * student_t_quantile(alpha, ws.n - 1)
+    factor = math.sqrt((ws.n + 1) / ws.n) * sc.stdtrit(ws.n - 1, alpha)
     return -(ws.means + ws.sds * factor)
 
 
@@ -733,7 +697,7 @@ def _es_cornish_fisher(ws, alpha, **_):
 
 
 def _es_gpd(ws, alpha, **options):
-    """GPD tail ES (:func:`gpd_es_capital`) of the PWM fit; needs xi < 1."""
+    """GPD tail ES (:func:`_gpd_es_from_fit`) of the PWM fit; needs xi < 1."""
     thresholds, xi, beta, _ = _gpd_fit_rows(ws, **options)
     return _gpd_es_from_fit(thresholds, xi, beta, _var_empirical(ws, alpha))
 
@@ -834,16 +798,8 @@ def estimate(method: str, x, alpha, measure: str = "var", **options) -> RiskEsti
 
 
 # ---------------------------------------------------------------------------
-# fits and the capitals they imply
+# the Student-t fit
 # ---------------------------------------------------------------------------
-
-
-def cornish_fisher_z(alpha, skew, excess_kurtosis) -> CornishFisherAdjustment:
-    """Fourth-order Cornish-Fisher adjustment of the Gaussian alpha-quantile."""
-    alpha = RiskLevel(alpha)
-    z = float(sc.ndtri(alpha))
-    z_cf = float(_cf_z_values(z, float(skew), float(excess_kurtosis)))
-    return CornishFisherAdjustment(z_cf, z, float(skew), float(excess_kurtosis))
 
 
 def fit_student_t(x):
@@ -864,23 +820,3 @@ def fit_student_t(x):
         return _t_nu(x)
     ws = window_stats(as_sample(x, 10, "fit_student_t")[None, :])
     return StudentTParams(float(ws.means[0]), float(ws.sds[0]), float(_t_nu(ws)[0]))
-
-
-def student_t_var_capital(params: StudentTParams, alpha) -> float:
-    """VaR capital for fitted t parameters: -(mu + sigma*sqrt((nu-2)/nu)*t_nu^{-1}(alpha))."""
-    return float(_t_capital(params.mu, params.sigma, params.nu, RiskLevel(alpha)))
-
-
-def fit_gpd_pwm(x, u) -> GpdFit:
-    """Probability-weighted-moments GPD fit of exceedances below ``u``.
-
-    Exceedances are y = u - x for the observations strictly below the
-    threshold; at least 5 are required.
-    """
-    arr = as_sample(x, 1, "fit_gpd_pwm")
-    u = float(u)
-    if not math.isfinite(u):
-        raise DomainError(f"threshold must be finite, got {u!r}")
-    srt = np.sort(arr)
-    xi, beta, ks = _batch_gpd_fit(srt[None, :], np.array([u]))
-    return GpdFit(u, float(xi[0]), float(beta[0]), int(ks[0]), arr.size)

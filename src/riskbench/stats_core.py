@@ -1,10 +1,11 @@
 """Deterministic statistical primitives shared by every other module.
 
-Distribution functions are backed by ``scipy.special`` (absolute error far
-below the 1e-12 contract). Random draws come from the counter-based Philox
-bit generator keyed by ``(seed, stream_id)``, so identical keys reproduce
-identical sequences on every platform and distinct stream ids give
-statistically independent streams.
+These are sample validation, the rounding-noise and overflow guards of the
+moment computations, the type-7 quantile of sorted rows, and the random
+draws. Draws come from the counter-based Philox bit generator keyed by
+``(seed, stream_id)``, so identical keys reproduce identical sequences on
+every platform and distinct stream ids give statistically independent
+streams.
 """
 from __future__ import annotations
 
@@ -12,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.special as sc
 
 from .errors import DataError, DomainError, SizeError
 
@@ -44,9 +44,7 @@ class SeededRng:
 
 def as_sample(x, min_n: int, what: str = "sample") -> np.ndarray:
     """Validate and convert ``x`` to a finite 1-D float array of length >= min_n."""
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim != 1:
-        arr = arr.reshape(-1)
+    arr = np.asarray(x, dtype=float).reshape(-1)
     if arr.size < min_n:
         raise SizeError(f"{what} needs at least {min_n} observations, got {arr.size}")
     if not np.all(np.isfinite(arr)):
@@ -78,49 +76,8 @@ def _overflow_shift(max_abs, n: int):
     return np.where(big, np.frexp(max_abs)[1], 0)
 
 
-def gaussian_cdf(z: float) -> float:
-    """Standard normal CDF."""
-    z = float(z)
-    if not math.isfinite(z):
-        raise DomainError(f"gaussian_cdf requires a finite argument, got {z!r}")
-    return float(sc.ndtr(z))
-
-
-def gaussian_quantile(p: float) -> float:
-    """Inverse of the standard normal CDF on (0, 1)."""
-    p = float(p)
-    if not 0.0 < p < 1.0:
-        raise DomainError(f"gaussian_quantile requires p in (0, 1), got {p!r}")
-    return float(sc.ndtri(p))
-
-
-def student_t_quantile(p: float, df: float) -> float:
-    """Inverse CDF of the Student-t distribution with ``df`` degrees of freedom."""
-    p = float(p)
-    df = float(df)
-    if not 0.0 < p < 1.0:
-        raise DomainError(f"student_t_quantile requires p in (0, 1), got {p!r}")
-    if not (math.isfinite(df) and df > 0.0):
-        raise DomainError(f"student_t_quantile requires df > 0, got {df!r}")
-    return float(sc.stdtrit(df, p))
-
-
-def type7_quantile(x, p: float) -> float:
-    """Interpolated order-statistic quantile with h = p*(n-1) + 1.
-
-    This is the R/S default ("type 7"); for p -> 0 it tends to the sample
-    minimum and for p -> 1 to the maximum.
-    """
-    arr = as_sample(x, 1, "type7_quantile")
-    p = float(p)
-    if not 0.0 < p < 1.0:
-        raise DomainError(f"type7_quantile requires p in (0, 1), got {p!r}")
-    srt = np.sort(arr)
-    return float(_type7_sorted_rows(srt[None, :], p)[0])
-
-
 def _type7_sorted_rows(sorted_rows: np.ndarray, p: float) -> np.ndarray:
-    """Type-7 quantile per row of an ascending-sorted (m, n) array."""
+    """Type-7 quantile (h = p*(n-1) + 1) per row of an ascending-sorted (m, n) array."""
     n = sorted_rows.shape[-1]
     h = p * (n - 1) + 1.0
     j = int(math.floor(h))

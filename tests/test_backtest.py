@@ -24,7 +24,6 @@ from riskbench import (
     draw_gaussian,
     estimate,
     exact_unbiased_es_constant,
-    exceedance_rate,
     joint_var_es_score,
     mean_score,
     replication_study,
@@ -33,6 +32,7 @@ from riskbench import (
     var_score,
 )
 from riskbench import backtest
+from riskbench.backtest import _exceedances
 
 bounded_floats = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 
@@ -61,23 +61,27 @@ class TestSplitWindows:
 
 
 class TestExceedanceRate:
+    """The exceedance indicator that the backtest counts: outcome + capital < 0."""
+
     def test_no_exceedances(self):
         windows = np.zeros((3, 4))
-        assert exceedance_rate(np.full(3, 1e9), windows) == 0.0
+        assert not _exceedances(np.full(3, 1e9), windows).any()
 
     def test_all_exceed(self):
         windows = np.random.default_rng(0).normal(size=(3, 4))
         caps = -(windows.max(axis=1)) - 1.0
-        assert exceedance_rate(caps, windows) == 1.0
+        assert _exceedances(caps, windows).all()
 
     def test_hand_count(self):
         window = np.zeros((1, 50))
         window[0, :3] = -1.0  # three losses below -capital
-        assert exceedance_rate(np.array([0.5]), window) == pytest.approx(0.06)
+        rate = np.count_nonzero(_exceedances(np.array([0.5]), window)) / window.size
+        assert rate == pytest.approx(0.06)
 
-    def test_alignment(self):
-        with pytest.raises(DomainError):
-            exceedance_rate(np.zeros(2), np.zeros((3, 4)))
+    def test_tie_is_no_exceedance(self):
+        # an outcome that the capital exactly offsets leaves a secured position of zero
+        hits = _exceedances(np.array([1.0, 0.0]), np.array([[-1.0, -1.5], [0.0, -0.0]]))
+        assert hits.tolist() == [[False, True], [False, False]]
 
 
 class TestBiasStatistic:

@@ -24,7 +24,7 @@ from riskbench import (
     secured_position_es,
     solve_unbiased_es_constant,
 )
-from riskbench.calibration import _CHUNK_TRIALS, _simulated_secured_positions
+from riskbench.calibration import _CHUNK_TRIALS, _secured_chunks
 from riskbench.estimators import _log_chi_rule, _pivot_es
 
 PLUGIN_ES_CONST_10 = 1.7549833193248680  # phi(Phi^{-1}(0.10)) / 0.10
@@ -294,6 +294,11 @@ class TestPivotalityCheck:
         res = pivotality_check("norm", 50, 0.05, 250_000, seed=31)
         assert res.frequency - 0.05 > 3.0 * res.standard_error
 
+    def test_ten_million_trials_counted_per_chunk(self):
+        # the count runs chunk by chunk, over ten chunks of 2^20 trials and a partial one
+        res = pivotality_check("u", 50, 0.05, 10**7, seed=1)
+        assert (res.exceedances, res.frequency, res.trials) == (499_750, 0.049975, 10**7)
+
     def test_parameter_free_exactly_under_shared_seed(self):
         base = pivotality_check("u", 50, 0.05, 50_000 // 5 * 5 + 10_000, seed=8)
         moved = pivotality_check(
@@ -344,7 +349,8 @@ class TestSimulatedPositions:
         # a trial's draws depend only on the seed and its index, across chunk boundaries too
         def run(trials):
             params = GaussianParams(0.3, 2.0)
-            return _simulated_secured_positions("u", 10, 0.05, trials, 4, params, measure, None)
+            chunks = _secured_chunks("u", 10, 0.05, trials, 4, params, measure, None)
+            return np.concatenate([chunk for _, chunk in chunks])
 
         longest = run(_CHUNK_TRIALS + 20_000)
         for trials in (10_000, _CHUNK_TRIALS + 10_000):

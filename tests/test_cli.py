@@ -156,6 +156,16 @@ class TestEstimate:
         assert capital == estimate("gaussian_unbiased", x, 0.10, "es", table=table).capital
         assert capital != estimate("gaussian_unbiased", x, 0.10, "es").capital
 
+    @pytest.mark.parametrize("q", ["-0.5", "nan"])
+    def test_gpd_quantile_outside_unit_interval_exits_1(self, capsys, csv_path, q):
+        code, out, err = run(
+            capsys, "estimate", "--input", str(csv_path), "--column", "ret",
+            "--scale", "decimal", "--method", "gpd", "--measure", "var",
+            "--alpha", "0.05", f"--gpd-q={q}",
+        )
+        assert code == 1
+        assert err.splitlines() == [f"error: gpd_threshold_quantile must lie in (0, 1), got {q}"]
+
     def test_missing_column_exits_2(self, capsys, csv_path):
         code, _, _ = run(
             capsys, "estimate", "--input", str(csv_path), "--column", "nope",

@@ -20,29 +20,27 @@ from riskbench import (
     DegenerateFitError,
     DomainError,
     EmptyTailError,
-    GpdFit,
     InfiniteMeanTailError,
     InsufficientTailError,
     LevelTooHighError,
     RiskbenchError,
     SeededRng,
     SizeError,
-    StudentTParams,
-    cornish_fisher_z,
     draw_gaussian,
     exact_unbiased_es_constant,
-    fit_gpd_pwm,
     fit_student_t,
-    gpd_es_capital,
-    gpd_var_capital,
     sample_moments,
-    student_t_var_capital,
 )
 from riskbench.backtest import BacktestConfig
 from riskbench.estimators import (
     METHODS,
     RiskLevel,
     WindowStats,
+    _batch_gpd_fit,
+    _cf_z_values,
+    _gpd_es_from_fit,
+    _gpd_var_from_fit,
+    _t_capital,
     batch_es_capitals,
     batch_var_capitals,
     canonical_method,
@@ -74,6 +72,23 @@ def standardized(x):
     """Rescale a sample to mean 0 and sd 1 (up to float rounding)."""
     arr = np.asarray(x, dtype=float)
     return (arr - arr.mean()) / arr.std(ddof=1)
+
+
+def gpd_fit(x, u):
+    """PWM fit (xi, beta, k) of the exceedances below ``u``, as the GPD kernels fit a row."""
+    xi, beta, ks = _batch_gpd_fit(np.sort(np.asarray(x, dtype=float))[None, :], np.array([u]))
+    return float(xi[0]), float(beta[0]), int(ks[0])
+
+
+def gpd_var(u, xi, beta, k, n, alpha):
+    """VaR capital of one GPD fit: -u + beta/xi * ((alpha*n/k)^(-xi) - 1)."""
+    args = np.array([[u], [xi], [beta], [k]], dtype=float)
+    return float(_gpd_var_from_fit(*args, n, alpha)[0])
+
+
+def gpd_es(u, xi, beta, var_empirical):
+    """ES capital of one GPD fit: VaR_emp/(1-xi) + (beta + xi*u)/(1-xi)."""
+    return float(_gpd_es_from_fit(*np.array([[u], [xi], [beta], [var_empirical]], dtype=float))[0])
 
 
 @pytest.fixture(scope="module")
@@ -158,22 +173,22 @@ class TestVarGaussianUnbiased:
 
 class TestCornishFisherZ:
     def test_zero_adjustment(self):
-        adj = cornish_fisher_z(0.17, 0.0, 0.0)
-        assert adj.z_cf == adj.base_z
+        z = special.ndtri(0.17)
+        assert _cf_z_values(z, 0.0, 0.0) == z
 
     def test_skew_term(self):
         # full fourth-order polynomial with s=1, k=0 (includes the s^2 term)
-        adj = cornish_fisher_z(0.05, 1.0, 0.0)
-        assert adj.z_cf == pytest.approx(-1.3418136681597383, abs=1e-6)
+        z_cf = _cf_z_values(special.ndtri(0.05), 1.0, 0.0)
+        assert z_cf == pytest.approx(-1.3418136681597383, abs=1e-6)
 
     def test_kurtosis_term(self):
-        adj = cornish_fisher_z(0.05, 0.0, 1.0)
-        assert adj.z_cf == pytest.approx(-1.6246728803885244, abs=1e-6)
+        z_cf = _cf_z_values(special.ndtri(0.05), 0.0, 1.0)
+        assert z_cf == pytest.approx(-1.6246728803885244, abs=1e-6)
 
     def test_negative_skew_capital(self):
         # -(z_cf) for s=-0.5, k=0 at alpha=0.05, by direct polynomial evaluation
-        adj = cornish_fisher_z(0.05, -0.5, 0.0)
-        assert -adj.z_cf == pytest.approx(1.7822865690154659, abs=1e-6)
+        z_cf = _cf_z_values(special.ndtri(0.05), -0.5, 0.0)
+        assert -z_cf == pytest.approx(1.7822865690154659, abs=1e-6)
 
 
 class TestVarCornishFisher:
@@ -213,8 +228,7 @@ class TestVarCornishFisher:
 
 class TestStudentT:
     def test_capital_formula_at_exact_params(self):
-        params = StudentTParams(0.0, 1.0, 5.0)
-        assert student_t_var_capital(params, 0.05) == pytest.approx(
+        assert _t_capital(0.0, 1.0, 5.0, 0.05) == pytest.approx(
             math.sqrt(3.0 / 5.0) * abs(T5_05), abs=1e-6
         )
 
@@ -256,8 +270,7 @@ class TestStudentT:
             assert fit_student_t(row).nu == nu
 
     def test_nu_to_infinity_matches_gaussian(self, gaussian_sample):
-        params = StudentTParams(0.0, 1.0, 200.0)
-        assert student_t_var_capital(params, 0.05) == pytest.approx(-Z_05, abs=2e-3)
+        assert _t_capital(0.0, 1.0, 200.0, 0.05) == pytest.approx(-Z_05, abs=2e-3)
 
     def test_var_translation(self, gaussian_sample):
         x = np.concatenate([gaussian_sample, draw_gaussian(SeededRng(56), 50, 0.0, 1.0)])
@@ -273,28 +286,28 @@ class TestGpdFit:
         gen = SeededRng(5).generator()
         below = -gen.exponential(1.0, 100_000)
         sample = np.concatenate([below, np.ones(5)])
-        fit = fit_gpd_pwm(sample, 0.0)
-        assert fit.k == 100_000
-        assert -0.02 <= fit.xi <= 0.02
-        assert 0.98 <= fit.beta <= 1.02
+        xi, beta, k = gpd_fit(sample, 0.0)
+        assert k == 100_000
+        assert -0.02 <= xi <= 0.02
+        assert 0.98 <= beta <= 1.02
 
     def test_gpd_tail_recovery(self):
         gen = SeededRng(6).generator()
         uniforms = gen.uniform(size=100_000)
         y = 2.0 / 0.3 * (uniforms ** (-0.3) - 1.0)  # GPD(xi=0.3, beta=2)
         sample = np.concatenate([-y, np.ones(5)])
-        fit = fit_gpd_pwm(sample, 0.0)
-        assert 0.27 <= fit.xi <= 0.33
-        assert 1.9 <= fit.beta <= 2.1
+        xi, beta, _ = gpd_fit(sample, 0.0)
+        assert 0.27 <= xi <= 0.33
+        assert 1.9 <= beta <= 2.1
 
     def test_constant_exceedances_degenerate(self):
         sample = np.concatenate([-np.ones(10), np.ones(10)])
         with pytest.raises(DegenerateFitError):
-            fit_gpd_pwm(sample, 0.0)
+            estimate("gpd", sample, 0.05, gpd_threshold=0.0)
 
     def test_insufficient_tail(self):
         with pytest.raises(InsufficientTailError):
-            fit_gpd_pwm([-1.0, -2.0, 1.0, 2.0, 3.0], 0.0)
+            estimate("gpd", [-1.0, -2.0, 1.0, 2.0, 3.0], 0.05, gpd_threshold=0.0)
 
     def test_row_fit_independent_of_other_rows(self):
         rows = draw_gaussian(SeededRng(61), 20 * 50, 0.0, 1.0).reshape(20, 50)
@@ -309,27 +322,26 @@ class TestGpdFit:
 
 class TestVarGpd:
     def test_hand_formula(self):
-        fit = GpdFit(u=-1.0, xi=0.5, beta=1.0, k=30, n=100)
-        assert gpd_var_capital(fit, 0.05) == pytest.approx(1 + 2 * (math.sqrt(6) - 1), abs=1e-4)
+        capital = gpd_var(u=-1.0, xi=0.5, beta=1.0, k=30, n=100, alpha=0.05)
+        assert capital == pytest.approx(1 + 2 * (math.sqrt(6) - 1), abs=1e-4)
 
     def test_log_limit(self):
-        fit = GpdFit(u=-1.0, xi=1e-9, beta=1.0, k=30, n=100)
-        assert gpd_var_capital(fit, 0.05) == pytest.approx(1 + math.log(6), abs=1e-3)
+        capital = gpd_var(u=-1.0, xi=1e-9, beta=1.0, k=30, n=100, alpha=0.05)
+        assert capital == pytest.approx(1 + math.log(6), abs=1e-3)
 
     def test_alpha_equals_tail_mass(self):
-        fit = GpdFit(u=-1.0, xi=0.5, beta=1.0, k=30, n=100)
-        assert gpd_var_capital(fit, 0.3) == pytest.approx(1.0, abs=1e-12)
+        capital = gpd_var(u=-1.0, xi=0.5, beta=1.0, k=30, n=100, alpha=0.3)
+        assert capital == pytest.approx(1.0, abs=1e-12)
 
     def test_level_too_high(self):
-        fit = GpdFit(u=-1.0, xi=0.5, beta=1.0, k=10, n=100)
         with pytest.raises(LevelTooHighError):
-            gpd_var_capital(fit, 0.2)
+            gpd_var(u=-1.0, xi=0.5, beta=1.0, k=10, n=100, alpha=0.2)
 
     def test_sample_route_matches_fit_route(self, gaussian_sample):
         u = float(np.quantile(gaussian_sample, 0.3))
         est = estimate("gpd", gaussian_sample, 0.05, gpd_threshold=u)
-        fit = fit_gpd_pwm(gaussian_sample, u)
-        assert est.capital == pytest.approx(gpd_var_capital(fit, 0.05), abs=1e-12)
+        xi, beta, k = gpd_fit(gaussian_sample, u)
+        assert est.capital == pytest.approx(gpd_var(u, xi, beta, k, 50, 0.05), abs=1e-12)
 
     def test_translation_equivariance_with_data_driven_threshold(self, gaussian_sample):
         base = estimate("gpd", gaussian_sample, 0.05).capital
@@ -340,6 +352,19 @@ class TestVarGpd:
         base = estimate("gpd", gaussian_sample, 0.05).capital
         scaled = estimate("gpd", 2.5 * gaussian_sample, 0.05).capital
         assert scaled == pytest.approx(2.5 * base, abs=1e-10)
+
+
+class TestGpdThresholdQuantile:
+    @pytest.mark.parametrize("measure", ["var", "es"])
+    @pytest.mark.parametrize("q", [-0.5, 0.0, 1.0, 1.5, math.nan])
+    def test_outside_open_unit_interval_is_config_error(self, gaussian_sample, measure, q):
+        # the kernels reject what the backtest config rejects, with the same message
+        with pytest.raises(ConfigError) as kernel_error:
+            estimate("gpd", gaussian_sample, 0.05, measure, gpd_threshold_quantile=q)
+        with pytest.raises(ConfigError) as config_error:
+            BacktestConfig(alpha=0.05, methods=("gpd",), gpd_threshold_quantile=q)
+        assert str(kernel_error.value) == str(config_error.value)
+        assert "gpd_threshold_quantile must lie in (0, 1)" in str(kernel_error.value)
 
 
 def kde_cdf_and_density(q, row, kernel, h):
@@ -518,42 +543,36 @@ class TestEsCornishFisher:
 
 class TestEsGpd:
     def test_hand_formula(self):
-        fit = GpdFit(u=-1.0, xi=0.5, beta=1.0, k=30, n=100)
         # 3.899/(1 - 0.5) + (1.0 + 0.5*(-1.0))/(1 - 0.5)
-        assert gpd_es_capital(fit, 3.899) == pytest.approx(8.798, abs=1e-3)
+        assert gpd_es(u=-1.0, xi=0.5, beta=1.0, var_empirical=3.899) == pytest.approx(8.798, abs=1e-3)
 
     @pytest.mark.parametrize("xi", [-0.25, 0.0, 0.2, 0.45, 0.65])
     def test_equals_tail_average_of_var(self, xi):
         # ES_alpha is the average of VaR_p over p in (0, alpha); alpha*n/k <= 1 keeps p in the tail
-        fit = GpdFit(u=-0.4, xi=xi, beta=0.7, k=30, n=100)
+        fit = {"u": -0.4, "xi": xi, "beta": 0.7, "k": 30, "n": 100}
         alpha = 0.05
         average, _ = integrate.quad(
-            lambda p: gpd_var_capital(fit, p), 0.0, alpha, epsabs=1e-13, epsrel=1e-13, limit=200
+            lambda p: gpd_var(**fit, alpha=p), 0.0, alpha, epsabs=1e-13, epsrel=1e-13, limit=200
         )
-        es = gpd_es_capital(fit, gpd_var_capital(fit, alpha))
+        es = gpd_es(-0.4, xi, 0.7, gpd_var(**fit, alpha=alpha))
         assert es == pytest.approx(average / alpha, rel=1e-10, abs=1e-10)
 
     def test_exponential_limit(self):
-        fit = GpdFit(u=-1.0, xi=0.0, beta=1.0, k=30, n=100)
-        assert gpd_es_capital(fit, 2.0) == pytest.approx(3.0, abs=1e-12)
+        assert gpd_es(u=-1.0, xi=0.0, beta=1.0, var_empirical=2.0) == pytest.approx(3.0, abs=1e-12)
 
     def test_infinite_mean_tail(self):
-        fit = GpdFit(u=-1.0, xi=1.0, beta=1.0, k=30, n=100)
         with pytest.raises(InfiniteMeanTailError):
-            gpd_es_capital(fit, 2.0)
+            gpd_es(u=-1.0, xi=1.0, beta=1.0, var_empirical=2.0)
 
     def test_increasing_in_beta(self):
-        caps = [
-            gpd_es_capital(GpdFit(u=-1.0, xi=0.5, beta=b, k=30, n=100), 2.0)
-            for b in (0.5, 1.0, 2.0)
-        ]
+        caps = [gpd_es(u=-1.0, xi=0.5, beta=b, var_empirical=2.0) for b in (0.5, 1.0, 2.0)]
         assert caps[0] < caps[1] < caps[2]
 
     def test_sample_route(self, gaussian_sample):
         u = float(np.quantile(gaussian_sample, 0.3))
         est = estimate("gpd", gaussian_sample, 0.10, "es", gpd_threshold=u)
-        fit = fit_gpd_pwm(gaussian_sample, u)
-        expected = gpd_es_capital(fit, estimate("empirical", gaussian_sample, 0.10).capital)
+        xi, beta, _ = gpd_fit(gaussian_sample, u)
+        expected = gpd_es(u, xi, beta, estimate("empirical", gaussian_sample, 0.10).capital)
         assert est.capital == pytest.approx(expected, abs=1e-12)
 
 
@@ -784,6 +803,18 @@ class TestImports:
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, check=True)
         assert done.stdout.strip() == "False"
+
+
+    def test_one_spelling_per_formula(self):
+        # the scalar helpers that repeated a kernel or wrapped one scipy call are gone
+        from riskbench import backtest, estimators, stats_core
+
+        gone = ("gaussian_cdf", "gaussian_quantile", "student_t_quantile", "type7_quantile",
+                "cornish_fisher_z", "CornishFisherAdjustment", "gpd_var_capital",
+                "gpd_es_capital", "student_t_var_capital", "fit_gpd_pwm", "GpdFit",
+                "exceedance_rate")
+        for module in (riskbench, stats_core, estimators, backtest):
+            assert not [name for name in gone if hasattr(module, name)], module.__name__
 
 
 class TestWindowStats:

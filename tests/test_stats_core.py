@@ -1,7 +1,6 @@
 import math
 import warnings
 
-import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -14,94 +13,16 @@ from riskbench import (
     SizeError,
     draw_gaussian,
     draw_pivotal_pairs,
-    gaussian_cdf,
-    gaussian_quantile,
+    estimate,
     sample_moments,
-    student_t_quantile,
-    type7_quantile,
 )
+from riskbench.stats_core import _type7_sorted_rows
 
 finite_floats = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 # values on a 1e-6 grid keep translation/scaling arithmetic well-conditioned
 grid_floats = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False).map(
     lambda v: round(v, 6)
 )
-
-
-class TestGaussianCdf:
-    def test_symmetry_at_zero(self):
-        assert gaussian_cdf(0.0) == 0.5
-
-    def test_table_values(self):
-        assert gaussian_cdf(1.6448536) == pytest.approx(0.95, abs=1e-6)
-        assert gaussian_cdf(-1.2815516) == pytest.approx(0.10, abs=1e-6)
-
-    def test_absolute_error_below_1e12_vs_mpmath(self):
-        mp.mp.dps = 30
-        for z in np.linspace(-8.0, 8.0, 33):
-            exact = float(mp.ncdf(mp.mpf(float(z))))
-            assert abs(gaussian_cdf(float(z)) - exact) <= 1e-12
-
-    def test_strictly_increasing(self):
-        grid = np.linspace(-6, 6, 101)
-        values = [gaussian_cdf(z) for z in grid]
-        assert all(b > a for a, b in zip(values, values[1:]))
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(DomainError):
-            gaussian_cdf(float("nan"))
-        with pytest.raises(DomainError):
-            gaussian_cdf(float("inf"))
-
-
-class TestGaussianQuantile:
-    def test_median(self):
-        assert gaussian_quantile(0.5) == 0.0
-
-    def test_table_values(self):
-        assert gaussian_quantile(0.05) == pytest.approx(-1.6448536, abs=1e-6)
-        assert gaussian_quantile(0.975) == pytest.approx(1.9599640, abs=1e-6)
-
-    def test_round_trip_on_99_point_grid(self):
-        for p in np.linspace(0.01, 0.99, 99):
-            assert gaussian_cdf(gaussian_quantile(float(p))) == pytest.approx(float(p), abs=1e-10)
-
-    @pytest.mark.parametrize("p", [0.0, 1.0, -0.1, 1.5])
-    def test_domain(self, p):
-        with pytest.raises(DomainError):
-            gaussian_quantile(p)
-
-
-class TestStudentTQuantile:
-    def test_median_is_zero(self):
-        for df in (1.0, 5.0, 49.0, 1000.0):
-            assert student_t_quantile(0.5, df) == pytest.approx(0.0, abs=1e-12)
-
-    def test_frozen_high_precision_values(self):
-        # inverted via mpmath quadrature of the t-density
-        assert student_t_quantile(0.05, 49) == pytest.approx(-1.6765508926168539, abs=1e-4)
-        assert student_t_quantile(0.05, 5) == pytest.approx(-2.0150483733330242, abs=1e-4)
-
-    def test_antisymmetry(self):
-        for p in (0.01, 0.1, 0.3):
-            for df in (3, 30, 300):
-                assert student_t_quantile(p, df) == pytest.approx(
-                    -student_t_quantile(1 - p, df), abs=1e-9
-                )
-
-    def test_gaussian_limit(self):
-        for p in np.linspace(0.01, 0.99, 99):
-            assert student_t_quantile(float(p), 1e6) == pytest.approx(
-                gaussian_quantile(float(p)), abs=1e-3
-            )
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            student_t_quantile(0.0, 5)
-        with pytest.raises(DomainError):
-            student_t_quantile(0.5, 0.0)
-        with pytest.raises(DomainError):
-            student_t_quantile(0.5, -1.0)
 
 
 class TestSampleMoments:
@@ -179,34 +100,38 @@ class TestSampleMoments:
 
 
 class TestType7Quantile:
+    """The type-7 quantile, read as minus the empirical VaR capital."""
+
     def test_exact_median(self):
-        assert type7_quantile([1, 2, 3, 4, 5], 0.5) == 3.0
+        assert estimate("empirical", [1, 2, 3, 4, 5], 0.5).capital == -3.0
 
     def test_interpolated_tail(self):
         # h = 0.05*4 + 1 = 1.2 -> x_(1) + 0.2*(x_(2)-x_(1))
-        assert type7_quantile([1, 2, 3, 4, 5], 0.05) == pytest.approx(1.2, abs=1e-12)
+        capital = estimate("empirical", [1, 2, 3, 4, 5], 0.05).capital
+        assert -capital == pytest.approx(1.2, abs=1e-12)
 
     def test_single_point(self):
+        # a one-column row takes the h >= n branch of the sorted-row kernel
         for p in (0.01, 0.5, 0.99):
-            assert type7_quantile([7.0], p) == 7.0
+            assert _type7_sorted_rows(np.array([[7.0]]), p)[0] == 7.0
 
     def test_empty_sample(self):
         with pytest.raises(SizeError):
-            type7_quantile([], 0.5)
+            estimate("empirical", [], 0.5)
 
-    @given(st.lists(finite_floats, min_size=1, max_size=40), st.floats(min_value=1e-6, max_value=1 - 1e-6))
+    @given(st.lists(finite_floats, min_size=2, max_size=40), st.floats(min_value=1e-6, max_value=1 - 1e-6))
     @settings(max_examples=200, deadline=None)
     def test_matches_numpy_linear_method(self, xs, p):
         # numpy's default 'linear' interpolation is the same type-7 definition
-        assert type7_quantile(xs, p) == pytest.approx(
+        assert -estimate("empirical", xs, p).capital == pytest.approx(
             float(np.quantile(np.array(xs), p, method="linear")), rel=1e-12, abs=1e-12
         )
 
-    @given(st.lists(finite_floats, min_size=1, max_size=40))
+    @given(st.lists(finite_floats, min_size=2, max_size=40))
     @settings(max_examples=100, deadline=None)
     def test_monotone_in_p(self, xs):
         ps = np.linspace(0.01, 0.99, 25)
-        qs = [type7_quantile(xs, float(p)) for p in ps]
+        qs = [-estimate("empirical", xs, float(p)).capital for p in ps]
         assert all(b >= a - 1e-12 for a, b in zip(qs, qs[1:]))
 
 
