@@ -88,7 +88,8 @@ def gpd_var(u, xi, beta, k, n, alpha):
 
 def gpd_es(u, xi, beta, var_empirical):
     """ES capital of one GPD fit: VaR_emp/(1-xi) + (beta + xi*u)/(1-xi)."""
-    return float(_gpd_es_from_fit(*np.array([[u], [xi], [beta], [var_empirical]], dtype=float))[0])
+    args = np.array([[u], [xi], [beta], [var_empirical]], dtype=float)
+    return float(_gpd_es_from_fit(*args)[0])
 
 
 @pytest.fixture(scope="module")
@@ -544,7 +545,8 @@ class TestEsCornishFisher:
 class TestEsGpd:
     def test_hand_formula(self):
         # 3.899/(1 - 0.5) + (1.0 + 0.5*(-1.0))/(1 - 0.5)
-        assert gpd_es(u=-1.0, xi=0.5, beta=1.0, var_empirical=3.899) == pytest.approx(8.798, abs=1e-3)
+        capital = gpd_es(u=-1.0, xi=0.5, beta=1.0, var_empirical=3.899)
+        assert capital == pytest.approx(8.798, abs=1e-3)
 
     @pytest.mark.parametrize("xi", [-0.25, 0.0, 0.2, 0.45, 0.65])
     def test_equals_tail_average_of_var(self, xi):
@@ -558,7 +560,8 @@ class TestEsGpd:
         assert es == pytest.approx(average / alpha, rel=1e-10, abs=1e-10)
 
     def test_exponential_limit(self):
-        assert gpd_es(u=-1.0, xi=0.0, beta=1.0, var_empirical=2.0) == pytest.approx(3.0, abs=1e-12)
+        capital = gpd_es(u=-1.0, xi=0.0, beta=1.0, var_empirical=2.0)
+        assert capital == pytest.approx(3.0, abs=1e-12)
 
     def test_infinite_mean_tail(self):
         with pytest.raises(InfiniteMeanTailError):
