@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -16,6 +17,7 @@ from riskbench import (
     estimate,
     sample_moments,
 )
+from riskbench.estimators import WindowStats, batch_var_capitals
 from riskbench.stats_core import _type7_sorted_rows
 
 finite_floats = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
@@ -23,6 +25,120 @@ finite_floats = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 grid_floats = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False).map(
     lambda v: round(v, 6)
 )
+
+
+def standard_var(method, p, n=2):
+    """VaR capital of a moments-only window with mean 0 and sd 1."""
+    ws = WindowStats(None, None, np.zeros(1), np.ones(1), n)
+    return float(batch_var_capitals(method, ws, p)[0])
+
+
+def gaussian_quantile(p):
+    """Phi^{-1}(p): minus the Gaussian plug-in capital of a standard window."""
+    return -standard_var("gaussian", p)
+
+
+def student_t_quantile(p, df):
+    """t_df^{-1}(p): the unbiased capital of a standard window of n = df + 1, over sqrt((n+1)/n)."""
+    n = df + 1
+    return -standard_var("gaussian_unbiased", p, n) / math.sqrt((n + 1) / n)
+
+
+def kde_quantile(p, bandwidth=1.0):
+    """Root of the Gaussian KDE CDF of the one point 0: Phi(q / h) = p."""
+    return -estimate("kde", [0.0], p, kde_bandwidth=bandwidth).capital
+
+
+class TestGaussianCdf:
+    """The standard normal CDF, as the Gaussian KDE evaluates it.
+
+    The KDE of the one point 0 at unit bandwidth has CDF Phi, and its VaR kernel
+    returns the root of Phi(q) = p.
+    """
+
+    def test_symmetry_at_zero(self):
+        assert kde_quantile(0.5) == 0.0
+
+    def test_table_values(self):
+        assert kde_quantile(0.95) == pytest.approx(1.6448536, abs=1e-6)
+        assert kde_quantile(0.10) == pytest.approx(-1.2815516, abs=1e-6)
+
+    def test_absolute_error_below_1e12_vs_mpmath(self):
+        mp.mp.dps = 30
+        for z in np.linspace(-8.0, 8.0, 33):
+            p = float(mp.ncdf(mp.mpf(float(z))))
+            assert abs(float(mp.ncdf(mp.mpf(kde_quantile(p)))) - p) <= 1e-12
+
+    def test_strictly_increasing(self):
+        levels = [float(mp.ncdf(mp.mpf(float(z)))) for z in np.linspace(-6, 6, 101)]
+        values = [kde_quantile(p) for p in levels]
+        assert all(b > a for a, b in zip(values, values[1:]))
+
+    def test_non_finite_rejected(self):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(DomainError):
+                kde_quantile(bad)
+            with pytest.raises(DomainError):
+                kde_quantile(0.5, bandwidth=bad)
+
+
+class TestGaussianQuantile:
+    """Phi^{-1}, as the Gaussian plug-in VaR kernel reads it."""
+
+    def test_median(self):
+        assert gaussian_quantile(0.5) == 0.0
+
+    def test_table_values(self):
+        assert gaussian_quantile(0.05) == pytest.approx(-1.6448536, abs=1e-6)
+        assert gaussian_quantile(0.975) == pytest.approx(1.9599640, abs=1e-6)
+
+    def test_round_trip_on_99_point_grid(self):
+        # the KDE kernel inverts Phi by Newton; the plug-in kernel reads Phi^{-1} in closed form
+        for p in np.linspace(0.01, 0.99, 99):
+            assert float(mp.ncdf(mp.mpf(gaussian_quantile(float(p))))) == pytest.approx(
+                float(p), abs=1e-10
+            )
+            assert kde_quantile(float(p)) == pytest.approx(gaussian_quantile(float(p)), abs=1e-10)
+
+    @pytest.mark.parametrize("p", [0.0, 1.0, -0.1, 1.5])
+    def test_domain(self, p):
+        with pytest.raises(DomainError):
+            gaussian_quantile(p)
+
+
+class TestStudentTQuantile:
+    """The t_{n-1} quantile inside the unbiased VaR -(mean + sd * sqrt((n+1)/n) * t^{-1}(alpha))."""
+
+    def test_median_is_zero(self):
+        for df in (1, 5, 49, 1000):
+            assert student_t_quantile(0.5, df) == pytest.approx(0.0, abs=1e-12)
+
+    def test_frozen_high_precision_values(self):
+        # inverted via mpmath quadrature of the t-density
+        assert student_t_quantile(0.05, 49) == pytest.approx(-1.6765508926168539, abs=1e-4)
+        assert student_t_quantile(0.05, 5) == pytest.approx(-2.0150483733330242, abs=1e-4)
+
+    def test_antisymmetry(self):
+        for p in (0.01, 0.1, 0.3):
+            for df in (3, 30, 300):
+                assert student_t_quantile(p, df) == pytest.approx(
+                    -student_t_quantile(1 - p, df), abs=1e-9
+                )
+
+    def test_gaussian_limit(self):
+        for p in np.linspace(0.01, 0.99, 99):
+            assert student_t_quantile(float(p), 10**6) == pytest.approx(
+                gaussian_quantile(float(p)), abs=1e-3
+            )
+
+    def test_domain(self):
+        with pytest.raises(DomainError):
+            student_t_quantile(0.0, 5)
+        # df = n - 1 >= 1: the unbiased VaR needs two observations
+        with pytest.raises(SizeError):
+            student_t_quantile(0.5, 0)
+        with pytest.raises(SizeError):
+            student_t_quantile(0.5, -1)
 
 
 class TestSampleMoments:
