@@ -80,7 +80,7 @@ def pivot_secured_es(n, alpha, b):
     phi = np.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
     m1 = w @ (u * ndtr(u) + phi)  # E[(q - Y)+] given V, averaged over V
     m2 = w @ ((u * u + 1.0) * ndtr(u) + u * phi)  # E[((q - Y)+)^2]
-    return scale * _pivot_es(b, alpha, v, w), scale * math.sqrt(m2 - m1 * m1)
+    return scale * _pivot_es(b, alpha, v, w)[0], scale * math.sqrt(m2 - m1 * m1)
 
 
 def plugin_secured_es(n, alpha):

@@ -166,6 +166,17 @@ class TestEstimate:
         assert code == 1
         assert err.splitlines() == [f"error: gpd_threshold_quantile must lie in (0, 1), got {q}"]
 
+    @pytest.mark.parametrize("q", ["-0.5", "nan"])
+    def test_gpd_quantile_checked_when_no_gpd_method_runs(self, capsys, csv_path, q):
+        # as in backtest, the option is checked wherever it is passed
+        code, _, err = run(
+            capsys, "estimate", "--input", str(csv_path), "--column", "ret",
+            "--scale", "decimal", "--method", "u", "--measure", "var",
+            "--alpha", "0.05", f"--gpd-q={q}",
+        )
+        assert code == 1
+        assert err.splitlines() == [f"error: gpd_threshold_quantile must lie in (0, 1), got {q}"]
+
     def test_missing_column_exits_2(self, capsys, csv_path):
         code, _, _ = run(
             capsys, "estimate", "--input", str(csv_path), "--column", "nope",

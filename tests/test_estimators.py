@@ -31,6 +31,7 @@ from riskbench import (
     fit_student_t,
     sample_moments,
 )
+from riskbench import estimators
 from riskbench.backtest import BacktestConfig
 from riskbench.estimators import (
     METHODS,
@@ -41,6 +42,7 @@ from riskbench.estimators import (
     _gpd_es_from_fit,
     _gpd_var_from_fit,
     _t_capital,
+    _t_score,
     batch_es_capitals,
     batch_var_capitals,
     canonical_method,
@@ -270,6 +272,46 @@ class TestStudentT:
             assert fitted >= best - 1e-9 * abs(best)
             assert fit_student_t(row).nu == nu
 
+    def test_likelihood_rising_at_200_gives_exactly_200(self):
+        # a platykurtic row: the likelihood still rises at the top of (2, 200]
+        row = np.linspace(-1.0, 1.0, 60)
+        ws = window_stats(np.vstack([row, SeededRng(60).generator().standard_t(3, 60)]))
+        z2 = ((ws.windows - ws.means[:, None]) / ws.sds[:, None]) ** 2
+        assert _t_score(z2[:1], np.array([200.0]))[0][0] > 0.0
+        assert fit_student_t(ws)[0] == fit_student_t(row).nu == 200.0
+
+    def test_row_fit_independent_of_neighbours_stopping_at_other_steps(self, monkeypatch):
+        gen = SeededRng(59).generator()
+        draws = (lambda k: gen.standard_t(3, k), lambda k: gen.standard_t(6, k), gen.standard_normal)
+        rows = np.vstack([draw(50) for _ in range(4) for draw in draws])
+        active = []
+
+        def counting_score(z2, nu):
+            active.append(z2.shape[0])
+            return _t_score(z2, nu)
+
+        monkeypatch.setattr(estimators, "_t_score", counting_score)
+        batch = fit_student_t(window_stats(rows))
+        assert len(set(active)) > 2  # rows left the Newton iteration at different steps
+        monkeypatch.undo()
+        for row, nu in zip(rows, batch):
+            assert fit_student_t(row).nu.hex() == nu.hex()
+
+    def test_fitted_nu_is_a_root_of_the_score(self):
+        # |score| within a few ulps of the size of its terms, its own rounding (the fit stops
+        # at 2), or a sign change within 1e-10*nu
+        gen = SeededRng(62).generator()
+        for df in (3.0, 6.0, 30.0):
+            ws = window_stats(gen.standard_t(df, (40, 50)))
+            z2 = ((ws.windows - ws.means[:, None]) / ws.sds[:, None]) ** 2
+            nu = fit_student_t(ws)
+            inner = nu < 200.0
+            score, _, size = _t_score(z2[inner], nu[inner])
+            lower = _t_score(z2[inner], nu[inner] * (1.0 - 1e-10))[0]
+            upper = _t_score(z2[inner], nu[inner] * (1.0 + 1e-10))[0]
+            at_zero = np.abs(score) <= 4.0 * np.finfo(float).eps * size
+            assert np.all(at_zero | (lower >= 0.0) & (upper <= 0.0))
+
     def test_nu_to_infinity_matches_gaussian(self, gaussian_sample):
         assert _t_capital(0.0, 1.0, 200.0, 0.05) == pytest.approx(-Z_05, abs=2e-3)
 
@@ -322,6 +364,14 @@ class TestGpdFit:
 
 
 class TestVarGpd:
+    @pytest.mark.parametrize("measure", ["var", "es"])
+    @pytest.mark.parametrize("u", [math.inf, -math.inf, math.nan])
+    def test_non_finite_threshold_is_domain_error(self, gaussian_sample, measure, u):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="gpd_threshold must be finite"):
+                estimate("gpd", gaussian_sample, 0.05, measure, gpd_threshold=u)
+
     def test_hand_formula(self):
         capital = gpd_var(u=-1.0, xi=0.5, beta=1.0, k=30, n=100, alpha=0.05)
         assert capital == pytest.approx(1 + 2 * (math.sqrt(6) - 1), abs=1e-4)
@@ -798,14 +848,15 @@ class TestMethodRegistry:
 
 
 class TestImports:
-    def test_import_leaves_scipy_stats_unloaded(self):
-        # the package needs scipy.special and scipy.optimize only; scipy.stats
-        # would cost about as much import time again
-        code = "import sys, riskbench; print('scipy.stats' in sys.modules)"
+    def test_import_leaves_scipy_stats_and_optimize_unloaded(self):
+        # the package needs scipy.special only; scipy.stats would cost about as much
+        # import time again, and scipy.optimize about a third more
+        code = ("import sys, riskbench; "
+                "print(*(m in sys.modules for m in ('scipy.stats', 'scipy.optimize')))")
         env = {**os.environ, "PYTHONPATH": str(Path(riskbench.__file__).parents[1])}
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, check=True)
-        assert done.stdout.strip() == "False"
+        assert done.stdout.strip() == "False False"
 
 
     def test_one_spelling_per_formula(self):
