@@ -115,11 +115,6 @@ def split_windows(series, window: int) -> WindowPairing:
     return WindowPairing(windows=tiled, dropped=int(values.size - count * window))
 
 
-def _exceedances(capitals, windows):
-    """Outcomes with outcome + capital < 0; capitals carry one value per window row."""
-    return windows + capitals[..., None] < 0.0
-
-
 def bias_statistic(samples, capitals, alpha, measure: str = "var") -> float:
     """Empirical risk of the secured positions y_i = x_i + capital_i.
 
@@ -156,6 +151,66 @@ def _z_undefined_reason(es_caps) -> str | None:
     return f"window {row}: non-positive ES capital {float(es_caps[row])!r}; Z statistic undefined"
 
 
+def _scores(x1, y, alpha, x2=None):
+    """The VaR score and (given ``x2``) the joint VaR-ES score, from one ``d = x1 - y``.
+
+    VaR score (consistent for the quantile x1 = -VaR capital, and equal to the
+    penalty alpha*(y-x1)^+ + (1-alpha)*(y-x1)^-): S = (1{x1 >= y} - alpha)(x1 - y).
+    Joint score, logistic in the ES leg with sig = expit(x2): S + sig*1{x1 >= y}*
+    (x1 - y)/alpha + sig*(x2 - x1) - sig. ``d >= 0`` is exactly ``x1 >= y`` for
+    finite y. Returns ``(d, var, joint)``; ``joint`` is None without ``x2``.
+    """
+    alpha = float(RiskLevel(alpha))
+    d = x1 - y
+    ind = (d >= 0.0).astype(float)
+    var = ind - alpha
+    var *= d
+    if x2 is None:
+        return d, var, None
+    sig = sc.expit(x2)
+    joint = ind  # built in place: each step is the formula's, in its order
+    joint *= sig
+    joint *= d
+    joint /= alpha
+    joint += var
+    joint += sig * (x2 - x1)
+    joint -= sig
+    return d, var, joint
+
+
+def _backtest_stats(var_caps, es_caps, windows, alpha) -> dict:
+    """Per group, the backtest's statistics of (..., K) capitals on (..., K, w) evaluation windows.
+
+    One :func:`_scores` pass (x1 = -VaR, x2 = -ES capital) gives the double averages
+    ``var_score`` and ``joint_score``, and its ``d`` the exceedances: fl(x1 - y) =
+    -fl(y + c), so ``d > 0`` is exactly the strict ``y + c < 0`` (a tie is none).
+    ``es_z`` is :func:`acerbi_z`'s Z; the ES statistics are NaN without ``es_caps``.
+    """
+    x2 = None if es_caps is None else -es_caps[..., None]
+    d, var, joint = _scores(-var_caps[..., None], windows, alpha, x2)
+    hits = d > 0.0
+    count = np.count_nonzero(hits, axis=(-2, -1))
+    nan = np.full(np.shape(count), np.nan)
+    var = var.mean(axis=-1).mean(axis=-1)
+    stats = {"count": count, "var_score": var, "es_z": nan, "joint_score": nan}
+    if es_caps is not None:
+        scale = np.where(es_caps > 0.0, es_caps, np.nan)
+        per_window = (windows * hits).sum(axis=-1) / (windows.shape[-1] * float(alpha) * scale)
+        stats["es_z"] = 1.0 + per_window.mean(axis=-1)
+        stats["joint_score"] = joint.mean(axis=-1).mean(axis=-1)
+    return stats
+
+
+def _aligned(per_window, windows):
+    """(..., K) arrays and (..., K, w) ``windows`` as floats; :class:`DomainError` if misaligned."""
+    arrays = tuple(np.asarray(a, dtype=float) for a in per_window)
+    windows = np.asarray(windows, dtype=float)
+    if windows.ndim not in (2, 3) or any(a.shape != windows.shape[:-1] for a in arrays):
+        shapes = ", ".join(str(a.shape) for a in arrays)
+        raise DomainError(f"{shapes} not aligned with evaluation windows {windows.shape}")
+    return (*arrays, windows)
+
+
 def acerbi_z(var_capitals, es_capitals, evaluation_windows, alpha):
     """Acerbi-Szekely "Test 2" statistic.
 
@@ -166,45 +221,24 @@ def acerbi_z(var_capitals, es_capitals, evaluation_windows, alpha):
     (G, K, w)) it returns one Z per group instead, NaN for a group with a
     non-positive ES capital.
     """
-    var_caps = np.asarray(var_capitals, dtype=float)
-    es_caps = np.asarray(es_capitals, dtype=float)
-    windows = np.asarray(evaluation_windows, dtype=float)
-    if windows.ndim not in (2, 3) or var_caps.shape != windows.shape[:-1] or es_caps.shape != var_caps.shape:
-        raise DomainError("capitals and evaluation windows are not aligned")
+    var_caps, es_caps, windows = _aligned((var_capitals, es_capitals), evaluation_windows)
     if windows.ndim == 2 and (reason := _z_undefined_reason(es_caps)) is not None:
         raise DomainError(reason)
-    alpha = RiskLevel(alpha)
-    hits = _exceedances(var_caps, windows)
-    w = windows.shape[-1]
-    scale = np.where(es_caps > 0.0, es_caps, np.nan)
-    per_window = (windows * hits).sum(axis=-1) / (w * float(alpha) * scale)
-    z = 1.0 + per_window.mean(axis=-1)
+    z = _backtest_stats(var_caps, es_caps, windows, alpha)["es_z"]
     return float(z) if z.ndim == 0 else z
 
 
 def var_score(forecast, outcome, alpha):
-    """Consistent quantile score S(x, y) = (1{x >= y} - alpha)(x - y).
-
-    The forecast is the quantile, i.e. minus the VaR capital. Identically
-    equal to the weighted penalty alpha*(y-x)^+ + (1-alpha)*(y-x)^-.
-    """
-    alpha = RiskLevel(alpha)
-    x = np.asarray(forecast, dtype=float)
-    y = np.asarray(outcome, dtype=float)
-    score = ((x >= y).astype(float) - float(alpha)) * (x - y)
+    """Consistent quantile score of a forecast (minus the VaR capital); see :func:`_scores`."""
+    score = _scores(np.asarray(forecast, dtype=float), np.asarray(outcome, dtype=float), alpha)[1]
     return float(score) if score.ndim == 0 else score
 
 
 def joint_var_es_score(var_forecast, es_forecast, outcome, alpha):
-    """Joint VaR-ES consistent score with logistic weighting of the ES leg."""
-    alpha = float(RiskLevel(alpha))
-    x1 = np.asarray(var_forecast, dtype=float)
-    x2 = np.asarray(es_forecast, dtype=float)
-    y = np.asarray(outcome, dtype=float)
-    ind = (x1 >= y).astype(float)
-    sig = sc.expit(x2)
-    d = x1 - y
-    score = (ind - alpha) * d + sig * ind * d / alpha + sig * (x2 - x1) - sig
+    """Joint VaR-ES consistent score with logistic weighting of the ES leg; see :func:`_scores`."""
+    arrays = (np.asarray(a, dtype=float) for a in (var_forecast, es_forecast, outcome))
+    x1, x2, y = np.broadcast_arrays(*arrays)  # the joint score is built in place on d's shape
+    score = _scores(x1, y, alpha, x2)[2]
     return float(score) if score.ndim == 0 else score
 
 
@@ -212,24 +246,15 @@ def mean_score(forecasts, evaluation_windows, alpha, score: str = "var", es_fore
     """Double average (over windows, then observations) of a scoring function.
 
     With a leading group axis (forecasts (G, K), windows (G, K, w)) it returns
-    one score per group.
+    one score per group. Misaligned forecasts raise :class:`DomainError`.
     """
-    x1 = np.asarray(forecasts, dtype=float)
-    windows = np.asarray(evaluation_windows, dtype=float)
-    if windows.ndim not in (2, 3) or x1.shape != windows.shape[:-1]:
-        raise SizeError("forecasts and evaluation windows are not aligned")
-    if score == "var":
-        values = var_score(x1[..., None], windows, alpha)
-    elif score == "joint":
-        if es_forecasts is None:
-            raise ConfigError("joint mean score needs es_forecasts")
-        x2 = np.asarray(es_forecasts, dtype=float)
-        if x2.shape != x1.shape:
-            raise SizeError("es_forecasts and forecasts are not aligned")
-        values = joint_var_es_score(x1[..., None], x2[..., None], windows, alpha)
-    else:
+    if score not in ("var", "joint"):
         raise ConfigError(f"score must be 'var' or 'joint', got {score!r}")
-    result = values.mean(axis=-1).mean(axis=-1)
+    joint = score == "joint"
+    if joint and es_forecasts is None:
+        raise ConfigError("joint mean score needs es_forecasts")
+    x1, x2, windows = _aligned((forecasts, es_forecasts if joint else forecasts), evaluation_windows)
+    result = _backtest_stats(-x1, -x2 if joint else None, windows, alpha)[f"{score}_score"]
     return float(result) if result.ndim == 0 else result
 
 
@@ -384,15 +409,10 @@ def _backtest_groups(estimation, evaluation, config: BacktestConfig, table):
     for method in config.methods:
         var_caps, es_caps, failures = _group_capitals(method, ws, groups, config, table)
         var_caps = var_caps.reshape(groups, rows)
-        count = np.count_nonzero(_exceedances(var_caps, evaluation), axis=(1, 2))
-        stats = {"er": count / (rows * w), "var_score": mean_score(-var_caps, evaluation, alpha)}
-        stats["es_z"] = stats["joint_score"] = np.full(groups, np.nan)
-        if es_caps is not None:
-            es_caps = es_caps.reshape(groups, rows)
-            stats["es_z"] = acerbi_z(var_caps, es_caps, evaluation, alpha)
-            stats["joint_score"] = mean_score(
-                -var_caps, evaluation, alpha, score="joint", es_forecasts=-es_caps
-            )
+        es_caps = None if es_caps is None else es_caps.reshape(groups, rows)
+        stats = _backtest_stats(var_caps, es_caps, evaluation, alpha)
+        count = stats.pop("count")
+        stats["er"] = count / (rows * w)
         failed = np.array([f is not None for f in failures])
         stats = {key: np.where(failed, np.nan, v) for key, v in stats.items()}
         yield method, failures, var_caps, es_caps, stats | {"count": count, "failed": failed}
@@ -575,10 +595,7 @@ def replication_study(
             both = ~np.isnan(slot["er"]) & ~np.isnan(ref_er)
             usable = both & (ref_er != 0.0)
             rd_excluded = int(np.count_nonzero(both) - np.count_nonzero(usable))
-            if np.any(usable):
-                rd = (slot["er"][usable] - ref_er[usable]) / ref_er[usable]
-                rd_mean = float(rd.mean())
-                rd_sd = float(rd.std(ddof=1)) if rd.size > 1 else 0.0
+            rd_mean, rd_sd = _nan_stats((slot["er"][usable] - ref_er[usable]) / ref_er[usable])
             if np.any(both):
                 or_rate = float(
                     np.mean(

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -168,7 +168,8 @@ class WindowStats:
     """Per-row statistics of an (m, n) matrix of windows, computed once.
 
     A moments-only instance has no windows or sorted rows, and its ``n`` is given:
-    only the location-scale kernels (see :class:`Method`) can read it.
+    only the location-scale kernels (see :class:`Method`) can read it. ``fits``
+    memoises the tail fits made on these rows, keyed by the options they read.
     """
 
     windows: np.ndarray | None
@@ -178,6 +179,7 @@ class WindowStats:
     n: int
     skews: np.ndarray | None = None
     kurts: np.ndarray | None = None
+    fits: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def max_abs(self) -> np.ndarray:
@@ -185,8 +187,8 @@ class WindowStats:
         return np.maximum(np.abs(self.sorted_rows[:, 0]), np.abs(self.sorted_rows[:, -1]))
 
     def take(self, rows: slice) -> "WindowStats":
-        """The statistics of a run of rows, as views of these; ``n`` and absent arrays carry over."""
-        values = (getattr(self, f.name) for f in fields(self))
+        """The statistics of a run of rows, as views; ``n`` and absent arrays carry over, fits do not."""
+        values = (getattr(self, f.name) for f in fields(self) if f.name != "fits")
         return WindowStats(*(a[rows] if isinstance(a, np.ndarray) else a for a in values))
 
 
@@ -345,14 +347,18 @@ def check_gpd_threshold_quantile(q) -> float:
 def _gpd_fit_rows(
     ws: WindowStats, gpd_threshold=None, gpd_threshold_quantile=DEFAULT_GPD_THRESHOLD_QUANTILE, **_
 ):
-    """Thresholds (by default each row's 0.3 type-7 quantile) and PWM fit (xi, beta, k)."""
-    if gpd_threshold is None:
-        thresholds = _type7_sorted_rows(ws.sorted_rows, float(gpd_threshold_quantile))
-    elif math.isfinite(gpd_threshold := float(gpd_threshold)):
-        thresholds = np.full(ws.windows.shape[0], gpd_threshold)
-    else:
-        raise DomainError(f"gpd_threshold must be finite, got {gpd_threshold!r}")
-    return (thresholds, *_batch_gpd_fit(ws.sorted_rows, thresholds))
+    """Thresholds (by default each row's 0.3 type-7 quantile) and PWM fit (xi, beta, k); memoised."""
+    u = None if gpd_threshold is None else float(gpd_threshold)
+    key = ("gpd", u, float(gpd_threshold_quantile))
+    if key not in ws.fits:
+        if u is None:
+            thresholds = _type7_sorted_rows(ws.sorted_rows, float(gpd_threshold_quantile))
+        elif math.isfinite(u):
+            thresholds = np.full(ws.windows.shape[0], u)
+        else:
+            raise DomainError(f"gpd_threshold must be finite, got {u!r}")
+        ws.fits[key] = (thresholds, *_batch_gpd_fit(ws.sorted_rows, thresholds))
+    return ws.fits[key]
 
 
 def _gpd_var_from_fit(thresholds, xi, beta, ks, n, alpha):
@@ -734,7 +740,9 @@ def _es_empirical(ws, alpha, **_):
     if np.any(counts == 0):
         row = int(np.flatnonzero(counts == 0)[0])
         raise EmptyTailError(f"window {row}: no observation below the empirical VaR")
-    sums = np.take_along_axis(np.cumsum(ws.sorted_rows, axis=1), counts[:, None] - 1, axis=1)[:, 0]
+    # a cumsum prefix does not depend on later columns, so only the longest tail is summed
+    prefix = np.cumsum(ws.sorted_rows[:, : counts.max()], axis=1)
+    sums = np.take_along_axis(prefix, counts[:, None] - 1, axis=1)[:, 0]
     return -sums / counts
 
 

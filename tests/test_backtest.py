@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from riskbench import (
     BacktestConfig,
@@ -32,7 +33,8 @@ from riskbench import (
     var_score,
 )
 from riskbench import backtest
-from riskbench.backtest import _exceedances
+from riskbench.backtest import _backtest_stats
+from riskbench.estimators import window_stats
 
 bounded_floats = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 
@@ -58,6 +60,14 @@ class TestSplitWindows:
         pairing = split_windows(np.arange(200.0), 50)
         assert pairing.windows[0, 0] == 0.0
         assert pairing.windows[3, -1] == 199.0
+
+
+def _exceedances(capitals, windows):
+    """Per-outcome exceedances as the backtest counts them: each outcome a one-point group."""
+    k, w = windows.shape
+    caps = np.repeat(capitals, w)[:, None]
+    stats = _backtest_stats(caps, None, windows.reshape(k * w, 1, 1), 0.05)
+    return stats["count"].reshape(k, w) > 0
 
 
 class TestExceedanceRate:
@@ -202,6 +212,104 @@ class TestMeanScore:
     def test_joint_requires_es(self):
         with pytest.raises(ConfigError):
             mean_score(np.zeros(2), np.zeros((2, 3)), 0.1, score="joint")
+
+    def test_misaligned_forecasts_are_domain_errors(self):
+        # the same fault raises the same error as in acerbi_z and bias_statistic
+        with pytest.raises(DomainError, match="not aligned"):
+            mean_score(np.zeros(3), np.zeros((2, 5)), 0.1)
+        with pytest.raises(DomainError, match="not aligned"):
+            acerbi_z(np.zeros(3), np.ones(3), np.zeros((2, 5)), 0.1)
+
+    def test_misaligned_es_forecasts_are_domain_errors(self):
+        with pytest.raises(DomainError, match="not aligned"):
+            mean_score(np.zeros(2), np.zeros((2, 5)), 0.1, "joint", es_forecasts=np.zeros(3))
+
+
+class TestFusedScoringPass:
+    """The backtest's four statistics from one pass, against the formulas written out here."""
+
+    ALPHA = 0.05
+    CONFIG = BacktestConfig(
+        alpha=0.05, methods=("emp", "norm", "u", "cf", "gpd"), window=50, measure="both"
+    )
+
+    @staticmethod
+    def oracle(var_caps, es_caps, windows, alpha):
+        """Count, VaR mean score, Z and joint mean score, each by its own textbook expression."""
+        y, c, e = windows, var_caps[..., None], es_caps[..., None]
+        count = np.count_nonzero(y + c < 0.0, axis=(1, 2))
+        x1, x2 = -c, -e
+        var_values = ((x1 >= y).astype(float) - alpha) * (x1 - y)
+        ind = (x1 >= y).astype(float)
+        sig = special.expit(x2)
+        d = x1 - y
+        joint_values = (ind - alpha) * d + sig * ind * d / alpha + sig * (x2 - x1) - sig
+        hits = y + c < 0.0
+        scale = np.where(es_caps > 0.0, es_caps, np.nan)
+        z = 1.0 + ((y * hits).sum(axis=-1) / (y.shape[-1] * alpha * scale)).mean(axis=-1)
+        return {
+            "count": count,
+            "var_score": var_values.mean(axis=-1).mean(axis=-1),
+            "es_z": z,
+            "joint_score": joint_values.mean(axis=-1).mean(axis=-1),
+        }
+
+    @pytest.fixture(scope="class")
+    def block(self):
+        """A G = 3 block whose evaluation windows hold outcomes that exactly offset a capital."""
+        data = draw_gaussian(SeededRng(91), 3 * 8 * 50, 0.0, 1.0).reshape(3, 8, 50)
+        estimation, evaluation = data[:, :-1], data[:, 1:].copy()
+        ws = window_stats(estimation.reshape(-1, 50))
+        for j, method in enumerate(self.CONFIG.methods):
+            caps = backtest.batch_var_capitals(method, ws, self.ALPHA).reshape(3, 7)
+            evaluation[:, :, 2 * j] = -caps  # y == -c: a secured position of exactly zero
+            evaluation[:, ::2, 2 * j + 1] = -caps[:, ::2] - 1e-3  # and a plain exceedance
+        return estimation, evaluation
+
+    @staticmethod
+    def hexed(values):
+        return [float(v).hex() for v in values]
+
+    def test_statistics_match_the_formulas_to_the_bit(self, block):
+        estimation, evaluation = block
+        ties = 0
+        for method, failures, var_caps, es_caps, stats in backtest._backtest_groups(
+            estimation, evaluation, self.CONFIG, None
+        ):
+            assert failures == [None] * 3
+            secured = evaluation + var_caps[..., None]
+            ties += np.count_nonzero(secured == 0.0)
+            expected = self.oracle(var_caps, es_caps, evaluation, self.ALPHA)
+            assert stats["count"].tolist() == expected["count"].tolist()
+            # a tie is no exceedance
+            assert stats["count"].tolist() == np.count_nonzero(secured < 0.0, axis=(1, 2)).tolist()
+            for key in ("var_score", "es_z", "joint_score"):
+                assert self.hexed(stats[key]) == self.hexed(expected[key]), (method, key)
+            assert self.hexed(stats["er"]) == self.hexed(expected["count"] / evaluation[0].size)
+        assert ties >= 5 * 3 * 7
+
+    def test_a_tie_is_no_exceedance_but_scores_with_the_indicator_set(self):
+        var_caps, es_caps = np.array([[1.5]]), np.array([[2.0]])
+        windows = np.array([[[-1.5]]])
+        stats = _backtest_stats(var_caps, es_caps, windows, 0.1)
+        expected = self.oracle(var_caps, es_caps, windows, 0.1)
+        assert stats["count"].tolist() == [0] and stats["es_z"].tolist() == [1.0]
+        for key in ("var_score", "joint_score"):
+            assert self.hexed(stats[key]) == self.hexed(expected[key])
+        # d = 0 at a tie, so the indicator shows only in the sign of the pointwise score:
+        # (1 - alpha) * 0 = +0.0, where an indicator of 0 gives (0 - alpha) * 0 = -0.0.
+        # A mean adds from +0.0 and cannot show it.
+        assert var_score(-1.5, -1.5, 0.1).hex() == "0x0.0p+0"
+
+    def test_each_group_equals_its_own_backtest(self, block):
+        estimation, evaluation = block
+        grouped = list(backtest._backtest_groups(estimation, evaluation, self.CONFIG, None))
+        for g in range(3):
+            part = slice(g, g + 1)
+            alone = backtest._backtest_groups(estimation[part], evaluation[part], self.CONFIG, None)
+            for (_, _, _, _, stats), (_, _, _, _, single) in zip(grouped, alone):
+                for key in ("count", "er", "var_score", "es_z", "joint_score"):
+                    assert self.hexed(stats[key][part]) == self.hexed(single[key])
 
 
 @pytest.fixture(scope="module")

@@ -32,7 +32,7 @@ from riskbench import (
     sample_moments,
 )
 from riskbench import estimators
-from riskbench.backtest import BacktestConfig
+from riskbench.backtest import BacktestConfig, _capitals
 from riskbench.estimators import (
     METHODS,
     RiskLevel,
@@ -361,6 +361,53 @@ class TestGpdFit:
         mixed = window_stats(np.vstack([rows, tied]))
         for kernel in (batch_var_capitals, batch_es_capitals):
             assert np.array_equal(kernel("gpd", alone, 0.05), kernel("gpd", mixed, 0.05)[:20])
+
+
+class TestGpdFitMemo:
+    """One PWM fit per batch: the VaR and ES kernels read it from the batch's WindowStats."""
+
+    ROWS = draw_gaussian(SeededRng(62), 8 * 50, 0.0, 1.0).reshape(8, 50)
+
+    def test_one_fit_serves_both_measures_to_the_bit(self):
+        config = BacktestConfig(alpha=0.05, methods=("gpd",), measure="both")
+        ws = window_stats(self.ROWS)
+        var_caps, es_caps = _capitals("gpd", ws, config, None)
+        assert len(ws.fits) == 1
+        for row, var_cap, es_cap in zip(self.ROWS, var_caps, es_caps):
+            assert var_cap.hex() == estimate("gpd", row, 0.05).capital.hex()
+            assert es_cap.hex() == estimate("gpd", row, 0.05, "es").capital.hex()
+
+    def test_each_threshold_quantile_has_its_own_fit(self):
+        ws = window_stats(self.ROWS)
+        for q in (0.3, 0.4, 0.3):
+            fresh = batch_es_capitals("gpd", window_stats(self.ROWS), 0.05, gpd_threshold_quantile=q)
+            memo = batch_es_capitals("gpd", ws, 0.05, gpd_threshold_quantile=q)
+            assert [c.hex() for c in memo] == [c.hex() for c in fresh]
+        assert len(ws.fits) == 2
+        assert not np.array_equal(
+            batch_var_capitals("gpd", ws, 0.05, gpd_threshold_quantile=0.3),
+            batch_var_capitals("gpd", ws, 0.05, gpd_threshold_quantile=0.4),
+        )
+
+    def test_slice_starts_without_fits(self):
+        ws = window_stats(self.ROWS)
+        batch_var_capitals("gpd", ws, 0.05)
+        part = ws.take(slice(2, 5))
+        assert ws.fits and part.fits == {}
+        whole = batch_var_capitals("gpd", ws, 0.05)
+        assert np.array_equal(batch_var_capitals("gpd", part, 0.05), whole[2:5])
+
+    def test_fit_that_raised_is_not_memoised(self):
+        rows = self.ROWS.copy()
+        rows[3] = np.abs(rows[3])
+        rows[3, :4] = -1.0  # four outcomes below a zero threshold, where five are needed
+        ws = window_stats(rows)
+        with pytest.raises(InsufficientTailError) as var_error:
+            batch_var_capitals("gpd", ws, 0.05, gpd_threshold=0.0)
+        assert ws.fits == {}
+        with pytest.raises(InsufficientTailError) as es_error:
+            batch_es_capitals("gpd", ws, 0.05, gpd_threshold=0.0)
+        assert str(es_error.value) == str(var_error.value)
 
 
 class TestVarGpd:
