@@ -18,6 +18,7 @@ import scipy.special as sc
 
 from .errors import (
     ConfigError,
+    DataError,
     DomainError,
     EmptyTailError,
     RiskbenchError,
@@ -39,8 +40,8 @@ from .stats_core import SeededRng, _type7_sorted_rows, as_sample, draw_gaussian
 
 MEASURES = ("var", "es", "both")
 # A replication chunk holds as many replications as fit this many estimation-window
-# cells (about 130 KB per float array), so memory stays flat in the replication count.
-_CHUNK_CELLS = 2**14
+# cells (256 KB per float array), so memory stays flat in the replication count.
+_CHUNK_CELLS = 2**15
 
 
 @dataclass(frozen=True)
@@ -152,13 +153,13 @@ def _z_undefined_reason(es_caps) -> str | None:
 
 
 def _scores(x1, y, alpha, x2=None):
-    """The VaR score and (given ``x2``) the joint VaR-ES score, from one ``d = x1 - y``.
+    """The pointwise VaR score and (given ``x2``) joint VaR-ES score, from one ``d = x1 - y``.
 
     VaR score (consistent for the quantile x1 = -VaR capital, and equal to the
     penalty alpha*(y-x1)^+ + (1-alpha)*(y-x1)^-): S = (1{x1 >= y} - alpha)(x1 - y).
     Joint score, logistic in the ES leg with sig = expit(x2): S + sig*1{x1 >= y}*
     (x1 - y)/alpha + sig*(x2 - x1) - sig. ``d >= 0`` is exactly ``x1 >= y`` for
-    finite y. Returns ``(d, var, joint)``; ``joint`` is None without ``x2``.
+    finite y. Returns ``(var, joint)``; ``joint`` is None without ``x2``.
     """
     alpha = float(RiskLevel(alpha))
     d = x1 - y
@@ -166,7 +167,7 @@ def _scores(x1, y, alpha, x2=None):
     var = ind - alpha
     var *= d
     if x2 is None:
-        return d, var, None
+        return var, None
     sig = sc.expit(x2)
     joint = ind  # built in place: each step is the formula's, in its order
     joint *= sig
@@ -175,39 +176,96 @@ def _scores(x1, y, alpha, x2=None):
     joint += var
     joint += sig * (x2 - x1)
     joint -= sig
-    return d, var, joint
+    return var, joint
+
+
+class _SortedWindows(typing.NamedTuple):
+    """Evaluation windows in the order-statistic form that :func:`_backtest_stats` reads."""
+
+    y: np.ndarray  # (..., K, w), each window sorted
+    r: np.ndarray  # (..., K), the centre y[..., w // 2]: a median of the window
+    prefix: np.ndarray  # (..., K, w + 1), prefix[..., j] = sum(y[..., :j] - r)
+    start: np.ndarray  # (..., K), the flat index of each window's prefix[..., 0]
+
+
+def _sort_windows(windows) -> _SortedWindows:
+    y = np.sort(windows, axis=-1)
+    r = y[..., y.shape[-1] // 2]
+    prefix = np.empty(y.shape[:-1] + (y.shape[-1] + 1,))
+    prefix[..., 0] = 0.0
+    sums = prefix[..., 1:]  # in place: a full-size temporary nearly doubles this function's time
+    np.subtract(y, r[..., None], out=sums)
+    np.cumsum(sums, axis=-1, out=sums)
+    start = np.arange(0, prefix.size, prefix.shape[-1]).reshape(r.shape)
+    return _SortedWindows(y, r, prefix, start)
 
 
 def _backtest_stats(var_caps, es_caps, windows, alpha) -> dict:
     """Per group, the backtest's statistics of (..., K) capitals on (..., K, w) evaluation windows.
 
-    One :func:`_scores` pass (x1 = -VaR, x2 = -ES capital) gives the double averages
-    ``var_score`` and ``joint_score``, and its ``d`` the exceedances: fl(x1 - y) =
-    -fl(y + c), so ``d > 0`` is exactly the strict ``y + c < 0`` (a tie is none).
-    ``es_z`` is :func:`acerbi_z`'s Z; the ES statistics are NaN without ``es_caps``.
+    ``windows`` are the raw windows or, to share one sort between methods, their
+    :func:`_sort_windows`. Every statistic is read off the sorted window y, its
+    centre r and the prefix sums P[j] = sum_{i<j} (y_i - r). With x1 = -VaR
+    capital, u = x1 - r and k = #{y < x1} (one comparison per window):
+
+    - the exceedances are k: ``y < x1`` is exactly the strict ``y + c < 0``, so a
+      tie is none;
+    - sum_{y < x1} (x1 - y) = k*u - P[k] and sum_all (x1 - y) = w*u - P[w], so the
+      window's VaR score sum is k*u - P[k] - alpha*(w*u - P[w]);
+    - the joint score sum adds sig*(k*u - P[k])/alpha + w*(sig*(x2 - x1) - sig),
+      with x2 = -ES capital and sig = expit(x2);
+    - Acerbi-Szekely's numerator sum_{y < x1} y is k*r + P[k] (see :func:`acerbi_z`).
+
+    A tie y = x1 has x1 - y = 0, so it adds nothing to either score whether its
+    indicator is read as 1 or 0, and the strict k serves both. Centring on r keeps
+    the scores about as accurate as their elementwise terms |x1 - y|: prefix sums
+    of raw y carry rounding errors of the size of |y|, which a location shift
+    makes arbitrarily larger, while a median minimises sum |y - c| over c, so
+    sum |y - r| <= sum |y - x1|. Each window's sum is divided by w, then averaged
+    over the K windows; the ES statistics are NaN without ``es_caps``.
     """
-    x2 = None if es_caps is None else -es_caps[..., None]
-    d, var, joint = _scores(-var_caps[..., None], windows, alpha, x2)
-    hits = d > 0.0
-    count = np.count_nonzero(hits, axis=(-2, -1))
+    y, r, prefix, start = windows if isinstance(windows, _SortedWindows) else _sort_windows(windows)
+    alpha = float(RiskLevel(alpha))
+    rows, w = y.shape[-2:]
+    x1 = -var_caps
+    u = x1 - r
+    k = np.count_nonzero(y < x1[..., None], axis=-1)
+    below = prefix.take(start + k)  # P[k]
+    gain = k * u - below  # sum_{y < x1} (x1 - y)
+    var = gain - alpha * (w * u - prefix[..., w])
+    count = k.sum(axis=-1)
+
+    def average(window_sums):  # over each window's w observations, then over the K windows
+        return (window_sums / w).sum(axis=-1) / rows
+
     nan = np.full(np.shape(count), np.nan)
-    var = var.mean(axis=-1).mean(axis=-1)
-    stats = {"count": count, "var_score": var, "es_z": nan, "joint_score": nan}
+    stats = {"count": count, "var_score": average(var), "es_z": nan, "joint_score": nan}
     if es_caps is not None:
         scale = np.where(es_caps > 0.0, es_caps, np.nan)
-        per_window = (windows * hits).sum(axis=-1) / (windows.shape[-1] * float(alpha) * scale)
-        stats["es_z"] = 1.0 + per_window.mean(axis=-1)
-        stats["joint_score"] = joint.mean(axis=-1).mean(axis=-1)
+        per_window = (k * r + below) / (w * alpha * scale)
+        stats["es_z"] = 1.0 + per_window.sum(axis=-1) / rows
+        x2 = -es_caps
+        sig = sc.expit(x2)
+        joint = var + sig * gain / alpha + w * (sig * (x2 - x1) - sig)
+        stats["joint_score"] = average(joint)
     return stats
 
 
 def _aligned(per_window, windows):
-    """(..., K) arrays and (..., K, w) ``windows`` as floats; :class:`DomainError` if misaligned."""
+    """(..., K) arrays and (..., K, w) ``windows`` as floats.
+
+    Misaligned shapes raise :class:`DomainError`, windows without an observation
+    :class:`SizeError` and a non-finite value :class:`DataError`.
+    """
     arrays = tuple(np.asarray(a, dtype=float) for a in per_window)
     windows = np.asarray(windows, dtype=float)
     if windows.ndim not in (2, 3) or any(a.shape != windows.shape[:-1] for a in arrays):
         shapes = ", ".join(str(a.shape) for a in arrays)
         raise DomainError(f"{shapes} not aligned with evaluation windows {windows.shape}")
+    if windows.size == 0:
+        raise SizeError(f"evaluation windows {windows.shape} hold no observation")
+    if not all(np.isfinite(a).all() for a in (*arrays, windows)):
+        raise DataError("capitals and evaluation windows must be finite")
     return (*arrays, windows)
 
 
@@ -230,7 +288,7 @@ def acerbi_z(var_capitals, es_capitals, evaluation_windows, alpha):
 
 def var_score(forecast, outcome, alpha):
     """Consistent quantile score of a forecast (minus the VaR capital); see :func:`_scores`."""
-    score = _scores(np.asarray(forecast, dtype=float), np.asarray(outcome, dtype=float), alpha)[1]
+    score = _scores(np.asarray(forecast, dtype=float), np.asarray(outcome, dtype=float), alpha)[0]
     return float(score) if score.ndim == 0 else score
 
 
@@ -238,7 +296,7 @@ def joint_var_es_score(var_forecast, es_forecast, outcome, alpha):
     """Joint VaR-ES consistent score with logistic weighting of the ES leg; see :func:`_scores`."""
     arrays = (np.asarray(a, dtype=float) for a in (var_forecast, es_forecast, outcome))
     x1, x2, y = np.broadcast_arrays(*arrays)  # the joint score is built in place on d's shape
-    score = _scores(x1, y, alpha, x2)[2]
+    score = _scores(x1, y, alpha, x2)[1]
     return float(score) if score.ndim == 0 else score
 
 
@@ -392,10 +450,10 @@ def _backtest_groups(estimation, evaluation, config: BacktestConfig, table):
 
     ``estimation`` and ``evaluation`` are (G, K-1, w); ``evaluation[g, k]`` is
     the window that follows ``estimation[g, k]`` in group g's series.
-    One :func:`window_stats` call and one kernel call per method and measure
-    serve every group. Each per-row reduction runs along a contiguous row in
-    the order a single group's would, so every group's statistics are
-    bit-identical to a backtest of that group alone.
+    One :func:`window_stats` call, one kernel call per method and measure, and
+    one sort of the evaluation windows serve every group. Each per-row reduction
+    runs along a contiguous row in the order a single group's would, so every
+    group's statistics are bit-identical to a backtest of that group alone.
 
     Yields ``(method, failures, var_caps, es_caps, stats)`` per method, with
     capitals shaped (G, K-1) and ``stats`` holding per-group arrays ``count``,
@@ -405,12 +463,12 @@ def _backtest_groups(estimation, evaluation, config: BacktestConfig, table):
     """
     groups, rows, w = estimation.shape
     ws = window_stats(estimation.reshape(groups * rows, w))
-    alpha = config.alpha
+    ordered = _sort_windows(evaluation)
     for method in config.methods:
         var_caps, es_caps, failures = _group_capitals(method, ws, groups, config, table)
         var_caps = var_caps.reshape(groups, rows)
         es_caps = None if es_caps is None else es_caps.reshape(groups, rows)
-        stats = _backtest_stats(var_caps, es_caps, evaluation, alpha)
+        stats = _backtest_stats(var_caps, es_caps, ordered, config.alpha)
         count = stats.pop("count")
         stats["er"] = count / (rows * w)
         failed = np.array([f is not None for f in failures])

@@ -2,6 +2,7 @@ import functools
 import json
 import math
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -224,6 +225,26 @@ class TestMeanScore:
         with pytest.raises(DomainError, match="not aligned"):
             mean_score(np.zeros(2), np.zeros((2, 5)), 0.1, "joint", es_forecasts=np.zeros(3))
 
+    @pytest.mark.parametrize("shape", [(3, 0), (0, 5)])
+    def test_empty_windows_are_size_errors(self, shape):
+        # as in bias_statistic: no observation is a size fault, not a NaN
+        caps, windows = np.ones(shape[0]), np.zeros(shape)
+        with pytest.raises(SizeError):
+            mean_score(caps, windows, 0.1)
+        with pytest.raises(SizeError):
+            acerbi_z(caps, caps, windows, 0.1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_inputs_are_data_errors(self, bad):
+        windows = np.zeros((2, 5))
+        with pytest.raises(DataError):
+            mean_score(np.array([1.0, bad]), windows, 0.1)
+        windows[1, 3] = bad
+        with pytest.raises(DataError):
+            mean_score(np.ones(2), windows, 0.1)
+        with pytest.raises(DataError):
+            acerbi_z(np.ones(2), np.ones(2), windows, 0.1)
+
 
 class TestFusedScoringPass:
     """The backtest's four statistics from one pass, against the formulas written out here."""
@@ -254,17 +275,69 @@ class TestFusedScoringPass:
             "joint_score": joint_values.mean(axis=-1).mean(axis=-1),
         }
 
-    @pytest.fixture(scope="class")
-    def block(self):
+    # a score may be off its exact value by this many units of 2**-52 of the sum of the
+    # magnitudes of its terms; both the elementwise form and the sorted form stay within it
+    ULPS = 4
+
+    @staticmethod
+    def exact(var_caps, es_caps, windows, alpha):
+        """Each group's VaR mean score, Z and joint mean score in exact rational arithmetic.
+
+        The floats, alpha and sig = expit(x2) are read as the exact values they hold.
+        Each statistic comes with the sum of the magnitudes of its terms: the formulas'
+        elementwise summands, each weighted 1 / (K w), and Z's leading 1.
+        """
+        groups, rows, w = windows.shape
+        a, n = Fraction(alpha), rows * w
+        sig = special.expit(-es_caps)
+        out = {key: ([], []) for key in ("var_score", "es_z", "joint_score")}
+        for g in range(groups):
+            sums = {"var_score": [0, 0], "es_z": [1, 1], "joint_score": [0, 0]}
+            defined = bool(np.all(es_caps[g] > 0.0))
+            for k in range(rows):
+                x1, x2, s = Fraction(-var_caps[g, k]), Fraction(-es_caps[g, k]), Fraction(sig[g, k])
+                es = Fraction(es_caps[g, k])
+                for y in map(Fraction, windows[g, k]):
+                    d = x1 - y
+                    ind = 1 if d >= 0 else 0
+                    terms = {
+                        "var_score": ((ind - a) * d,),
+                        "joint_score": ((ind - a) * d, s * ind * d / a, s * (x2 - x1), -s),
+                        "es_z": (y / (a * es),) if defined and y < x1 else (),
+                    }
+                    for key, parts in terms.items():
+                        sums[key][0] += sum(parts) / n
+                        sums[key][1] += sum(map(abs, parts)) / n
+            for key, (value, scale) in sums.items():
+                defined_here = defined or key != "es_z"
+                out[key][0].append(value if defined_here else None)
+                out[key][1].append(scale)
+        return out
+
+    @classmethod
+    def assert_near_exact(cls, values, exact, key):
+        for value, (truth, scale) in zip(values, zip(*exact[key])):
+            if truth is None:
+                assert np.isnan(value), key
+                continue
+            error = abs(Fraction(float(value)) - truth)
+            assert error <= cls.ULPS * Fraction(2) ** -52 * scale, (key, float(error / scale))
+
+    @classmethod
+    def planted(cls, mu):
         """A G = 3 block whose evaluation windows hold outcomes that exactly offset a capital."""
-        data = draw_gaussian(SeededRng(91), 3 * 8 * 50, 0.0, 1.0).reshape(3, 8, 50)
+        data = draw_gaussian(SeededRng(91), 3 * 8 * 50, mu, 1.0).reshape(3, 8, 50)
         estimation, evaluation = data[:, :-1], data[:, 1:].copy()
         ws = window_stats(estimation.reshape(-1, 50))
-        for j, method in enumerate(self.CONFIG.methods):
-            caps = backtest.batch_var_capitals(method, ws, self.ALPHA).reshape(3, 7)
+        for j, method in enumerate(cls.CONFIG.methods):
+            caps = backtest.batch_var_capitals(method, ws, cls.ALPHA).reshape(3, 7)
             evaluation[:, :, 2 * j] = -caps  # y == -c: a secured position of exactly zero
             evaluation[:, ::2, 2 * j + 1] = -caps[:, ::2] - 1e-3  # and a plain exceedance
         return estimation, evaluation
+
+    @pytest.fixture(scope="class")
+    def block(self):
+        return self.planted(0.0)
 
     @staticmethod
     def hexed(values):
@@ -283,10 +356,72 @@ class TestFusedScoringPass:
             assert stats["count"].tolist() == expected["count"].tolist()
             # a tie is no exceedance
             assert stats["count"].tolist() == np.count_nonzero(secured < 0.0, axis=(1, 2)).tolist()
+            exact = self.exact(var_caps, es_caps, evaluation, self.ALPHA)
             for key in ("var_score", "es_z", "joint_score"):
-                assert self.hexed(stats[key]) == self.hexed(expected[key]), (method, key)
+                # the elementwise formulas meet the bound that the backtest's pass is held to
+                self.assert_near_exact(expected[key], exact, key)
+                self.assert_near_exact(stats[key], exact, key)
             assert self.hexed(stats["er"]) == self.hexed(expected["count"] / evaluation[0].size)
         assert ties >= 5 * 3 * 7
+
+    @staticmethod
+    def uncentred_var_score(var_caps, windows, alpha):
+        """The VaR mean score from prefix sums of the raw sorted outcomes, with no centre."""
+        y = np.sort(windows, axis=-1)
+        sums = np.concatenate([np.zeros(y.shape[:-1] + (1,)), np.cumsum(y, axis=-1)], axis=-1)
+        x1, w = -var_caps, y.shape[-1]
+        k = np.count_nonzero(y < x1[..., None], axis=-1)
+        below = np.take_along_axis(sums, k[..., None], axis=-1)[..., 0]
+        var = k * x1 - below - alpha * (w * x1 - sums[..., w])
+        return (var / w).mean(axis=-1)
+
+    @pytest.mark.parametrize("mu", [1e8, 1e12, -1e12])
+    def test_location_shifted_blocks_stay_near_the_exact_value(self, mu):
+        # prefix sums of raw outcomes err by ulps of |mu|, far beyond the terms |x1 - y|
+        estimation, evaluation = self.planted(mu)
+        for method, failures, var_caps, es_caps, stats in backtest._backtest_groups(
+            estimation, evaluation, self.CONFIG, None
+        ):
+            assert failures == [None] * 3
+            expected = self.oracle(var_caps, es_caps, evaluation, self.ALPHA)
+            assert stats["count"].tolist() == expected["count"].tolist()
+            exact = self.exact(var_caps, es_caps, evaluation, self.ALPHA)
+            for key in ("var_score", "es_z", "joint_score"):
+                self.assert_near_exact(expected[key], exact, key)
+                self.assert_near_exact(stats[key], exact, key)
+            uncentred = self.uncentred_var_score(var_caps, evaluation, self.ALPHA)
+            with pytest.raises(AssertionError):
+                self.assert_near_exact(uncentred, exact, "var_score")
+
+    def test_statistics_do_not_depend_on_the_order_within_a_window(self, block):
+        estimation, evaluation = block
+        shuffled = np.random.default_rng(5).permuted(evaluation, axis=-1)
+        assert not np.array_equal(shuffled, evaluation)
+        pairs = zip(
+            backtest._backtest_groups(estimation, evaluation, self.CONFIG, None),
+            backtest._backtest_groups(estimation, shuffled, self.CONFIG, None),
+        )
+        for (method, _, _, _, stats), (_, _, _, _, permuted) in pairs:
+            for key in ("count", "er", "var_score", "es_z", "joint_score"):
+                assert self.hexed(stats[key]) == self.hexed(permuted[key]), (method, key)
+
+    def test_public_entry_points_equal_the_pass(self, block):
+        # acerbi_z and mean_score sort their own (unsorted) windows
+        estimation, evaluation = block
+        alpha = self.ALPHA
+        for method, _, var_caps, es_caps, stats in backtest._backtest_groups(
+            estimation, evaluation, self.CONFIG, None
+        ):
+            public = {
+                "es_z": lambda g: acerbi_z(var_caps[g], es_caps[g], evaluation[g], alpha),
+                "var_score": lambda g: mean_score(-var_caps[g], evaluation[g], alpha),
+                "joint_score": lambda g: mean_score(
+                    -var_caps[g], evaluation[g], alpha, "joint", es_forecasts=-es_caps[g]
+                ),
+            }
+            for key, statistic in public.items():
+                assert self.hexed(statistic(slice(None))) == self.hexed(stats[key]), (method, key)
+                assert self.hexed([statistic(g) for g in range(3)]) == self.hexed(stats[key])
 
     def test_a_tie_is_no_exceedance_but_scores_with_the_indicator_set(self):
         var_caps, es_caps = np.array([[1.5]]), np.array([[2.0]])
