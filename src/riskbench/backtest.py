@@ -119,9 +119,9 @@ def split_windows(series, window: int) -> WindowPairing:
 def bias_statistic(samples, capitals, alpha, measure: str = "var") -> float:
     """Empirical risk of the secured positions y_i = x_i + capital_i.
 
-    ``measure`` picks the empirical functional: the type-7 VaR or the
-    tail-average ES. Near zero for unbiased estimation; positive when risk is
-    underestimated (the secured position still needs capital).
+    ``measure`` picks the empirical functional: the type-7 VaR or the tail-average ES. Near
+    zero for unbiased estimation; positive when risk is underestimated (the secured position
+    still needs capital). A non-finite secured position raises :class:`DataError`.
     """
     x = np.asarray(samples, dtype=float)
     caps = np.asarray(capitals, dtype=float)
@@ -133,6 +133,8 @@ def bias_statistic(samples, capitals, alpha, measure: str = "var") -> float:
     if measure not in ("var", "es"):
         raise ConfigError(f"measure must be 'var' or 'es', got {measure!r}")
     y = x + caps
+    if not np.isfinite(y).all():  # one pass checks both inputs, and their sums
+        raise DataError("samples, capitals and their sums must be finite")
     y_sorted = np.sort(y)
     quantile = float(_type7_sorted_rows(y_sorted[None, :], float(alpha))[0])
     if measure == "var":
@@ -150,33 +152,6 @@ def _z_undefined_reason(es_caps) -> str | None:
         return None
     row = int(bad[0])
     return f"window {row}: non-positive ES capital {float(es_caps[row])!r}; Z statistic undefined"
-
-
-def _scores(x1, y, alpha, x2=None):
-    """The pointwise VaR score and (given ``x2``) joint VaR-ES score, from one ``d = x1 - y``.
-
-    VaR score (consistent for the quantile x1 = -VaR capital, and equal to the
-    penalty alpha*(y-x1)^+ + (1-alpha)*(y-x1)^-): S = (1{x1 >= y} - alpha)(x1 - y).
-    Joint score, logistic in the ES leg with sig = expit(x2): S + sig*1{x1 >= y}*
-    (x1 - y)/alpha + sig*(x2 - x1) - sig. ``d >= 0`` is exactly ``x1 >= y`` for
-    finite y. Returns ``(var, joint)``; ``joint`` is None without ``x2``.
-    """
-    alpha = float(RiskLevel(alpha))
-    d = x1 - y
-    ind = (d >= 0.0).astype(float)
-    var = ind - alpha
-    var *= d
-    if x2 is None:
-        return var, None
-    sig = sc.expit(x2)
-    joint = ind  # built in place: each step is the formula's, in its order
-    joint *= sig
-    joint *= d
-    joint /= alpha
-    joint += var
-    joint += sig * (x2 - x1)
-    joint -= sig
-    return var, joint
 
 
 class _SortedWindows(typing.NamedTuple):
@@ -221,8 +196,9 @@ def _backtest_stats(var_caps, es_caps, windows, alpha) -> dict:
     the scores about as accurate as their elementwise terms |x1 - y|: prefix sums
     of raw y carry rounding errors of the size of |y|, which a location shift
     makes arbitrarily larger, while a median minimises sum |y - c| over c, so
-    sum |y - r| <= sum |y - x1|. Each window's sum is divided by w, then averaged
-    over the K windows; the ES statistics are NaN without ``es_caps``.
+    sum |y - r| <= sum |y - x1|. Each window's sum is divided by w, then averaged over the
+    K windows; the ES statistics are NaN without ``es_caps``. The pointwise :func:`var_score`
+    and :func:`joint_var_es_score` are these scores of one-point windows (K = w = 1).
     """
     y, r, prefix, start = windows if isinstance(windows, _SortedWindows) else _sort_windows(windows)
     alpha = float(RiskLevel(alpha))
@@ -286,18 +262,32 @@ def acerbi_z(var_capitals, es_capitals, evaluation_windows, alpha):
     return float(z) if z.ndim == 0 else z
 
 
+def _pointwise(score, alpha, outcome, *forecasts):
+    """``score`` of each outcome as a one-point window (K = w = 1) of :func:`_backtest_stats`."""
+    y, *x = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (outcome, *forecasts)))
+    if not all(np.isfinite(a).all() for a in (y, *x)):
+        raise DataError("forecasts and outcomes must be finite")
+    caps = [-a[..., None] for a in x] + [None]  # the VaR and, for the joint score, ES capitals
+    result = _backtest_stats(caps[0], caps[1], y[..., None, None], alpha)[score]
+    return float(result) if result.ndim == 0 else result
+
+
 def var_score(forecast, outcome, alpha):
-    """Consistent quantile score of a forecast (minus the VaR capital); see :func:`_scores`."""
-    score = _scores(np.asarray(forecast, dtype=float), np.asarray(outcome, dtype=float), alpha)[0]
-    return float(score) if score.ndim == 0 else score
+    """Consistent quantile score of a forecast x1 (minus the VaR capital) at an outcome y.
+
+    S = (1{x1 >= y} - alpha)(x1 - y), the penalty alpha*(y-x1)^+ + (1-alpha)*(y-x1)^-.
+    The arguments broadcast; a non-finite one raises :class:`DataError`.
+    """
+    return _pointwise("var_score", alpha, outcome, forecast)
 
 
 def joint_var_es_score(var_forecast, es_forecast, outcome, alpha):
-    """Joint VaR-ES consistent score with logistic weighting of the ES leg; see :func:`_scores`."""
-    arrays = (np.asarray(a, dtype=float) for a in (var_forecast, es_forecast, outcome))
-    x1, x2, y = np.broadcast_arrays(*arrays)  # the joint score is built in place on d's shape
-    score = _scores(x1, y, alpha, x2)[1]
-    return float(score) if score.ndim == 0 else score
+    """Joint VaR-ES consistent score with logistic weighting of the ES leg.
+
+    With x1, x2 minus the VaR and ES capitals, sig = expit(x2) and S the :func:`var_score`,
+    the score at y is S + sig*1{x1 >= y}*(x1 - y)/alpha + sig*(x2 - x1) - sig. Inputs as there.
+    """
+    return _pointwise("joint_score", alpha, outcome, var_forecast, es_forecast)
 
 
 def mean_score(forecasts, evaluation_windows, alpha, score: str = "var", es_forecasts=None):
@@ -573,6 +563,14 @@ class ReplicationSummary(_MethodTable):
     samples: dict | None = field(default=None, repr=False, compare=False)
 
 
+def _outperformance_rate(values: np.ndarray, reference: np.ndarray, target: float):
+    """How often ``values`` is farther from ``target`` than ``reference`` where both are defined."""
+    both = ~np.isnan(values) & ~np.isnan(reference)
+    if not np.any(both):
+        return None
+    return float(np.mean(np.abs(values[both] - target) > np.abs(reference[both] - target)))
+
+
 def _nan_stats(values: np.ndarray):
     valid = values[~np.isnan(values)]
     if valid.size == 0:
@@ -636,9 +634,7 @@ def replication_study(
             for key, values in merged[method].items():
                 values[start:stop] = stats[key]
 
-    alpha = config.alpha
-    ref_er = merged[reference]["er"] if reference is not None else None
-    ref_z = merged[reference]["es_z"] if reference is not None else None
+    ref = merged.get(reference)  # None without a reference
     stats: dict = {}
     for method in config.methods:
         slot = merged[method]
@@ -646,25 +642,16 @@ def replication_study(
         z_mean, z_sd = _nan_stats(slot["es_z"])
         var_score_mean, _ = _nan_stats(slot["var_score"])
         joint_score_mean, _ = _nan_stats(slot["joint_score"])
-        rd_mean = rd_sd = or_rate = None
+        rd_mean = rd_sd = or_rate = z_or = None
         rd_excluded = 0
-        z_or = None
-        if reference is not None and method != reference:
+        if ref is not None and method != reference:
+            ref_er = ref["er"]
             both = ~np.isnan(slot["er"]) & ~np.isnan(ref_er)
             usable = both & (ref_er != 0.0)
             rd_excluded = int(np.count_nonzero(both) - np.count_nonzero(usable))
             rd_mean, rd_sd = _nan_stats((slot["er"][usable] - ref_er[usable]) / ref_er[usable])
-            if np.any(both):
-                or_rate = float(
-                    np.mean(
-                        np.abs(slot["er"][both] - alpha) > np.abs(ref_er[both] - alpha)
-                    )
-                )
-            z_both = ~np.isnan(slot["es_z"]) & ~np.isnan(ref_z)
-            if np.any(z_both):
-                z_or = float(
-                    np.mean(np.abs(slot["es_z"][z_both]) > np.abs(ref_z[z_both]))
-                )
+            or_rate = _outperformance_rate(slot["er"], ref_er, config.alpha)
+            z_or = _outperformance_rate(slot["es_z"], ref["es_z"], 0.0)
         stats[method] = MethodReplicationStats(
             method=method,
             er_mean=er_mean,

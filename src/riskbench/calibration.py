@@ -54,7 +54,7 @@ from .stats_core import SeededRng, draw_pivotal_pairs
 TABLE_FORMAT_VERSION = 2
 _READABLE_TABLE_VERSIONS = (1, 2)
 DEFAULT_MC_SAMPLES = 10_000_000
-DEFAULT_TOLERANCE = 1e-4
+_TOLERANCE = 1e-4
 _BISECTION_WIDTH = 1e-8
 _ALPHA_KEY_SCALE = 1_000_000
 _CHUNK_TRIALS = 1 << 20  # a constant: a trial's draws depend only on the seed and its index
@@ -158,14 +158,13 @@ def solve_unbiased_es_constant(
     alpha,
     mc_samples: int = DEFAULT_MC_SAMPLES,
     seed: int = 0,
-    tolerance: float = DEFAULT_TOLERANCE,
 ) -> CalibrationEntry:
     """Bisection for b_n with ES_alpha(Z + b_n V_n) = 0 on one fixed MC sample.
 
     The sample is drawn once from ``SeededRng(seed)``; the objective
     g(b) = empirical_es(z + b*v) is then monotone non-increasing in b, so the
     bisection terminates deterministically. Stops when the bracket is below
-    1e-8 or |g| falls below ``tolerance``, whichever comes first.
+    1e-8 or |g| falls below 1e-4, whichever comes first.
     """
     n = int(n)
     if n < 2:
@@ -174,8 +173,6 @@ def solve_unbiased_es_constant(
     if mc_samples < 100_000:
         raise DomainError(f"mc_samples must be at least 1e5, got {mc_samples}")
     alpha = RiskLevel(alpha)
-    if not tolerance > 0.0:
-        raise DomainError(f"tolerance must be positive, got {tolerance!r}")
 
     z, v = draw_pivotal_pairs(SeededRng(int(seed)), n, mc_samples)
 
@@ -203,7 +200,7 @@ def solve_unbiased_es_constant(
         b = 0.5 * (lo + hi)
         gb = g(b)
         residual = abs(gb)
-        if residual <= tolerance:
+        if residual <= _TOLERANCE:
             break
         if gb < 0.0:
             hi = b

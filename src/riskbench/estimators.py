@@ -274,35 +274,22 @@ def sample_moments(x) -> MomentSummary:
     )
 
 
-def _cf_z_values(z, skew, excess_kurtosis):
-    """Fourth-order Cornish-Fisher adjustment; broadcasts over its arguments."""
-    return (
-        z
-        + (z * z - 1.0) * skew / 6.0
-        + (z**3 - 3.0 * z) * excess_kurtosis / 24.0
-        - (2.0 * z**3 - 5.0 * z) * skew * skew / 36.0
-    )
-
-
-def _cf_tail_means(alpha: float, skew: np.ndarray, excess_kurtosis: np.ndarray) -> np.ndarray:
-    """Mean of the Cornish-Fisher quantile over levels below ``alpha``, in closed form.
-
-    With t standard normal truncated to t < z = Phi^{-1}(alpha) and phi = phi(z),
-    the moments m1 = -phi/alpha, m2 = 1 - z*phi/alpha and m3 = -(z^2 + 2)*phi/alpha
-    turn the tail average of the fourth-order expansion into a polynomial in
-    the skew s and excess kurtosis k.
-    """
-    z = float(sc.ndtri(alpha))
-    ratio = math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi) / alpha
-    m1 = -ratio
-    m2 = 1.0 - z * ratio
-    m3 = -(z * z + 2.0) * ratio
+def _cf_expansion(m1, m2, m3, skew, excess_kurtosis):
+    """Mean of the Cornish-Fisher quantile t + (t^2 - 1)s/6 + (t^3 - 3t)k/24 - (2t^3 - 5t)s^2/36
+    (skew s, excess kurtosis k) over t with moments E[t^j] = mj; at (z, z^2, z^3), that of z."""
     return (
         m1
         + (m2 - 1.0) * skew / 6.0
         + (m3 - 3.0 * m1) * excess_kurtosis / 24.0
         - (2.0 * m3 - 5.0 * m1) * skew * skew / 36.0
     )
+
+
+def _reject_rows(bad, error, describe) -> None:
+    """Raise ``error("window <row>: " + describe(row))`` at the first row that ``bad`` flags."""
+    if np.any(bad):
+        row = int(np.flatnonzero(bad)[0])
+        raise error(f"window {row}: {describe(row)}")
 
 
 def _batch_gpd_fit(srt: np.ndarray, thresholds: np.ndarray):
@@ -314,12 +301,8 @@ def _batch_gpd_fit(srt: np.ndarray, thresholds: np.ndarray):
     """
     m = srt.shape[0]
     ks = (srt < thresholds[:, None]).sum(axis=1)
-    if np.any(ks < 5):
-        row = int(np.flatnonzero(ks < 5)[0])
-        raise InsufficientTailError(
-            f"window {row}: only {int(ks[row])} observations strictly below "
-            f"threshold {float(thresholds[row])!r} (need 5)"
-        )
+    _reject_rows(ks < 5, InsufficientTailError, lambda i: f"only {int(ks[i])} observations "
+                 f"strictly below threshold {float(thresholds[i])!r} (need 5)")
     b0 = np.empty(m)
     b1 = np.empty(m)
     # rows with equal exceedance counts share one PWM evaluation, so a row's
@@ -331,9 +314,7 @@ def _batch_gpd_fit(srt: np.ndarray, thresholds: np.ndarray):
         b0[rows] = y.mean(axis=1)
         b1[rows] = (y * weights).sum(axis=1) / k
     denom = b0 - 2.0 * b1
-    if np.any(denom <= 0.0):
-        row = int(np.flatnonzero(denom <= 0.0)[0])
-        raise DegenerateFitError(f"window {row}: PWM moments give b0 - 2*b1 <= 0")
+    _reject_rows(denom <= 0.0, DegenerateFitError, lambda _: "PWM moments give b0 - 2*b1 <= 0")
     return 2.0 - b0 / denom, 2.0 * b0 * b1 / denom, ks
 
 
@@ -363,12 +344,8 @@ def _gpd_fit_rows(
 
 def _gpd_var_from_fit(thresholds, xi, beta, ks, n, alpha):
     ratio = alpha * n / ks
-    if np.any(ratio > 1.0):
-        row = int(np.flatnonzero(ratio > 1.0)[0])
-        raise LevelTooHighError(
-            f"window {row}: alpha*n/k = {float(ratio[row]):.6g} > 1; "
-            "level lies above the empirical mass under the threshold"
-        )
+    _reject_rows(ratio > 1.0, LevelTooHighError, lambda i: f"alpha*n/k = {float(ratio[i]):.6g} "
+                 "> 1; level lies above the empirical mass under the threshold")
     small = np.abs(xi) < _XI_LOG_LIMIT
     xi_safe = np.where(small, 1.0, xi)
     power = -thresholds + beta / xi_safe * (ratio ** (-xi) - 1.0)
@@ -377,11 +354,8 @@ def _gpd_var_from_fit(thresholds, xi, beta, ks, n, alpha):
 
 
 def _gpd_es_from_fit(thresholds, xi, beta, var_emp):
-    if np.any(xi >= 1.0):
-        row = int(np.flatnonzero(xi >= 1.0)[0])
-        raise InfiniteMeanTailError(
-            f"window {row}: fitted shape {float(xi[row]):.6g} >= 1, tail mean infinite"
-        )
+    _reject_rows(xi >= 1.0, InfiniteMeanTailError,
+                 lambda i: f"fitted shape {float(xi[i]):.6g} >= 1, tail mean infinite")
     # the tail formula reads the loss threshold, -u
     return var_emp / (1.0 - xi) + (beta + xi * thresholds) / (1.0 - xi)
 
@@ -613,9 +587,8 @@ def _t_nu(ws: WindowStats) -> np.ndarray:
     or its bracket is below 1e-10*nu; each Newton point aims 2.5e-11*nu past the root. A row
     whose likelihood still rises at 200 starts and stops there.
     """
-    if np.any(ws.sds == 0.0):
-        row = int(np.flatnonzero(ws.sds == 0.0)[0])
-        raise DataError(f"window {row}: fit_student_t needs a sample with positive spread")
+    _reject_rows(ws.sds == 0.0, DataError,
+                 lambda _: "fit_student_t needs a sample with positive spread")
     z2 = ((ws.windows - ws.means[:, None]) / ws.sds[:, None]) ** 2
     m = z2.shape[0]
     best = np.argmax([_t_loglik(z2, np.full(m, nu)) for nu in _T_NU_GRID], axis=0)
@@ -669,8 +642,8 @@ def _var_unbiased(ws, alpha, **_):
 
 def _var_cornish_fisher(ws, alpha, **_):
     """Moment-corrected Gaussian VaR at the Cornish-Fisher quantile."""
-    skews, kurts = _require_shape(ws)
-    return -(ws.means + ws.sds * _cf_z_values(sc.ndtri(alpha), skews, kurts))
+    z = sc.ndtri(alpha)
+    return -(ws.means + ws.sds * _cf_expansion(z, z * z, z**3, *_require_shape(ws)))
 
 
 def _var_student_t(ws, alpha, **_):
@@ -692,9 +665,8 @@ def _var_kde(ws, alpha, kde_kernel="gaussian", kde_bandwidth=None, **_):
     if kde_bandwidth is None:
         if ws.n < 10:
             raise SizeError(f"kde default bandwidth needs n >= 10, got {ws.n}")
-        if np.any(ws.sds == 0.0):
-            row = int(np.flatnonzero(ws.sds == 0.0)[0])
-            raise DataError(f"window {row}: kde default bandwidth needs a sample with positive spread")
+        _reject_rows(ws.sds == 0.0, DataError,
+                     lambda _: "kde default bandwidth needs a sample with positive spread")
         h = 1.06 * ws.sds * ws.n ** (-0.2)
     else:
         h = float(kde_bandwidth)
@@ -737,9 +709,7 @@ def _es_empirical(ws, alpha, **_):
     """Average loss beyond the empirical VaR (the negated mean of the points below it)."""
     quantiles = _type7_sorted_rows(ws.sorted_rows, alpha)
     counts = (ws.sorted_rows < quantiles[:, None]).sum(axis=1)
-    if np.any(counts == 0):
-        row = int(np.flatnonzero(counts == 0)[0])
-        raise EmptyTailError(f"window {row}: no observation below the empirical VaR")
+    _reject_rows(counts == 0, EmptyTailError, lambda _: "no observation below the empirical VaR")
     # a cumsum prefix does not depend on later columns, so only the longest tail is summed
     prefix = np.cumsum(ws.sorted_rows[:, : counts.max()], axis=1)
     sums = np.take_along_axis(prefix, counts[:, None] - 1, axis=1)[:, 0]
@@ -763,9 +733,15 @@ def _es_unbiased(ws, alpha, table=None, **_):
 
 
 def _es_cornish_fisher(ws, alpha, **_):
-    """Tail average of the Cornish-Fisher quantile below ``alpha``; Gaussian ES at zero shape."""
-    skews, kurts = _require_shape(ws)
-    return -(ws.means + ws.sds * _cf_tail_means(alpha, skews, kurts))
+    """Tail average of the Cornish-Fisher quantile below ``alpha``; Gaussian ES at zero shape.
+
+    The moments of t ~ N(0, 1) given t < z = Phi^{-1}(alpha) are m1 = -phi(z)/alpha,
+    m2 = 1 - z*phi(z)/alpha and m3 = -(z^2 + 2)*phi(z)/alpha.
+    """
+    z = float(sc.ndtri(alpha))
+    ratio = math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi) / alpha
+    moments = (-ratio, 1.0 - z * ratio, -(z * z + 2.0) * ratio)
+    return -(ws.means + ws.sds * _cf_expansion(*moments, *_require_shape(ws)))
 
 
 def _es_gpd(ws, alpha, **options):
@@ -828,8 +804,8 @@ def check_es_form(methods) -> None:
         )
 
 
-def _kernel(method: str, measure: str, ws: WindowStats, options: dict) -> Callable:
-    """The registered kernel for ``measure``, once the tag, windows, form, size and options check out."""
+def _capitals(method: str, measure: str, ws: WindowStats, alpha, options: dict) -> np.ndarray:
+    """The registered kernel's capitals, once the tag, windows, form, size and options check out."""
     if method not in METHODS:
         raise ConfigError(f"unknown method tag {method!r}")
     if ws.windows is None and not METHODS[method].location_scale:
@@ -844,17 +820,20 @@ def _kernel(method: str, measure: str, ws: WindowStats, options: dict) -> Callab
         raise TypeError(f"unknown estimator options {sorted(unknown)}; valid: {', '.join(OPTIONS)}")
     if "gpd_threshold_quantile" in options:  # for every method, as BacktestConfig checks it
         check_gpd_threshold_quantile(options["gpd_threshold_quantile"])
-    return METHODS[method].var if measure == "var" else METHODS[method].es
+    capitals = getattr(METHODS[method], measure)(ws, RiskLevel(alpha), **options)
+    _reject_rows(~np.isfinite(capitals), DataError,
+                 lambda i: f"capital must be finite, got {float(capitals[i])!r}")
+    return capitals
 
 
 def batch_var_capitals(method: str, ws: WindowStats, alpha: float, **options) -> np.ndarray:
-    """VaR capital per window row for one canonical method tag; see :data:`OPTIONS`."""
-    return _kernel(method, "var", ws, options)(ws, RiskLevel(alpha), **options)
+    """Finite VaR capital per window row for one canonical method tag; see :data:`OPTIONS`."""
+    return _capitals(method, "var", ws, alpha, options)
 
 
 def batch_es_capitals(method: str, ws: WindowStats, alpha: float, **options) -> np.ndarray:
-    """Expected Shortfall capital per window row for one canonical method tag."""
-    return _kernel(method, "es", ws, options)(ws, RiskLevel(alpha), **options)
+    """Finite Expected Shortfall capital per window row for one canonical method tag."""
+    return _capitals(method, "es", ws, alpha, options)
 
 
 def estimate(method: str, x, alpha, measure: str = "var", **options) -> RiskEstimate:

@@ -244,6 +244,19 @@ class TestMeanScore:
             mean_score(np.ones(2), windows, 0.1)
         with pytest.raises(DataError):
             acerbi_z(np.ones(2), np.ones(2), windows, 0.1)
+        # the pointwise scores and the bias statistic, whose secured positions would carry it
+        for args in ((bad, 0.0), (0.0, bad)):
+            with pytest.raises(DataError):
+                var_score(*args, 0.05)
+        for args in ((bad, 0.0, 1.0), (0.0, bad, 1.0), (0.0, 0.0, bad)):
+            with pytest.raises(DataError):
+                joint_var_es_score(*args, 0.1)
+        for samples, measure in ((np.zeros(20), "var"), (np.linspace(-1.0, 1.0, 20), "es")):
+            samples[3] = bad
+            with pytest.raises(DataError):
+                bias_statistic(samples, np.ones(20), 0.1, measure)
+            with pytest.raises(DataError):
+                bias_statistic(np.zeros(20), np.where(np.arange(20) == 3, bad, 1.0), 0.1, measure)
 
 
 class TestFusedScoringPass:
@@ -362,6 +375,17 @@ class TestFusedScoringPass:
                 self.assert_near_exact(expected[key], exact, key)
                 self.assert_near_exact(stats[key], exact, key)
             assert self.hexed(stats["er"]) == self.hexed(expected["count"] / evaluation[0].size)
+            # and so do the pointwise scores, each point a one-point window, ties included
+            x1, x2 = (np.broadcast_to(-c[..., None], evaluation.shape) for c in (var_caps, es_caps))
+            points = self.exact(-x1.reshape(-1, 1), -x2.reshape(-1, 1), evaluation.reshape(-1, 1, 1),
+                                self.ALPHA)
+            pointwise = {
+                "var_score": var_score(x1, evaluation, self.ALPHA),
+                "joint_score": joint_var_es_score(x1, x2, evaluation, self.ALPHA),
+            }
+            for key, values in pointwise.items():
+                assert values.shape == evaluation.shape
+                self.assert_near_exact(values.ravel(), points, key)
         assert ties >= 5 * 3 * 7
 
     @staticmethod

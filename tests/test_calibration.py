@@ -155,8 +155,6 @@ class TestSolver:
             solve_unbiased_es_constant(50, 0.10, 50_000, seed=0)
         with pytest.raises(SizeError):
             solve_unbiased_es_constant(1, 0.10, 200_000, seed=0)
-        with pytest.raises(DomainError):
-            solve_unbiased_es_constant(50, 0.10, 200_000, seed=0, tolerance=0.0)
 
 
 class TestExactSolver:

@@ -38,7 +38,7 @@ from riskbench.estimators import (
     RiskLevel,
     WindowStats,
     _batch_gpd_fit,
-    _cf_z_values,
+    _cf_expansion,
     _gpd_es_from_fit,
     _gpd_var_from_fit,
     _t_capital,
@@ -172,6 +172,11 @@ class TestVarGaussianUnbiased:
         x = standardized(draw_gaussian(SeededRng(7), 1_000_000, 0.0, 1.0))
         gap = estimate("gaussian_unbiased", x, 0.05).capital - estimate("gaussian", x, 0.05).capital
         assert abs(gap) <= 1e-3
+
+
+def _cf_z_values(z, skew, excess_kurtosis):
+    """The Cornish-Fisher quantile of z, as the VaR kernel reads the expansion."""
+    return _cf_expansion(z, z * z, z**3, skew, excess_kurtosis)
 
 
 class TestCornishFisherZ:
@@ -797,6 +802,61 @@ class TestCrossCuttingInvariants:
     def test_exact_constant_gives_its_own_value(self, tag, measure, value, n):
         # the mean of n copies of c can round one ulp off c; the capital must not
         assert estimate(tag, np.full(n, value), 0.1, measure).capital == -value
+
+
+def _with_negatives(row, count):
+    """|row| with its first ``count`` entries moved below zero."""
+    out = np.abs(row) + 0.1
+    out[:count] *= -1.0
+    return out
+
+
+def _constant(row):
+    return np.full_like(row, 0.3)
+
+
+class TestRowFaults:
+    """Each kernel fault names the first batch row that causes it: planted at row 2 of 5 here."""
+
+    # the other rows lie mostly below zero, so at a zero threshold each fits a long tail
+    ROWS = draw_gaussian(SeededRng(17), 5 * 50, -1.0, 1.0).reshape(5, 50)
+    CASES = {
+        "gpd_tail_below_five": (
+            "gpd", "var", 0.05, {"gpd_threshold": 0.0},
+            lambda row: _with_negatives(row, 4), InsufficientTailError,
+        ),
+        "gpd_degenerate_pwm": (  # equal exceedances give b0 - 2*b1 = 0
+            "gpd", "var", 0.05, {"gpd_threshold": 0.0},
+            lambda row: np.repeat([-1.0, 1.0], 25), DegenerateFitError,
+        ),
+        "gpd_level_too_high": (  # alpha*n/k = 25/10, where the other rows give 25/k < 1
+            "gpd", "var", 0.5, {"gpd_threshold": 0.0},
+            lambda row: _with_negatives(row, 10), LevelTooHighError,
+        ),
+        "gpd_infinite_mean": (  # b1 vanishes beside b0, so xi = 2 - b0/(b0 - 2*b1) rounds to 1
+            "gpd", "es", 0.05, {"gpd_threshold": 0.0},
+            lambda row: np.r_[-1e20, -1e-20 * np.arange(1.0, 5.0), np.abs(row[5:])],
+            InfiniteMeanTailError,
+        ),
+        "student_t_zero_spread": ("student_t", "var", 0.05, {}, _constant, DataError),
+        "kde_zero_spread": ("kde", "var", 0.05, {}, _constant, DataError),
+        "empirical_empty_tail": ("empirical", "es", 0.05, {}, _constant, EmptyTailError),
+        "non_finite_capital": (  # sd ~ 1.7e308, so sd * 1.645 overflows
+            "gaussian", "var", 0.05, {},
+            lambda row: np.resize([-1.7e308, 1.7e308], 50), DataError,
+        ),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_fault_names_its_row(self, case):
+        method, measure, alpha, options, plant, error = self.CASES[case]
+        batch = batch_var_capitals if measure == "var" else batch_es_capitals
+        rows = self.ROWS.copy()
+        assert np.all(np.isfinite(batch(method, window_stats(rows), alpha, **options)))
+        rows[2] = plant(rows[2])
+        with pytest.raises(error) as raised, np.errstate(over="ignore"):
+            batch(method, window_stats(rows), alpha, **options)
+        assert str(raised.value).startswith("window 2: "), str(raised.value)
 
 
 class TestMethodTags:
