@@ -164,13 +164,15 @@ class _SortedWindows(typing.NamedTuple):
 
 
 def _sort_windows(windows) -> _SortedWindows:
-    y = np.sort(windows, axis=-1)
-    r = y[..., y.shape[-1] // 2]
-    prefix = np.empty(y.shape[:-1] + (y.shape[-1] + 1,))
+    w = windows.shape[-1]
+    y = windows if w == 1 else np.sort(windows, axis=-1)  # a one-point window is its own sort
+    r = y[..., w // 2]
+    prefix = np.empty(y.shape[:-1] + (w + 1,))
     prefix[..., 0] = 0.0
     sums = prefix[..., 1:]  # in place: a full-size temporary nearly doubles this function's time
     np.subtract(y, r[..., None], out=sums)
-    np.cumsum(sums, axis=-1, out=sums)
+    if w > 1:  # one point's sums are already P = [0, y - r]
+        np.cumsum(sums, axis=-1, out=sums)
     start = np.arange(0, prefix.size, prefix.shape[-1]).reshape(r.shape)
     return _SortedWindows(y, r, prefix, start)
 
@@ -623,12 +625,12 @@ def replication_study(
         | {"failed": np.zeros(replications, dtype=bool)}
         for m in config.methods
     }
+    block = np.empty((min(chunk, replications), series_length))  # each chunk's series, in place
     for start in range(0, replications, chunk):
         stop = min(start + chunk, replications)
-        series = np.stack([
-            draw_gaussian(SeededRng(int(seed), stream_id=i), series_length, generator.mu, generator.sigma)
-            for i in range(start, stop)
-        ])
+        series = block[: stop - start]
+        for i, row in enumerate(series, start):
+            draw_gaussian(SeededRng(int(seed), i), series_length, generator.mu, generator.sigma, row)
         tiled = series[:, : windows * w].reshape(stop - start, windows, w)
         for method, _, _, _, stats in _backtest_groups(tiled[:, :-1], tiled[:, 1:], config, table):
             for key, values in merged[method].items():

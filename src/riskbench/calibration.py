@@ -12,7 +12,9 @@ does not hold returns the exact constant without storing it.
 :func:`solve_unbiased_es_constant` solves the same condition by bisection on
 one fixed Monte Carlo sample (common random numbers), which makes the
 objective monotone and the result bit-reproducible. It serves as an
-independent cross-check of the quadrature.
+independent cross-check of the quadrature. Its later steps read only the rows
+that can still be in the tail, and the full sample wherever rounding could
+change a decision, so every output bit is that of the plain bisection.
 
 The Monte Carlo checks test the defining properties: unbiased VaR is exceeded
 with probability alpha (:func:`pivotality_check`), and the secured position of
@@ -134,6 +136,12 @@ class CalibrationTable:
         return cls.load(path) if os.path.exists(path) else cls()
 
 
+def _tail_count(alpha, m: int) -> int:
+    """ceil(alpha * m) clamped to [1, m]: how many of m values an ES averages."""
+    # the 1e-9 guards against alpha * m landing an ulp above an integer
+    return min(max(int(math.ceil(alpha * m - 1e-9)), 1), m)
+
+
 def empirical_es(values, alpha) -> float:
     """Negative mean of the ceil(alpha * m) smallest values.
 
@@ -144,13 +152,23 @@ def empirical_es(values, alpha) -> float:
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         raise SizeError("empirical_es needs a non-empty sample")
-    alpha = RiskLevel(alpha)
-    # guard against p*m landing an ulp above an integer
-    tail = int(math.ceil(alpha * arr.size - 1e-9))
-    tail = min(max(tail, 1), arr.size)
+    tail = _tail_count(RiskLevel(alpha), arr.size)
     if tail == arr.size:
         return -float(arr.mean())
     return -float(np.partition(arr, tail - 1)[:tail].mean())
+
+
+def _undecided(g: float, head: np.ndarray) -> bool:
+    """Whether g on the candidate rows may differ from the full sample's g in a decision.
+
+    Both are -fl(S/t) with S the sum of the same t values ``head`` in two orders.
+    Any order errs by at most gamma_{t-1} * sum|x|, gamma_k = k*u/(1 - k*u) with
+    u = eps/2 (Higham, Accuracy and Stability of Numerical Algorithms, 4.2), and
+    each division adds u*|g|, so the two g differ by about eps * (sum|x| + |g|)
+    at most. The band is twice that, to cover the rounding of sum|x| itself.
+    """
+    band = 2.0 * np.finfo(float).eps * (float(np.abs(head).sum()) + abs(g))
+    return abs(g) <= band or abs(abs(g) - _TOLERANCE) <= band
 
 
 def solve_unbiased_es_constant(
@@ -165,6 +183,14 @@ def solve_unbiased_es_constant(
     g(b) = empirical_es(z + b*v) is then monotone non-increasing in b, so the
     bisection terminates deterministically. Stops when the bracket is below
     1e-8 or |g| falls below 1e-4, whichever comes first.
+
+    V_n > 0, so each z + b*v, rounded, is non-decreasing in b, and so is q(b),
+    the tail-th smallest of them: within the bracket [lo, hi] a row can be in
+    the tail only if z + lo*v <= q(hi). Once at most a quarter of the rows pass,
+    each later step reads g on those rows alone, the same tail summed in another
+    order. Where that g lies in the rounding band of a decision (the sign of g,
+    and |g| <= 1e-4: :func:`_undecided`), the step re-reads the full sample, as
+    does the returned residual, so every output bit is the plain bisection's.
     """
     n = int(n)
     if n < 2:
@@ -175,17 +201,29 @@ def solve_unbiased_es_constant(
     alpha = RiskLevel(alpha)
 
     z, v = draw_pivotal_pairs(SeededRng(int(seed)), n, mc_samples)
+    tail = _tail_count(alpha, mc_samples)
+    buf = np.empty(mc_samples)  # one buffer for every evaluation: no fresh pages per step
 
-    def g(b: float) -> float:
-        return empirical_es(z + b * v, alpha)
+    def at(b, rows):  # z + b*v over ``rows``, in ``buf``: the operations of ``z + b * v``
+        out = buf[: rows[0].size]
+        return np.add(rows[0], np.multiply(rows[1], b, out=out), out=out)
 
-    if g(0.0) <= 0.0:
+    def g(b, rows=(z, v)):
+        """empirical_es(z + b*v) over ``rows``, the tail it averages, and q(b) (inf: keep all)."""
+        values = at(b, rows)
+        if tail == values.size:
+            return -float(values.mean()), values, math.inf
+        values.partition(tail - 1)  # the introselect of np.partition, in place
+        return -float(values[:tail].mean()), values[:tail], float(values[tail - 1])
+
+    if g(0.0)[0] <= 0.0:
         raise CalibrationFailureError(
             "empirical ES at b = 0 is already non-positive; no positive root exists"
         )
     hi = 1.0
     for _ in range(_MAX_DOUBLINGS):
-        if g(hi) < 0.0:
+        g_hi, _, q_hi = g(hi)
+        if g_hi < 0.0:
             break
         hi *= 2.0
     else:
@@ -194,18 +232,24 @@ def solve_unbiased_es_constant(
         )
 
     lo = 0.0
-    b = 0.5 * hi
-    residual = abs(g(b))
+    rows = (z, v)  # every row that can be among the tail smallest for b in [lo, hi]
     while hi - lo > _BISECTION_WIDTH:
         b = 0.5 * (lo + hi)
-        gb = g(b)
-        residual = abs(gb)
-        if residual <= _TOLERANCE:
+        gb, head, q = g(b, rows)
+        if rows[0] is not z and _undecided(gb, head):
+            gb = g(b)[0]
+        if abs(gb) <= _TOLERANCE:
             break
         if gb < 0.0:
-            hi = b
+            hi, q_hi = b, q
         else:
             lo = b
+        if 4 * tail <= mc_samples:  # else the candidates never shrink to a quarter
+            keep = at(lo, rows) <= q_hi
+            if 4 * np.count_nonzero(keep) <= mc_samples:
+                index = np.flatnonzero(keep)  # take: about twice as fast as a boolean mask here
+                rows = (rows[0].take(index), rows[1].take(index))
+    residual = abs(g(b)[0])
 
     a_n = -b * math.sqrt((n - 1) * (n + 1) / n)
     return CalibrationEntry(

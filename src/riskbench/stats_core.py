@@ -90,15 +90,20 @@ def _type7_sorted_rows(sorted_rows: np.ndarray, p: float) -> np.ndarray:
     return lo + g * (sorted_rows[..., j] - lo)
 
 
-def draw_gaussian(rng: SeededRng, count: int, mu: float, sigma: float) -> np.ndarray:
-    """``count`` i.i.d. N(mu, sigma^2) draws; deterministic given ``rng``."""
+def draw_gaussian(rng: SeededRng, count: int, mu: float, sigma: float, out=None) -> np.ndarray:
+    """``count`` i.i.d. N(mu, sigma^2) draws, into ``out`` if given; deterministic given ``rng``.
+
+    Standard normals times sigma plus mu: ``gen.normal(mu, sigma, count)`` bit for bit.
+    """
     if int(count) < 1:
         raise DomainError(f"count must be positive, got {count!r}")
     sigma = float(sigma)
     if not (math.isfinite(sigma) and sigma >= 0.0):
         raise DomainError(f"sigma must be >= 0, got {sigma!r}")
-    gen = rng.generator()
-    return gen.normal(float(mu), sigma, int(count))
+    out = rng.generator().standard_normal(int(count), out=out)
+    out *= sigma
+    out += float(mu)
+    return out
 
 
 def draw_pivotal_pairs(rng: SeededRng, n: int, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -114,5 +119,5 @@ def draw_pivotal_pairs(rng: SeededRng, n: int, count: int) -> tuple[np.ndarray, 
         raise DomainError(f"count must be positive, got {count!r}")
     gen = rng.generator()
     z = gen.standard_normal(int(count))
-    v = np.sqrt(gen.chisquare(n - 1, int(count)))
-    return z, v
+    v = gen.chisquare(n - 1, int(count))
+    return z, np.sqrt(v, out=v)  # in place: one sample-sized temporary fewer

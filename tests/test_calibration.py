@@ -24,7 +24,8 @@ from riskbench import (
     secured_position_es,
     solve_unbiased_es_constant,
 )
-from riskbench.calibration import _CHUNK_TRIALS, _secured_chunks
+from riskbench import calibration
+from riskbench.calibration import _CHUNK_TRIALS, _TOLERANCE, _secured_chunks, _tail_count
 from riskbench.estimators import _log_chi_rule, _pivot_es
 
 PLUGIN_ES_CONST_10 = 1.7549833193248680  # phi(Phi^{-1}(0.10)) / 0.10
@@ -88,6 +89,43 @@ def plugin_secured_es(n, alpha):
     z = float(ndtri(alpha))
     c = math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi) / alpha
     return pivot_secured_es(n, alpha, c / math.sqrt((n - 1) * (n + 1) / n))
+
+
+def plain_bisection(n, alpha, mc_samples, seed, draw=draw_pivotal_pairs):
+    """The solver's bisection with every g read on the full sample: its bit-for-bit reference."""
+    z, v = draw(SeededRng(seed), n, mc_samples)
+
+    def g(b):
+        return empirical_es(z + b * v, alpha)
+
+    if g(0.0) <= 0.0:
+        raise CalibrationFailureError("no positive root")
+    hi = 1.0
+    for _ in range(60):
+        if g(hi) < 0.0:
+            break
+        hi *= 2.0
+    else:
+        raise CalibrationFailureError("no bracket")
+    lo = 0.0
+    while hi - lo > 1e-8:
+        b = 0.5 * (lo + hi)
+        gb = g(b)
+        residual = abs(gb)
+        if residual <= 1e-4:
+            break
+        if gb < 0.0:
+            hi = b
+        else:
+            lo = b
+    a_n = -b * math.sqrt((n - 1) * (n + 1) / n)
+    return CalibrationEntry(n=n, alpha=float(alpha), b_n=b, a_n=a_n, mc_samples=mc_samples,
+                            seed=seed, residual=residual)
+
+
+def entry_bits(entry):
+    return entry.n, entry.alpha, entry.b_n.hex(), entry.a_n.hex(), entry.mc_samples, entry.seed, \
+        entry.residual.hex(), entry.source
 
 
 class TestEmpiricalEs:
@@ -155,6 +193,80 @@ class TestSolver:
             solve_unbiased_es_constant(50, 0.10, 50_000, seed=0)
         with pytest.raises(SizeError):
             solve_unbiased_es_constant(1, 0.10, 200_000, seed=0)
+
+
+class TestSolverBits:
+    """The candidate-set solver returns the plain full-sample bisection's entry, bit for bit."""
+
+    # (n, alpha, samples, seed) -> float.hex of b_n, a_n and residual, from the plain bisection
+    PINS = [
+        ((50, 0.05, 1_000_000, 0), "0x1.36d8000000000p-2", "-0x1.12b1d7ca9bf5bp+1",
+         "0x1.5419257b736cep-14"),
+        ((2, 0.05, 1_000_000, 0), "0x1.e4e0000000000p+3", "-0x1.28ec90d19655cp+4",
+         "0x1.783184da894c4p-14"),
+        ((5, 0.01, 1_000_000, 0), "0x1.3c60000000000p+1", "-0x1.5a924a6eea0aep+2",
+         "0x1.b904dc6e353f8p-19"),
+        ((10_000, 0.10, 400_000, 0), "0x1.2020000000000p-6", "-0x1.c231ffda3c212p+0",
+         "0x1.e8df868318fc5p-17"),
+        ((50, 0.999999, 1_000_000, 3), "0x1.4000000000000p-12", "-0x1.1ac9405ba18ebp-9",
+         "0x1.a1f37eacc6f23p-15"),
+        # tail == m: the ES is the mean of every draw, and seed 0's sample mean of Z is negative
+        ((50, 0.999999, 100_000, 0), "0x1.c000000000000p-12", "-0x1.8be68d4d15616p-9",
+         "0x1.0769f736c154dp-20"),
+    ]
+
+    @pytest.mark.parametrize("case, b_n, a_n, residual", PINS)
+    def test_pinned_bits(self, case, b_n, a_n, residual):
+        n, alpha, samples, seed = case
+        e = solve_unbiased_es_constant(n, alpha, samples, seed=seed)
+        assert (e.b_n.hex(), e.a_n.hex(), e.residual.hex()) == (b_n, a_n, residual)
+
+    def test_tail_count(self):
+        assert _tail_count(0.999999, 100_000) == 100_000
+        assert _tail_count(0.05, 100) == 5 and _tail_count(1e-9, 100) == 1
+
+    def test_equals_plain_bisection_on_random_cases(self):
+        rng = np.random.default_rng(1603)
+        for seed in range(20):
+            n = int(round(math.exp(rng.uniform(math.log(2), math.log(10_000)))))
+            alpha = float(math.exp(rng.uniform(math.log(0.002), math.log(0.6))))
+            try:
+                expected = entry_bits(plain_bisection(n, alpha, 200_000, seed))
+            except CalibrationFailureError:
+                with pytest.raises(CalibrationFailureError):
+                    solve_unbiased_es_constant(n, alpha, 200_000, seed=seed)
+                continue
+            entry = solve_unbiased_es_constant(n, alpha, 200_000, seed=seed)
+            assert entry_bits(entry) == expected, (n, alpha, seed)
+
+    @pytest.mark.parametrize("target", [0.0, _TOLERANCE, -_TOLERANCE])
+    def test_guard_band_reads_the_full_sample(self, monkeypatch, target):
+        # Shift Z so that g at b_t, the dyadic k/256 nearest the root, is target up to
+        # rounding. Every earlier midpoint is >= 1/256 from b_t, where |g| ~ 7/256 >> 1e-4,
+        # so the bisection reaches b_t on the eighth step, by then on the candidate rows.
+        n, alpha, samples = 50, 0.05, 200_000
+        z, v = draw_pivotal_pairs(SeededRng(21), n, samples)
+        b_t = round(plain_bisection(n, alpha, samples, 21).b_n * 256) / 256
+        z = z + (empirical_es(z + b_t * v, alpha) - target)
+        assert abs(empirical_es(z + b_t * v, alpha) - target) < 1e-12
+
+        def draw(rng, n, count):
+            return z.copy(), v.copy()
+
+        calls = []
+        undecided = calibration._undecided
+
+        def spy(g, head):
+            calls.append(undecided(g, head))
+            return calls[-1]
+
+        monkeypatch.setattr(calibration, "draw_pivotal_pairs", draw)
+        monkeypatch.setattr(calibration, "_undecided", spy)
+        entry = solve_unbiased_es_constant(n, alpha, samples, seed=21)
+        assert any(calls)  # a candidate-row g fell in the band, so that step read the full sample
+        assert entry_bits(entry) == entry_bits(plain_bisection(n, alpha, samples, 21, draw))
+        if target == 0.0:
+            assert entry.b_n == b_t
 
 
 class TestExactSolver:

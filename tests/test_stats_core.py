@@ -283,6 +283,20 @@ class TestDrawGaussian:
         out = draw_gaussian(SeededRng(99), 1_000_000, 0.0, 1.0)
         assert abs(out.mean()) <= 0.005  # 3 MC standard errors
 
+    @pytest.mark.parametrize("mu, sigma", [(0.0, 1.0), (-0.15, 8e-16), (3.7, 0.0), (-2e300, 1e-300),
+                                           (1.5, 1e150)])
+    def test_generator_normal_bit_for_bit(self, mu, sigma):
+        expected = SeededRng(12, 4).generator().normal(mu, sigma, 1000)
+        assert draw_gaussian(SeededRng(12, 4), 1000, mu, sigma).tobytes() == expected.tobytes()
+        block = np.zeros((3, 1000))
+        row = draw_gaussian(SeededRng(12, 4), 1000, mu, sigma, block[1])
+        assert row.base is block and block[1].tobytes() == expected.tobytes()
+        assert not block[0].any() and not block[2].any()
+
+    def test_out_of_another_size_rejected(self):
+        with pytest.raises(ValueError):
+            draw_gaussian(SeededRng(1), 5, 0.0, 1.0, np.empty(4))
+
 
 class TestPivotalPairs:
     def test_chi_square_mean(self):
