@@ -6,19 +6,20 @@ than guessing; silent unit errors would corrupt every capital figure.
 
 numpy's C reader (``np.loadtxt``) is the one reader of accepted CSV files; the
 ``csv`` module finds the header and reads a file again only to explain a
-rejection by the file lines of its bad rows. Every file the package writes goes
-through :func:`write_text`, which turns an ``OSError`` into :class:`OutputError`.
+rejection by the file lines of its bad rows. Dates become calendar days
+(``datetime64[D]``) by integer arithmetic on their characters; a date that names
+no calendar day is such a rejection. Every file the package writes goes through
+:func:`write_text`, which turns an ``OSError`` into :class:`OutputError`.
 """
 from __future__ import annotations
 
 import csv
 import io
 import math
-import operator
 import re
 import warnings
 from dataclasses import dataclass
-from itertools import compress, count, islice, repeat
+from itertools import repeat
 
 import numpy as np
 
@@ -33,20 +34,64 @@ _SENTINELS = (-99.99, -999.0)
 _BLANK_LINE = re.compile(r'^(?:"[^\S\n]*")?[^\S\n]*(?:,(?:"[^\S\n]*")?[^\S\n]*)*$', re.M)
 # the report method that renders each output format
 REPORT_FORMATS = {"json": "to_json", "csv": "to_csv", "csv-long": "to_csv_long"}
+# days in each month of a common year by its two-digit number; no month is numbered 0 or 13-99
+_MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31] + [0] * 87, np.uint8)
+# YYYYMMDD and YYYY-MM-DD as _calendar_days sees a cell: 16 characters less "0" (mod 256),
+# each digit written 9, read as two 8-byte words
+_DATE_FORMS = (np.array([b"99999999", b"9999-99-99"], "S16").view(np.uint8) - np.uint8(ord("0")))
+_DATE_FORMS = _DATE_FORMS.view("<u8").reshape(2, 2)
 
 
-def _first_unordered_date(dates) -> int | None:
-    """Position of the first date not strictly after its predecessor, or None."""
-    return next(compress(count(1), map(operator.le, islice(dates, 1, None), dates)), None)
+def _calendar_days(cells) -> np.ndarray | None:
+    """``U16`` cells as calendar days, NaT where one names no day; None unless each is a date.
+
+    A date is YYYYMMDD or YYYY-MM-DD after stripping, in a cell short of 16
+    characters (a full one may have been cut). Its digits make four two-digit
+    numbers, century, year, month and day, read without a string per cell.
+    """
+    codes = np.char.strip(cells).view(np.uint32).reshape(cells.size, 16)
+    if (np.char.str_len(cells) == 16).any() or codes.max(initial=0) > 127:  # cut, or not ASCII
+        return None
+    digits = codes.astype(np.uint8)
+    digits -= ord("0")  # a digit's value; any other character is 10 or more (mod 256)
+    words = np.maximum(digits, 9).view("<u8")
+    compact, iso = ((words[:, 0] == f0) & (words[:, 1] == f1) for f0, f1 in _DATE_FORMS)
+    if not (compact | iso).all():
+        return None
+    pairs = digits[digits < 10].reshape(-1, 4, 2)
+    cc, yy, mm, dd = (pairs[:, :, 0] * 10 + pairs[:, :, 1]).T
+    leap = (yy % 4 == 0) & ((yy != 0) | (cc % 4 == 0))  # 4 divides the year, 400 if it ends 00
+    months = np.datetime64("0000-01") + ((cc * np.int32(100) + yy) * 12 + mm - 1)
+    days = months.astype("datetime64[D]")
+    days += dd - 1  # in place: a fresh array of 8-byte days page-faults
+    days[(dd < 1) | (dd > _MONTH_DAYS[mm] + (leap & (mm == 2)))] = np.datetime64("NaT")
+    return days
+
+
+def _as_days(dates) -> np.ndarray | None:
+    """``dates`` as calendar days if they are datetime64 values or date strings, else None."""
+    raw = np.asarray(dates)
+    if raw.ndim != 1:
+        return None
+    if raw.dtype.kind == "M" or not raw.size:
+        return raw.astype("datetime64[D]", copy=False)
+    # a longer string becomes a full 16-character cell, which counts as cut
+    return _calendar_days(raw.astype("U16")) if raw.dtype.kind == "U" else None
+
+
+def _first_unordered_date(days) -> int | None:
+    """Position of the first day not strictly after its predecessor, or None."""
+    late = np.flatnonzero(days[1:] <= days[:-1])
+    return int(late[0]) + 1 if late.size else None
 
 
 @dataclass(frozen=True, eq=False)
 class ReturnSeries:
-    """Named sequence of returns with optional strictly increasing ISO dates."""
+    """Named sequence of returns with optional strictly increasing ``datetime64[D]`` days."""
 
     name: str
     values: np.ndarray
-    dates: tuple | None = None
+    dates: np.ndarray | None = None
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -54,11 +99,16 @@ class ReturnSeries:
             raise DataError(f"series {self.name!r}: values must be one-dimensional")
         object.__setattr__(self, "values", as_sample(values, 0, f"series {self.name!r}"))
         if self.dates is not None:
-            dates = tuple(self.dates)
-            object.__setattr__(self, "dates", dates)
-            if len(dates) != values.size:
+            dates = _as_days(self.dates)
+            if dates is None or np.isnat(dates).any():
                 raise DataError(
-                    f"series {self.name!r}: {len(dates)} dates for {values.size} values"
+                    f"series {self.name!r}: dates must be one-dimensional datetime64 values "
+                    "or YYYYMMDD / YYYY-MM-DD calendar dates"
+                )
+            object.__setattr__(self, "dates", dates)
+            if dates.size != values.size:
+                raise DataError(
+                    f"series {self.name!r}: {dates.size} dates for {values.size} values"
                 )
             if (i := _first_unordered_date(dates)) is not None:
                 raise DataError(
@@ -81,22 +131,6 @@ class SimulationSpec:
     def __post_init__(self):
         if int(self.length) < 1:
             raise DomainError(f"length must be at least 1, got {self.length!r}")
-
-
-def _iso_dates(cells) -> tuple | None:
-    """The cells as ISO dates if each is YYYYMMDD or YYYY-MM-DD by digit shape, else None."""
-    cut = np.char.str_len(cells) == cells.itemsize // 4  # a full-width cell may have been cut
-    cells = np.char.strip(cells)
-    size = np.char.str_len(cells)
-    codes = cells.view(np.uint32).reshape(cells.size, -1)
-    at = [0, 1, 2, 3, 5, 6, 8, 9]  # where YYYY-MM-DD holds its digits
-    digit = (codes >= ord("0")) & (codes <= ord("9"))
-    iso = (size == 10) & digit[:, at].all(1) & (codes[:, [4, 7]] == ord("-")).all(1)
-    if not (~cut & (iso | (size == 8) & digit[:, :8].all(1))).all():
-        return None
-    out = np.full((cells.size, 10), ord("-"), np.uint32)
-    out[:, at] = np.where(iso[:, None], codes[:, at], codes[:, :8])
-    return tuple(out.view("U10").ravel().tolist())
 
 
 def _itemise(fh, rows, limit: int = 20) -> str:
@@ -162,12 +196,12 @@ def _load(fh, path, column: str, scale: str) -> ReturnSeries:
     sentinel = np.logical_or.reduce([np.abs(values - s) < 1e-9 for s in _SENTINELS])
     if sentinel.any():
         raise IngestionError(f"{path}: missing-value sentinels on rows {_itemise(fh, sentinel)}")
-    dates = _iso_dates(cells["d"]) if col else None
-    try:  # the series checks the date order, once
-        return ReturnSeries(column, values / (100.0 if scale == "percent" else 1.0), dates)
-    except DataError:
-        at = _itemise(fh, [_first_unordered_date(dates)])
-        raise IngestionError(f"{path}: dates not strictly increasing on row {at}") from None
+    dates = _calendar_days(cells["d"]) if col else None
+    if dates is not None and (bad := np.isnat(dates)).any():
+        raise IngestionError(f"{path}: invalid calendar dates on rows {_itemise(fh, bad)}")
+    if dates is not None and (late := _first_unordered_date(dates)) is not None:
+        raise IngestionError(f"{path}: dates not strictly increasing on row {_itemise(fh, [late])}")
+    return ReturnSeries(column, values / (100.0 if scale == "percent" else 1.0), dates)
 
 
 def load_returns_csv(path, column: str, scale: str) -> ReturnSeries:
@@ -175,11 +209,14 @@ def load_returns_csv(path, column: str, scale: str) -> ReturnSeries:
 
     A cell holds ASCII digits with optional sign, point and exponent, or nan or
     inf, in optional whitespace or double quotes (``1_000`` is no number, and
-    ``#`` starts no comment). Column 0 is read as dates when every data row is
-    YYYYMMDD or ISO. Percent scale divides by 100; blank rows are skipped.
-    Missing, unparseable or non-finite cells, then missing-value sentinels
-    (-99.99, -999), then unordered dates abort ingestion; a csv-module pass that
-    only explains the rejection itemises their file lines. Nothing is imputed.
+    ``#`` starts no comment). Column 0 becomes the series' calendar days (a
+    ``datetime64[D]`` array) when every data row's cell there is YYYYMMDD or
+    YYYY-MM-DD. Percent scale divides by 100; blank rows are skipped. Missing,
+    unparseable or non-finite cells, then missing-value sentinels (-99.99,
+    -999), then dates that are no calendar day (month 00 or 13, 30 February,
+    29 February of 1900), then unordered dates abort ingestion; a csv-module
+    pass that only explains the rejection itemises their file lines. Nothing is
+    imputed.
     """
     if scale not in SCALES:
         raise DomainError(f"scale must be one of {SCALES}, got {scale!r}")

@@ -227,13 +227,14 @@ def _shape_moments(ws: WindowStats):
     max_abs = ws.max_abs
     shift = _overflow_shift(max_abs, ws.n)
     windows = np.ldexp(ws.windows, -shift[:, None]) if shift.any() else ws.windows
-    centred = windows - np.ldexp(ws.means, -shift)[:, None]
-    m2 = np.mean(centred**2, axis=1)
+    zs = windows - np.ldexp(ws.means, -shift)[:, None]
+    z2 = np.square(zs)  # two (rows, n) buffers, reused in place: fresh ones page-fault
+    m2 = np.mean(z2, axis=1)
     positive = ~is_rounding_noise(np.sqrt(m2), np.ldexp(max_abs, -shift), ws.n)
-    zs = centred / np.sqrt(np.where(positive, m2, 1.0))[:, None]
-    z2 = zs * zs  # products: float pow is about 30 times slower on these arrays
-    skews = np.where(positive, np.mean(z2 * zs, axis=1), 0.0)
-    kurts = np.where(positive, np.mean(z2 * z2, axis=1) - 3.0, 0.0)
+    zs /= np.sqrt(np.where(positive, m2, 1.0))[:, None]
+    np.multiply(zs, zs, out=z2)  # products: float pow is about 30 times slower on these arrays
+    skews = np.where(positive, np.mean(np.multiply(z2, zs, out=zs), axis=1), 0.0)
+    kurts = np.where(positive, np.mean(np.multiply(z2, z2, out=z2), axis=1) - 3.0, 0.0)
     return skews, kurts
 
 

@@ -25,6 +25,11 @@ from riskbench import (
 )
 
 
+def _assert_days(dates, *iso):
+    assert dates.dtype == np.dtype("datetime64[D]")
+    np.testing.assert_array_equal(dates, np.array(iso, "datetime64[D]"))
+
+
 def _write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
@@ -38,12 +43,12 @@ class TestLoadReturnsCsv:
         )
         series = load_returns_csv(path, "A", "percent")
         np.testing.assert_allclose(series.values, [0.01, -0.005, 0.0025])
-        assert series.dates == ("2005-01-27", "2005-01-28", "2005-01-31")
+        _assert_days(series.dates, "2005-01-27", "2005-01-28", "2005-01-31")
         assert series.name == "A"
 
     def test_iso_dates(self, tmp_path):
         path = _write(tmp_path, "a.csv", "date,A\n2005-01-27,1.0\n2005-01-28,2.0\n")
-        assert load_returns_csv(path, "A", "decimal").dates == ("2005-01-27", "2005-01-28")
+        _assert_days(load_returns_csv(path, "A", "decimal").dates, "2005-01-27", "2005-01-28")
 
     def test_decimal_scale_identity(self, tmp_path):
         path = _write(tmp_path, "a.csv", "date,A\n20050127,1.0\n20050128,-0.5\n")
@@ -121,13 +126,13 @@ class TestLoadReturnsCsv:
         path = _write(tmp_path, "a.csv", "date,A\n20200101,1\n,,\n  \n20200102,2\n")
         series = load_returns_csv(path, "A", "decimal")
         np.testing.assert_array_equal(series.values, [1.0, 2.0])
-        assert series.dates == ("2020-01-01", "2020-01-02")
+        _assert_days(series.dates, "2020-01-01", "2020-01-02")
 
     def test_quoted_empty_cells_row_skipped(self, tmp_path):
         path = _write(tmp_path, "a.csv", 'date,A\n20200101,1\n"",""\n" "\n20200102,2\n')
         series = load_returns_csv(path, "A", "decimal")
         np.testing.assert_array_equal(series.values, [1.0, 2.0])
-        assert series.dates == ("2020-01-01", "2020-01-02")
+        _assert_days(series.dates, "2020-01-01", "2020-01-02")
 
     def test_quotes_after_a_space_are_not_a_blank_row(self, tmp_path):
         path = _write(tmp_path, "a.csv", 'date,A\n20200101,1\n ""\n20200102,2\n')
@@ -136,8 +141,8 @@ class TestLoadReturnsCsv:
 
     def test_mixed_date_forms_recognised(self, tmp_path):
         path = _write(tmp_path, "a.csv", "date,A\n20200101,1\n2020-01-02,2\n 20200103 ,3\n")
-        assert load_returns_csv(path, "A", "decimal").dates == (
-            "2020-01-01", "2020-01-02", "2020-01-03"
+        _assert_days(
+            load_returns_csv(path, "A", "decimal").dates, "2020-01-01", "2020-01-02", "2020-01-03"
         )
 
     def test_half_iso_date_is_not_a_date(self, tmp_path):
@@ -192,7 +197,7 @@ class TestLoadReturnsCsv:
         path = _write(tmp_path, "a.csv", 'date,A\n20200101,"2.5"\n"20200102",-1\n')
         series = load_returns_csv(path, "A", "decimal")
         np.testing.assert_array_equal(series.values, [2.5, -1.0])
-        assert series.dates == ("2020-01-01", "2020-01-02")
+        _assert_days(series.dates, "2020-01-01", "2020-01-02")
 
     @pytest.mark.parametrize(
         "raw",
@@ -204,18 +209,39 @@ class TestLoadReturnsCsv:
         path.write_bytes(raw)
         series = load_returns_csv(path, "A", "decimal")
         np.testing.assert_array_equal(series.values, [1.5, -2.0])
-        assert series.dates == ("2020-01-01", "2020-01-02")
+        _assert_days(series.dates, "2020-01-01", "2020-01-02")
 
     def test_single_data_row(self, tmp_path):
         path = _write(tmp_path, "a.csv", "date,A,B\n20200101,1.5,2\n")
         series = load_returns_csv(path, "B", "percent")
         np.testing.assert_array_equal(series.values, [0.02])
-        assert series.dates == ("2020-01-01",)
+        _assert_days(series.dates, "2020-01-01")
         assert load_returns_csv(path, "date", "decimal").values.shape == (1,)
 
-    def test_dates_are_digit_shape_not_calendar(self, tmp_path):
-        path = _write(tmp_path, "a.csv", "date,A\n20201340,1\n2020-14-01,2\n")
-        assert load_returns_csv(path, "A", "decimal").dates == ("2020-13-40", "2020-14-01")
+    @pytest.mark.parametrize("day", ["20200229", "20000229"])
+    @pytest.mark.parametrize("iso", [False, True], ids=["compact", "iso"])
+    def test_leap_days_load(self, tmp_path, day, iso):
+        cell = f"{day[:4]}-{day[4:6]}-{day[6:]}" if iso else day
+        y = day[:4]
+        path = _write(tmp_path, "a.csv", f"date,A\n{y}0228,1\n{cell},2\n{y}0301,3\n")
+        days = load_returns_csv(path, "A", "decimal").dates
+        _assert_days(days, f"{y}-02-28", f"{y}-02-29", f"{y}-03-01")
+
+    @pytest.mark.parametrize(
+        "day", ["20210229", "19000229", "20200001", "20201301", "20200100", "20200132", "20201340"]
+    )
+    @pytest.mark.parametrize("iso", [False, True], ids=["compact", "iso"])
+    def test_date_shaped_cell_that_is_no_calendar_day_itemised(self, tmp_path, day, iso):
+        cell = f"{day[:4]}-{day[4:6]}-{day[6:]}" if iso else day
+        path = _write(tmp_path, "a.csv", f"date,A\n20191231,1\n\n{cell},2\n20300101,3\n{cell},4\n")
+        with pytest.raises(IngestionError, match="invalid calendar dates on rows 4, 6$"):
+            load_returns_csv(path, "A", "decimal")
+
+    @pytest.mark.parametrize("second", ["2020-01-02", "20200101"], ids=["equal", "backward"])
+    def test_equal_or_backward_date_across_forms_named_by_file_line(self, tmp_path, second):
+        path = _write(tmp_path, "a.csv", f"date,A\n20200101,1\n20200102,2\n\n{second},3\n")
+        with pytest.raises(IngestionError, match="not strictly increasing on row 5$"):
+            load_returns_csv(path, "A", "decimal")
 
     def test_long_first_cell_is_not_a_date(self, tmp_path):
         # 17 characters: cut to a fixed width and stripped, it would read as 20200101
@@ -240,7 +266,7 @@ class TestLoadReturnsCsv:
             writer.join(timeout=10)
         assert not writer.is_alive()
         np.testing.assert_array_equal(series.values, [1.0, 2.0])
-        assert series.dates == ("2020-01-01", "2020-01-02")
+        _assert_days(series.dates, "2020-01-01", "2020-01-02")
 
     @pytest.mark.parametrize(
         "cell, message",
@@ -262,7 +288,27 @@ class TestReturnSeries:
     def test_dates_must_increase_strictly(self):
         with pytest.raises(DataError, match="at position 2"):
             ReturnSeries("x", [1.0, 2.0, 3.0], dates=("2020-01-01", "2020-01-02", "2020-01-02"))
-        assert ReturnSeries("x", [1.0], dates=("2020-01-01",)).dates == ("2020-01-01",)
+        _assert_days(ReturnSeries("x", [1.0], dates=("2020-01-01",)).dates, "2020-01-01")
+
+    @pytest.mark.parametrize(
+        "dates",
+        [("x",), ("2020-13-01",), ("2021-02-29",), ("2020",), ("NaT",), ("2020-01-01" + " " * 7,),
+         (20200101,), (None,), [["2020-01-01"]]],
+        ids=["text", "month-13", "feb-29-2021", "year-only", "nat", "17-characters", "integer",
+             "none", "2-d"],
+    )
+    def test_unreadable_dates_are_data_errors(self, dates):
+        with pytest.raises(DataError, match="dates must be"):
+            ReturnSeries("x", [1.0], dates=dates)
+
+    def test_datetime64_and_string_dates_give_calendar_days(self):
+        stamps = np.array(["2020-01-01T23:59", "2020-01-02T00:00"], "datetime64[m]")
+        _assert_days(ReturnSeries("x", [1.0, 2.0], dates=stamps).dates, "2020-01-01", "2020-01-02")
+        days = ReturnSeries("x", [1.0, 2.0], dates=["20200229", " 2020-03-01 "]).dates
+        _assert_days(days, "2020-02-29", "2020-03-01")
+        days = ReturnSeries("x", [1.0, 2.0], dates=stamps.astype("datetime64[D]").astype(str)).dates
+        _assert_days(days, "2020-01-01", "2020-01-02")
+        _assert_days(ReturnSeries("x", [], dates=()).dates)
 
     def test_date_length_mismatch(self):
         with pytest.raises(DataError):
