@@ -6,16 +6,20 @@ than guessing; silent unit errors would corrupt every capital figure.
 
 numpy's C reader (``np.loadtxt``) is the one reader of accepted CSV files; the
 ``csv`` module finds the header and reads a file again only to explain a
-rejection by the file lines of its bad rows. Dates become calendar days
-(``datetime64[D]``) by integer arithmetic on their characters; a date that names
-no calendar day is such a rejection. Every file the package writes goes through
-:func:`write_text`, which turns an ``OSError`` into :class:`OutputError`.
+rejection by the file lines of its bad rows. The C reader opens a regular file
+by its path and reads it in blocks; a pipe is read into memory first, and it and
+a name numpy would decompress by its suffix reach the C reader line by line.
+Dates become calendar days (``datetime64[D]``) by integer arithmetic on a view
+of the date cells' character codes; a date that names no calendar day is such a
+rejection. Every file the package writes goes through :func:`write_text`, which
+turns an ``OSError`` into :class:`OutputError`.
 """
 from __future__ import annotations
 
 import csv
 import io
 import math
+import os
 import re
 import warnings
 from dataclasses import dataclass
@@ -30,6 +34,8 @@ from .stats_core import SeededRng, as_sample, draw_gaussian
 SCALES = ("decimal", "percent")
 # missing-value sentinels used by the public portfolio files
 _SENTINELS = (-99.99, -999.0)
+# suffixes numpy's DataSource opens with a decompressor, whatever the file holds
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 # a line the csv module reads as a blank row: commas between whitespace, quoted or not
 _BLANK_LINE = re.compile(r'^(?:"[^\S\n]*")?[^\S\n]*(?:,(?:"[^\S\n]*")?[^\S\n]*)*$', re.M)
 # the report method that renders each output format
@@ -42,15 +48,12 @@ _DATE_FORMS = (np.array([b"99999999", b"9999-99-99"], "S16").view(np.uint8) - np
 _DATE_FORMS = _DATE_FORMS.view("<u8").reshape(2, 2)
 
 
-def _calendar_days(cells) -> np.ndarray | None:
-    """``U16`` cells as calendar days, NaT where one names no day; None unless each is a date.
+def _date_digits(codes) -> np.ndarray | None:
+    """Digit values of ``(n, 16)`` character codes, the date's eight in columns 0-7.
 
-    A date is YYYYMMDD or YYYY-MM-DD after stripping, in a cell short of 16
-    characters (a full one may have been cut). Its digits make four two-digit
-    numbers, century, year, month and day, read without a string per cell.
+    None unless each row is an ASCII YYYYMMDD or YYYY-MM-DD and nothing more.
     """
-    codes = np.char.strip(cells).view(np.uint32).reshape(cells.size, 16)
-    if (np.char.str_len(cells) == 16).any() or codes.max(initial=0) > 127:  # cut, or not ASCII
+    if codes.max(initial=0) > 127:  # not ASCII
         return None
     digits = codes.astype(np.uint8)
     digits -= ord("0")  # a digit's value; any other character is 10 or more (mod 256)
@@ -58,8 +61,29 @@ def _calendar_days(cells) -> np.ndarray | None:
     compact, iso = ((words[:, 0] == f0) & (words[:, 1] == f1) for f0, f1 in _DATE_FORMS)
     if not (compact | iso).all():
         return None
-    pairs = digits[digits < 10].reshape(-1, 4, 2)
-    cc, yy, mm, dd = (pairs[:, :, 0] * 10 + pairs[:, :, 1]).T
+    digits[iso, 4:8] = digits[iso][:, [5, 6, 8, 9]]  # MMDD of YYYY-MM-DD where YYYYMMDD has it
+    return digits
+
+
+def _calendar_days(cells) -> np.ndarray | None:
+    """``U16`` cells as calendar days, NaT where one names no day; None unless each is a date.
+
+    A date is YYYYMMDD or YYYY-MM-DD after stripping, in a cell short of 16
+    characters (a full one may have been cut). Its digits make four two-digit
+    numbers, century, year, month and day, read without a string per cell from
+    a view of the cells' character codes (they may be a record array's field).
+    The cells are stripped, into a copy, only if they are not all dates as they
+    stand.
+    """
+    codes = cells[:, None].view(np.uint32)  # (n, 16), no copy
+    if codes[:, -1].any():  # a full cell, maybe cut
+        return None
+    digits = _date_digits(codes)
+    if digits is None:  # whitespace around some cell, or no date column
+        digits = _date_digits(np.char.strip(cells)[:, None].view(np.uint32))
+    if digits is None:
+        return None
+    cc, yy, mm, dd = (digits[:, 0:8:2] * 10 + digits[:, 1:8:2]).T
     leap = (yy % 4 == 0) & ((yy != 0) | (cc % 4 == 0))  # 4 divides the year, 400 if it ends 00
     months = np.datetime64("0000-01") + ((cc * np.int32(100) + yy) * 12 + mm - 1)
     days = months.astype("datetime64[D]")
@@ -151,30 +175,38 @@ def _cell_value(row: list, col: int) -> float:
         return math.nan
 
 
-def _read_cells(fh, skiprows: int, col: int):
-    """Column 0 as text and column ``col`` as floats, read on from ``fh`` by the C reader."""
-    source, skip = fh, 0
+def _read_cells(fh, name, skiprows: int, col: int):
+    """Column 0 as text and column ``col`` as floats below the header, by the C reader.
+
+    It opens the file ``name`` itself and skips ``skiprows`` lines; with no name it
+    reads on from ``fh``, which has read that far.
+    """
+    source, skip = (name, skiprows) if name else (fh, 0)
     for _ in range(2):
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)  # a body with no data rows
                 return np.loadtxt(source, delimiter=",", comments=None, quotechar='"', ndmin=1,
-                                  skiprows=skip, usecols=(0, col), dtype=[("d", "U16"), ("v", "f8")])
+                                  encoding="utf-8-sig", skiprows=skip, usecols=(0, col),
+                                  dtype=[("d", "U16"), ("v", "f8")])
         except ValueError:  # it rejects blank rows; emptied, they keep their line
             fh.seek(0)
             source, skip = io.StringIO(_BLANK_LINE.sub("", fh.read())), skiprows
     return None  # the csv module explains the rejection
 
 
-def _load(fh, path, column: str, scale: str) -> ReturnSeries:
-    """:func:`load_returns_csv` on the open file ``fh``, whose errors name ``path``."""
+def _load(fh, name, path, column: str, scale: str) -> ReturnSeries:
+    """:func:`load_returns_csv` on the open file ``fh``, whose errors name ``path``.
+
+    The C reader opens the file ``name`` itself if it is not None.
+    """
     reader = csv.reader(fh)
     header = next((row for row in reader if "".join(row).strip()), None)
     if header is None:
         raise IngestionError(f"{path}: file is empty")
     header = [cell.strip() for cell in header]
     col = header.index(column) if column in header else None
-    cells = None if col is None else _read_cells(fh, reader.line_num, col)
+    cells = None if col is None else _read_cells(fh, name, reader.line_num, col)
     if cells is not None:
         values = cells["v"]
     else:  # the csv module reads the file again, only to explain the rejection
@@ -193,8 +225,10 @@ def _load(fh, path, column: str, scale: str) -> ReturnSeries:
         )
     if cells is None:
         raise IngestionError(f"{path}: column {column!r} could not be read")
-    sentinel = np.logical_or.reduce([np.abs(values - s) < 1e-9 for s in _SENTINELS])
-    if sentinel.any():
+    # one comparison finds every row within 1e-9 of a sentinel: near one, subtraction is exact
+    low = np.flatnonzero(values < max(_SENTINELS) + 1e-6)
+    sentinel = low[np.logical_or.reduce([np.abs(values[low] - s) < 1e-9 for s in _SENTINELS])]
+    if sentinel.size:
         raise IngestionError(f"{path}: missing-value sentinels on rows {_itemise(fh, sentinel)}")
     dates = _calendar_days(cells["d"]) if col else None
     if dates is not None and (bad := np.isnat(dates)).any():
@@ -202,6 +236,18 @@ def _load(fh, path, column: str, scale: str) -> ReturnSeries:
     if dates is not None and (late := _first_unordered_date(dates)) is not None:
         raise IngestionError(f"{path}: dates not strictly increasing on row {_itemise(fh, [late])}")
     return ReturnSeries(column, values / (100.0 if scale == "percent" else 1.0), dates)
+
+
+def _plain_name(path) -> str | None:
+    """``path`` as a name numpy's C reader opens as the plain file it is, else None.
+
+    numpy opens a str through its DataSource, which decompresses by suffix and
+    fetches URLs; a file descriptor or bytes path it cannot open at all.
+    """
+    name = os.fspath(path) if isinstance(path, (str, os.PathLike)) else None
+    if isinstance(name, str) and not name.endswith(_COMPRESSED) and "://" not in name:
+        return name
+    return None
 
 
 def load_returns_csv(path, column: str, scale: str) -> ReturnSeries:
@@ -217,12 +263,19 @@ def load_returns_csv(path, column: str, scale: str) -> ReturnSeries:
     29 February of 1900), then unordered dates abort ingestion; a csv-module
     pass that only explains the rejection itemises their file lines. Nothing is
     imputed.
+
+    The C reader opens a regular file by its path and reads it in large blocks.
+    A pipe is read into memory first. It, and a name numpy would decompress by
+    its suffix (``.gz``, ``.bz2``, ``.xz``, ``.lzma``) or fetch as a URL, reach
+    the C reader as plain text, line by line.
     """
     if scale not in SCALES:
         raise DomainError(f"scale must be one of {SCALES}, got {scale!r}")
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
-            return _load(fh if fh.seekable() else io.StringIO(fh.read()), path, column, scale)
+            if fh.seekable():
+                return _load(fh, _plain_name(path), path, column, scale)
+            return _load(io.StringIO(fh.read()), None, path, column, scale)
     except (OSError, UnicodeDecodeError) as exc:
         raise IngestionError(f"cannot read {path}: {exc}") from exc
 

@@ -37,9 +37,11 @@ def _write(tmp_path, name, text):
 
 
 class TestLoadReturnsCsv:
-    def test_percent_scaling_and_dates(self, tmp_path):
+    # numpy's DataSource picks a decompressor by suffix; these files hold plain text
+    @pytest.mark.parametrize("name", ["a.csv", "a.csv.gz", "a.csv.bz2", "a.csv.xz", "a.csv.lzma"])
+    def test_percent_scaling_and_dates(self, tmp_path, name):
         path = _write(
-            tmp_path, "a.csv", "date,A\n20050127,1.0\n20050128,-0.5\n20050131,0.25\n"
+            tmp_path, name, "date,A\n20050127,1.0\n20050128,-0.5\n20050131,0.25\n"
         )
         series = load_returns_csv(path, "A", "percent")
         np.testing.assert_allclose(series.values, [0.01, -0.005, 0.0025])
@@ -149,6 +151,15 @@ class TestLoadReturnsCsv:
         path = _write(tmp_path, "a.csv", "date,A\n20200101,1\n2020-0102,2\n")
         assert load_returns_csv(path, "A", "decimal").dates is None
 
+    def test_non_ascii_digit_lookalike_is_not_a_date(self, tmp_path):
+        # U+0131 is "1" plus 256: read modulo 256, 2020010\u0131 would pass for 20200101
+        path = _write(tmp_path, "a.csv", "date,A\n2020010\u0131,1\n20200102,2\n")
+        assert load_returns_csv(path, "A", "decimal").dates is None
+
+    def test_date_in_non_ascii_whitespace_is_a_date(self, tmp_path):
+        path = _write(tmp_path, "a.csv", "date,A\n\u00a020200101,1\n20200102\u3000,2\n")
+        _assert_days(load_returns_csv(path, "A", "decimal").dates, "2020-01-01", "2020-01-02")
+
     def test_more_than_twenty_bad_rows_summarised(self, tmp_path):
         body = "".join(f"2020{1 + i // 28:02d}{1 + i % 28:02d},x\n" for i in range(30))
         path = _write(tmp_path, "a.csv", "date,A\n" + body)
@@ -255,16 +266,32 @@ class TestLoadReturnsCsv:
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs POSIX named pipes")
     def test_pipe_with_blank_line(self, tmp_path):
+        # padded and quoted cells take the strip branch of the date build on both reads
+        text = 'date,A\n20200101,1\n  \n2020-01-02,2\n 20200103 ,-0.5\n"20200104",0.25\n'
         fifo = tmp_path / "returns.fifo"
         os.mkfifo(fifo)
-        text = "date,A\n20200101,1\n  \n20200102,2\n"
         writer = threading.Thread(target=fifo.write_text, args=(text,), daemon=True)
         writer.start()
         try:
-            series = load_returns_csv(fifo, "A", "decimal")
+            piped = load_returns_csv(fifo, "A", "decimal")
         finally:
             writer.join(timeout=10)
         assert not writer.is_alive()
+        np.testing.assert_array_equal(piped.values, [1.0, 2.0, -0.5, 0.25])
+        _assert_days(piped.dates, "2020-01-01", "2020-01-02", "2020-01-03", "2020-01-04")
+        read = load_returns_csv(_write(tmp_path, "a.csv", text), "A", "decimal")
+        assert np.array_equal(read.values, piped.values)
+        assert np.array_equal(read.dates, piped.dates)
+
+    def test_url_like_name_read_as_local_file(self, tmp_path, monkeypatch):
+        def no_fetch(*args, **kwargs):
+            raise AssertionError("a local CSV was fetched as a URL")
+
+        monkeypatch.setattr("urllib.request.urlopen", no_fetch)
+        (tmp_path / "http:" / "host").mkdir(parents=True)
+        _write(tmp_path / "http:" / "host", "a.csv", "date,A\n20200101,1\n20200102,2\n")
+        monkeypatch.chdir(tmp_path)
+        series = load_returns_csv("http://host/a.csv", "A", "decimal")
         np.testing.assert_array_equal(series.values, [1.0, 2.0])
         _assert_days(series.dates, "2020-01-01", "2020-01-02")
 
