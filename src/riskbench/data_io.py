@@ -76,10 +76,8 @@ def _calendar_days(cells) -> np.ndarray | None:
     stand.
     """
     codes = cells[:, None].view(np.uint32)  # (n, 16), no copy
-    if codes[:, -1].any():  # a full cell, maybe cut
-        return None
-    digits = _date_digits(codes)
-    if digits is None:  # whitespace around some cell, or no date column
+    digits = _date_digits(codes)  # dates as they stand are short of 16 characters
+    if digits is None and not codes[:, -1].any():  # padding, or no dates; no cell cut
         digits = _date_digits(np.char.strip(cells)[:, None].view(np.uint32))
     if digits is None:
         return None
@@ -176,22 +174,22 @@ def _cell_value(row: list, col: int) -> float:
 
 
 def _read_cells(fh, name, skiprows: int, col: int):
-    """Column 0 as text and column ``col`` as floats below the header, by the C reader.
+    """Column 0 as text and column ``col`` as floats below line ``skiprows``, by the C reader.
 
-    It opens the file ``name`` itself and skips ``skiprows`` lines; with no name it
-    reads on from ``fh``, which has read that far.
+    It opens the file ``name`` itself if given one, and reads ``fh`` otherwise.
     """
-    source, skip = (name, skiprows) if name else (fh, 0)
+    fh.seek(0)
+    source = name or fh
     for _ in range(2):
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)  # a body with no data rows
                 return np.loadtxt(source, delimiter=",", comments=None, quotechar='"', ndmin=1,
-                                  encoding="utf-8-sig", skiprows=skip, usecols=(0, col),
+                                  encoding="utf-8-sig", skiprows=skiprows, usecols=(0, col),
                                   dtype=[("d", "U16"), ("v", "f8")])
         except ValueError:  # it rejects blank rows; emptied, they keep their line
             fh.seek(0)
-            source, skip = io.StringIO(_BLANK_LINE.sub("", fh.read())), skiprows
+            source = io.StringIO(_BLANK_LINE.sub("", fh.read()))
     return None  # the csv module explains the rejection
 
 

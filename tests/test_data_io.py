@@ -266,7 +266,7 @@ class TestLoadReturnsCsv:
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs POSIX named pipes")
     def test_pipe_with_blank_line(self, tmp_path):
-        # padded and quoted cells take the strip branch of the date build on both reads
+        # the padded cell sends both reads through the date build's strip branch
         text = 'date,A\n20200101,1\n  \n2020-01-02,2\n 20200103 ,-0.5\n"20200104",0.25\n'
         fifo = tmp_path / "returns.fifo"
         os.mkfifo(fifo)
