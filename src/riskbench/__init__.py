@@ -54,14 +54,12 @@ from .errors import (
 from .estimators import (
     METHODS,
     GaussianParams,
-    MomentSummary,
     RiskEstimate,
     RiskLevel,
     StudentTParams,
     canonical_method,
     estimate,
     fit_student_t,
-    sample_moments,
 )
 from .stats_core import (
     SeededRng,

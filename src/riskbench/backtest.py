@@ -14,7 +14,6 @@ import typing
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 import numpy as np
-import scipy.special as sc
 
 from .errors import (
     ConfigError,
@@ -177,6 +176,12 @@ def _sort_windows(windows) -> _SortedWindows:
     return _SortedWindows(y, r, prefix, start)
 
 
+def _expit(x):
+    """1/(1 + exp(-x)) elementwise, by numpy's exp: within 4 ulps of ``scipy.special.expit``."""
+    with np.errstate(over="ignore"):  # exp(-x) overflows to inf where expit(x) is 0
+        return 1.0 / (1.0 + np.exp(-x))
+
+
 def _backtest_stats(var_caps, es_caps, windows, alpha) -> dict:
     """Per group, the backtest's statistics of (..., K) capitals on (..., K, w) evaluation windows.
 
@@ -190,7 +195,7 @@ def _backtest_stats(var_caps, es_caps, windows, alpha) -> dict:
     - sum_{y < x1} (x1 - y) = k*u - P[k] and sum_all (x1 - y) = w*u - P[w], so the
       window's VaR score sum is k*u - P[k] - alpha*(w*u - P[w]);
     - the joint score sum adds sig*(k*u - P[k])/alpha + w*(sig*(x2 - x1) - sig),
-      with x2 = -ES capital and sig = expit(x2);
+      with x2 = -ES capital and sig = expit(x2) (:func:`_expit`);
     - Acerbi-Szekely's numerator sum_{y < x1} y is k*r + P[k] (see :func:`acerbi_z`).
 
     A tie y = x1 has x1 - y = 0, so it adds nothing to either score whether its
@@ -223,7 +228,7 @@ def _backtest_stats(var_caps, es_caps, windows, alpha) -> dict:
         per_window = (k * r + below) / (w * alpha * scale)
         stats["es_z"] = 1.0 + per_window.sum(axis=-1) / rows
         x2 = -es_caps
-        sig = sc.expit(x2)
+        sig = _expit(x2)
         joint = var + sig * gain / alpha + w * (sig * (x2 - x1) - sig)
         stats["joint_score"] = average(joint)
     return stats

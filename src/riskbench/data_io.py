@@ -27,8 +27,8 @@ from itertools import repeat
 
 import numpy as np
 
-from .errors import DataError, DomainError, IngestionError, OutputError, SizeError
-from .estimators import GaussianParams, sample_moments
+from .errors import DataError, DomainError, IngestionError, OutputError
+from .estimators import GaussianParams, window_stats
 from .stats_core import SeededRng, as_sample, draw_gaussian
 
 SCALES = ("decimal", "percent")
@@ -279,14 +279,12 @@ def load_returns_csv(path, column: str, scale: str) -> ReturnSeries:
 
 
 def fit_gaussian(series) -> GaussianParams:
-    """Sample mean and sd (divisor n-1); constant series are rejected."""
-    values = series.values if isinstance(series, ReturnSeries) else np.asarray(series, float)
-    if values.size < 2:
-        raise SizeError(f"fit_gaussian needs at least 2 observations, got {values.size}")
-    moments = sample_moments(values)
-    if moments.sd == 0.0:
+    """Sample mean and sd (divisor n-1) of :func:`window_stats`; constant series are rejected."""
+    values = series.values if isinstance(series, ReturnSeries) else series
+    ws = window_stats(as_sample(values, 2, "fit_gaussian")[None, :])
+    if ws.sds[0] == 0.0:
         raise DataError("fit_gaussian: degenerate data, sample standard deviation is zero")
-    return GaussianParams(moments.mean, moments.sd)
+    return GaussianParams(float(ws.means[0]), float(ws.sds[0]))
 
 
 def simulate_series(spec: SimulationSpec) -> ReturnSeries:

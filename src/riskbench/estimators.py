@@ -9,9 +9,8 @@ rolling windows summarised by :func:`window_stats`; the fitted methods
 (Student-t, KDE) fit every row at once. The backtester and the Monte Carlo
 checks call the kernels through :func:`batch_var_capitals` and
 :func:`batch_es_capitals`. A scalar estimate, ``estimate(tag, x, alpha,
-measure, **options)``, is a batch of one row returned as a :class:`RiskEstimate`,
-and :func:`sample_moments` is one row of :func:`window_stats`. No row's result
-depends on the other rows of its batch.
+measure, **options)``, is a batch of one row returned as a :class:`RiskEstimate`.
+No row's result depends on the other rows of its batch.
 
 :data:`METHODS` is the one place to add an estimator. It maps each canonical
 tag to its kernels, minimum sample size, aliases and location-scale flag; tag
@@ -21,6 +20,19 @@ The unbiased Gaussian ES kernel needs the constant ``a_n``, which
 :func:`exact_unbiased_es_constant` computes by quadrature and caches, so every
 entry point works without a calibration table. A table passed as ``table=``
 only matters where it stores its own entry for (n, alpha).
+
+The Gaussian family (every method but ``student_t`` and ``kde``) runs on numpy and
+``math``, so importing the package imports no scipy:
+
+- z_alpha is :func:`~riskbench.stats_core.ndtri`, a port of the Cephes routine that
+  ``scipy.special.ndtri`` runs, with the same bits;
+- Phi on quadrature nodes is :func:`~riskbench.stats_core.ndtr`, libm's erfc;
+- the unbiased VaR's t_{n-1}^{-1}(alpha) is the alpha-quantile of the pivot
+  Z / (V / sqrt(n-1)), solved under the same log-chi rule as a_n (:func:`_t_quantile`);
+- the rule's range comes from Chernoff's bound on the chi-square tails.
+
+The Student-t fit and the Gaussian KDE import ``scipy.special`` at first use; see
+:func:`fit_student_t` and :func:`_var_kde` for why.
 """
 from __future__ import annotations
 
@@ -30,7 +42,6 @@ from dataclasses import dataclass, field, fields
 from typing import Callable, NamedTuple
 
 import numpy as np
-import scipy.special as sc
 
 from .errors import (
     CalibrationFailureError,
@@ -49,6 +60,8 @@ from .stats_core import (
     _type7_sorted_rows,
     as_sample,
     is_rounding_noise,
+    ndtr,
+    ndtri,
 )
 
 DEFAULT_GPD_THRESHOLD_QUANTILE = 0.3
@@ -244,37 +257,6 @@ def _require_shape(ws: WindowStats) -> tuple[np.ndarray, np.ndarray]:
     return ws.skews, ws.kurts
 
 
-@dataclass(frozen=True)
-class MomentSummary:
-    """First four sample moments.
-
-    ``sd`` uses divisor n-1; skewness and excess kurtosis use population
-    central moments (divisor n). ``kurtosis_small_sample`` flags n < 4 where
-    the fourth moment carries no information.
-    """
-
-    n: int
-    mean: float
-    sd: float
-    skewness: float
-    excess_kurtosis: float
-    kurtosis_small_sample: bool = False
-
-
-def sample_moments(x) -> MomentSummary:
-    """Mean, sd (divisor n-1) and population skewness / excess kurtosis.
-
-    These are the one row of :func:`window_stats` with ``with_shape``, so a
-    spread that is rounding noise gives zero sd, skewness and excess kurtosis.
-    """
-    arr = as_sample(x, 2, "sample_moments")
-    ws = window_stats(arr[None, :], with_shape=True)
-    return MomentSummary(
-        arr.size, float(ws.means[0]), float(ws.sds[0]), float(ws.skews[0]), float(ws.kurts[0]),
-        kurtosis_small_sample=arr.size < 4,
-    )
-
-
 def _cf_expansion(m1, m2, m3, skew, excess_kurtosis):
     """Mean of the Cornish-Fisher quantile t + (t^2 - 1)s/6 + (t^3 - 3t)k/24 - (2t^3 - 5t)s^2/36
     (skew s, excess kurtosis k) over t with moments E[t^j] = mj; at (z, z^2, z^3), that of z."""
@@ -421,17 +403,40 @@ def _scalar_root(fun, lo: float, hi: float, x: float) -> tuple[float, float]:
 _legendre = functools.lru_cache(maxsize=None)(np.polynomial.legendre.leggauss)  # arrays shared
 
 
-def _log_chi_rule(k: int, nodes: int):
+def _log_chi_range(k: int, lower_mass: float = _CHI_TAIL_MASS) -> tuple[float, float]:
+    """Ends of a range of log V, V ~ chi_k, with at most ``lower_mass`` of the mass below it
+    and 1e-18 above it.
+
+    They are half the logs of the points x below and above k where Chernoff's bound on the
+    chi2_k tails, exp(-(x - k - k ln(x/k)) / 2), equals that mass. The exponent is convex in
+    x, so Newton started outside each root converges to it monotonically; it runs until its
+    steps are rounding.
+    """
+    log_k = math.log(k)
+    ends = []
+    for mass, upper in ((lower_mass, False), (_CHI_TAIL_MASS, True)):
+        target = -2.0 * math.log(mass)
+        c = target / k
+        x = k * (2.0 + 2.0 * c) if upper else k * math.exp(-1.0 - c)  # outside the root
+        for _ in range(100):
+            step = (x - k - k * (math.log(x) - log_k) - target) / (1.0 - k / x)
+            x -= step
+            if abs(step) <= 4.0 * _EPS * x:
+                break
+        ends.append(0.5 * math.log(x))
+    return ends[0], ends[1]
+
+
+def _log_chi_rule(k: int, nodes: int, lower_mass: float = _CHI_TAIL_MASS):
     """Nodes ``v`` and normalised weights ``w`` with E[h(V)] ~ w @ h(v), V ~ chi_k.
 
-    Gauss-Legendre in s = log v over the range holding all but 2e-18 of the
-    chi_k mass. In log space the tail integrands Phi(q - b*v) switch over a
+    Gauss-Legendre in s = log v over :func:`_log_chi_range`, which by default holds all but
+    2e-18 of the chi_k mass. In log space the tail integrands Phi(q - b*v) switch over a
     width of order one whatever the size of b, so large roots at small n
     (b_2 ~ 7.5e5 at alpha = 1e-6) need no special treatment. The density is
     formed in log space, so large k cannot overflow.
     """
-    s_lo = 0.5 * math.log(2.0 * sc.gammaincinv(0.5 * k, _CHI_TAIL_MASS))
-    s_hi = 0.5 * math.log(2.0 * sc.gammainccinv(0.5 * k, _CHI_TAIL_MASS))
+    s_lo, s_hi = _log_chi_range(k, lower_mass)
     x, w = _legendre(nodes)
     s = 0.5 * (s_hi - s_lo) * x + 0.5 * (s_hi + s_lo)
     v = np.exp(s)
@@ -440,24 +445,47 @@ def _log_chi_rule(k: int, nodes: int):
     return v, weights / weights.sum()
 
 
+def _refined(solve, what: str) -> tuple:
+    """``solve(nodes)`` -> (root, ...) on a 64-node rule, then on doubled node counts until
+    two successive roots agree to 1e-10 relative; the finer result.
+
+    If 4096 nodes do not converge, or a root cannot be found (``what`` names the solve),
+    :class:`CalibrationFailureError` is raised.
+    """
+    nodes = _QUADRATURE_NODES
+    try:
+        prev = solve(nodes)
+        while nodes < _MAX_QUADRATURE_NODES:
+            nodes *= 2
+            result = solve(nodes)
+            if abs(result[0] - prev[0]) <= _QUADRATURE_RTOL * abs(result[0]):
+                return result
+            prev = result
+    except RuntimeError as exc:  # _scalar_root: no sign change or no convergence
+        raise CalibrationFailureError(f"quadrature breaks down at {what}: {exc}") from None
+    raise CalibrationFailureError(
+        f"quadrature for {what} did not converge within {_MAX_QUADRATURE_NODES} nodes"
+    )
+
+
 def _pivot_es(b: float, alpha: float, v: np.ndarray, w: np.ndarray, q: float | None = None):
     """ES_alpha(Z + b*V) under the rule (v, w), -E[Y * 1{Y < q}] / alpha, its slope in b, and q.
 
     The quantile's Newton iteration starts at ``q``, by default z_alpha + b*E[V].
     """
-    z_alpha = float(sc.ndtri(alpha))
+    z_alpha = ndtri(alpha)
     bv = b * v
 
     def excess_mass(q):
         u = q - bv
         density = float(w @ np.exp(-0.5 * u * u)) / math.sqrt(2.0 * math.pi)
-        return float(w @ sc.ndtr(u)) - alpha, density
+        return float(w @ ndtr(u)) - alpha, density
 
     # every V in the rule lies in [v[0], v[-1]], which brackets the quantile
     lo, hi = z_alpha + bv[0] - 1.0, z_alpha + bv[-1] + 1.0
     _, q = _scalar_root(excess_mass, lo, hi, z_alpha + b * float(w @ v) if q is None else q)
     u = q - bv
-    cdf = sc.ndtr(u)
+    cdf = ndtr(u)
     tail = float(w @ (bv * cdf - np.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)))
     return -tail / alpha, -float(w @ (v * cdf)) / alpha, q
 
@@ -512,33 +540,49 @@ def exact_unbiased_es_constant(n: int, alpha) -> CalibrationEntry:
 
 @functools.lru_cache(maxsize=256)
 def _exact_entry(n: int, alpha: float) -> CalibrationEntry:
-    scale = math.sqrt((n - 1) * (n + 1) / n)
-    nodes = _QUADRATURE_NODES
-    try:
-        b_prev, _ = _quadrature_root(n, alpha, nodes)
-        while nodes < _MAX_QUADRATURE_NODES:
-            nodes *= 2
-            b, residual = _quadrature_root(n, alpha, nodes)
-            if abs(b - b_prev) <= _QUADRATURE_RTOL * b:
-                return CalibrationEntry(
-                    n=n,
-                    alpha=alpha,
-                    b_n=float(b),
-                    a_n=float(-b * scale),
-                    mc_samples=None,
-                    seed=None,
-                    residual=float(residual),
-                    source="quadrature",
-                )
-            b_prev = b
-    except RuntimeError as exc:  # _scalar_root: no sign change or no convergence
-        raise CalibrationFailureError(
-            f"quadrature breaks down at (n={n}, alpha={alpha:.6g}): {exc}"
-        ) from None
-    raise CalibrationFailureError(
-        f"quadrature for (n={n}, alpha={alpha:.6g}) did not converge "
-        f"within {_MAX_QUADRATURE_NODES} nodes"
-    )
+    b, residual = _refined(lambda nodes: _quadrature_root(n, alpha, nodes),
+                           f"(n={n}, alpha={alpha:.6g})")
+    a_n = float(-b * math.sqrt((n - 1) * (n + 1) / n))
+    return CalibrationEntry(n=n, alpha=alpha, b_n=float(b), a_n=a_n, mc_samples=None, seed=None,
+                            residual=float(residual), source="quadrature")
+
+
+@functools.lru_cache(maxsize=256)
+def _t_quantile(k: int, alpha: float) -> float:
+    """t_k^{-1}(alpha) for an integer k >= 1, as the alpha-quantile of the pivot Z / (V / sqrt(k)).
+
+    With V ~ chi_k, P(T <= t) = E[Phi(t*V/sqrt(k))], evaluated under :func:`_log_chi_rule`
+    and solved by :func:`_scalar_root` (slope E[phi(t*V/sqrt(k)) * V/sqrt(k)]) with the node
+    doubling of :func:`_refined`, as a_n is. Levels above 1/2 are read by symmetry. Cached
+    per (k, alpha).
+    """
+    if alpha >= 0.5:
+        return 0.0 if alpha == 0.5 else -_t_quantile(k, 1.0 - alpha)
+    z = ndtri(alpha)
+    start = z * (1.0 + (z * z + 1.0) / (4.0 * k))  # Fisher's first term: |start| below |t|
+    # above 1/4, 1/2 - alpha is exact and P(T <= t) - 1/2 keeps its digits near t = 0, where
+    # the node doubling's relative test needs them
+    centred = alpha > 0.25
+    offset = 0.5 - alpha if centred else -alpha
+    # P(T <= t) counts the chi mass left out below the rule about half: keep it below
+    # alpha*eps/4, down to where the range's lower end would underflow at k = 1
+    lower_mass = max(min(_CHI_TAIL_MASS, 0.25 * _EPS * alpha), 1e-150)
+
+    def root(nodes):
+        nonlocal start
+        v, w = _log_chi_rule(k, nodes, lower_mass)
+        v = v / math.sqrt(k)
+
+        def excess_mass(t):
+            tv = t * v
+            density = float(w @ (v * np.exp(-0.5 * tv * tv))) / math.sqrt(2.0 * math.pi)
+            return float(w @ ndtr(tv, centred)) + offset, density
+
+        # t*V/sqrt(k) = z_alpha for some V of the rule between these two
+        _, start = _scalar_root(excess_mass, z / v[0], z / v[-1], start)
+        return (start,)
+
+    return _refined(root, f"the t_{k} quantile at alpha={alpha:.6g}")[0]
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +599,8 @@ def _t_loglik(z2: np.ndarray, nu: np.ndarray) -> np.ndarray:
     The t scale sd*sqrt((nu-2)/nu) matches the sample variance. ``betaln`` keeps the gamma
     ratio to a few ulps, where a difference of two ``gammaln`` loses two digits near nu = 200.
     """
-    lead = -sc.betaln(0.5 * nu, 0.5) - 0.5 * np.log(nu - 2.0)
+    from scipy.special import betaln  # fit_student_t says why the fit stays on scipy
+    lead = -betaln(0.5 * nu, 0.5) - 0.5 * np.log(nu - 2.0)
     return z2.shape[1] * lead - 0.5 * (nu + 1.0) * np.log1p(z2 / (nu - 2.0)[:, None]).sum(axis=1)
 
 
@@ -569,9 +614,10 @@ def _trigamma(x: np.ndarray) -> np.ndarray:
 def _t_score(z2: np.ndarray, nu: np.ndarray):
     """Twice the derivative of :func:`_t_loglik` in ``nu``, its slope in ``nu`` (psi' from
     :func:`_trigamma`: the slope only steers), and the summed size of its terms."""
+    from scipy.special import psi
     n, q = z2.shape[1], z2 / (nu - 2.0)[:, None]
     r = q / (1.0 + q)
-    psi_hi, psi_lo, ratio = sc.psi(0.5 * (nu + 1.0)), sc.psi(0.5 * nu), (nu + 1.0) / (nu - 2.0)
+    psi_hi, psi_lo, ratio = psi(0.5 * (nu + 1.0)), psi(0.5 * nu), (nu + 1.0) / (nu - 2.0)
     sum_r, sum_rr, sum_log = r.sum(axis=1), (r * r).sum(axis=1), np.log1p(q).sum(axis=1)
     score = n * (psi_hi - psi_lo - 1.0 / (nu - 2.0)) + ratio * sum_r - sum_log
     lead = 0.5 * (_trigamma(0.5 * (nu + 1.0)) - _trigamma(0.5 * nu)) + 1.0 / (nu - 2.0) ** 2
@@ -607,7 +653,8 @@ def _t_nu(ws: WindowStats) -> np.ndarray:
 
 def _t_capital(mu, sigma, nu, alpha):
     """-(mu + sigma*sqrt((nu-2)/nu)*t_nu^{-1}(alpha)); broadcasts over its arguments."""
-    return -(mu + sigma * np.sqrt((nu - 2.0) / nu) * sc.stdtrit(nu, alpha))
+    from scipy.special import stdtrit  # a real nu per row, where _t_quantile takes an integer
+    return -(mu + sigma * np.sqrt((nu - 2.0) / nu) * stdtrit(nu, alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -627,7 +674,7 @@ def _var_empirical_simple(ws, alpha, **_):
 
 def _var_gaussian(ws, alpha, **_):
     """Gaussian plug-in: -(mean + sd * Phi^{-1}(alpha))."""
-    return -(ws.means + ws.sds * sc.ndtri(alpha))
+    return -(ws.means + ws.sds * ndtri(alpha))
 
 
 def _var_unbiased(ws, alpha, **_):
@@ -637,13 +684,13 @@ def _var_unbiased(ws, alpha, **_):
     estimation error of mean and sd, making the exceedance probability of the
     secured position exactly alpha under Gaussian data.
     """
-    factor = math.sqrt((ws.n + 1) / ws.n) * sc.stdtrit(ws.n - 1, alpha)
+    factor = math.sqrt((ws.n + 1) / ws.n) * _t_quantile(ws.n - 1, float(alpha))
     return -(ws.means + ws.sds * factor)
 
 
 def _var_cornish_fisher(ws, alpha, **_):
     """Moment-corrected Gaussian VaR at the Cornish-Fisher quantile."""
-    z = sc.ndtri(alpha)
+    z = ndtri(alpha)
     return -(ws.means + ws.sds * _cf_expansion(z, z * z, z**3, *_require_shape(ws)))
 
 
@@ -659,7 +706,13 @@ def _var_gpd(ws, alpha, **options):
 
 
 def _var_kde(ws, alpha, kde_kernel="gaussian", kde_bandwidth=None, **_):
-    """KDE quantile on the exact kernel CDF; the default bandwidth is 1.06*sd*n^(-1/5)."""
+    """KDE quantile on the exact kernel CDF; the default bandwidth is 1.06*sd*n^(-1/5).
+
+    The Gaussian mixture CDF reads ``scipy.special.ndtr`` on (rows, n) arrays, imported here
+    at first use: :func:`~riskbench.stats_core.ndtr` makes one Python call per element, and
+    a numpy port of Cephes' ``ndtr`` took about three times as long.
+    """
+    from scipy import special
     if kde_kernel not in KDE_KERNELS:
         raise ConfigError(f"unknown kernel {kde_kernel!r}; valid kernels: {', '.join(KDE_KERNELS)}")
     m = ws.windows.shape[0]
@@ -674,7 +727,7 @@ def _var_kde(ws, alpha, kde_kernel="gaussian", kde_bandwidth=None, **_):
         if not (math.isfinite(h) and h > 0.0):
             raise DomainError(f"bandwidth must be positive, got {kde_bandwidth!r}")
         h = np.full(m, h)
-    z = float(sc.ndtri(alpha))
+    z = ndtri(alpha)
     # the quantile lies within |z_alpha| bandwidths (one, for the compact kernel) of the data
     reach_lo, reach_hi = (min(z, 0.0), max(z, 0.0)) if kde_kernel == "gaussian" else (-1.0, 1.0)
     lo, hi = ws.sorted_rows[:, 0] + h * reach_lo, ws.sorted_rows[:, -1] + h * reach_hi
@@ -682,7 +735,7 @@ def _var_kde(ws, alpha, kde_kernel="gaussian", kde_bandwidth=None, **_):
     def excess_mass(rows, x):
         t = (x[:, None] - ws.windows[rows]) / h[rows, None]
         if kde_kernel == "gaussian":
-            f = np.mean(sc.ndtr(t), axis=1)
+            f = np.mean(special.ndtr(t), axis=1)
             density = np.mean(np.exp(-0.5 * (t * t)), axis=1) / (math.sqrt(2.0 * math.pi) * h[rows])
         else:
             t = np.clip(t, -1.0, 1.0)
@@ -719,7 +772,7 @@ def _es_empirical(ws, alpha, **_):
 
 def _es_gaussian(ws, alpha, **_):
     """Gaussian plug-in ES: -mean + sd * phi(Phi^{-1}(alpha)) / alpha."""
-    z = sc.ndtri(alpha)
+    z = ndtri(alpha)
     return -ws.means + ws.sds * (np.exp(-0.5 * z * z) / math.sqrt(2 * math.pi)) / alpha
 
 
@@ -739,7 +792,7 @@ def _es_cornish_fisher(ws, alpha, **_):
     The moments of t ~ N(0, 1) given t < z = Phi^{-1}(alpha) are m1 = -phi(z)/alpha,
     m2 = 1 - z*phi(z)/alpha and m3 = -(z^2 + 2)*phi(z)/alpha.
     """
-    z = float(sc.ndtri(alpha))
+    z = ndtri(alpha)
     ratio = math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi) / alpha
     moments = (-ratio, 1.0 - z * ratio, -(z * z + 2.0) * ratio)
     return -(ws.means + ws.sds * _cf_expansion(*moments, *_require_shape(ws)))
@@ -865,6 +918,11 @@ def fit_student_t(x):
     likelihood's derivative inside the neighbouring grid cells, until that
     derivative is zero to its own rounding or the bracket is below 1e-10*nu.
     A fit within 1e-3 of 200 is 200; Gaussian-looking data lands there.
+
+    The likelihood and its score read ``scipy.special``'s ``betaln`` and ``psi`` on every
+    row at every step, and the capital reads its ``stdtrit`` at each row's real nu, where a
+    pivot quadrature (:func:`_t_quantile`) would take about a millisecond per row. So
+    ``scipy.special`` is imported at first use here, and only here and in the KDE.
 
     A sample gives :class:`StudentTParams`. A :class:`WindowStats` gives the
     array of fitted ``nu``, one per row, all fitted at once; the Student-t

@@ -1,11 +1,16 @@
 """Deterministic statistical primitives shared by every other module.
 
 These are sample validation, the rounding-noise and overflow guards of the
-moment computations, the type-7 quantile of sorted rows, and the random
-draws. Draws come from the counter-based Philox bit generator keyed by
-``(seed, stream_id)``, so identical keys reproduce identical sequences on
-every platform and distinct stream ids give statistically independent
-streams.
+moment computations, the type-7 quantile of sorted rows, the standard normal
+quantile and CDF, and the random draws. Draws come from the counter-based
+Philox bit generator keyed by ``(seed, stream_id)``, so identical keys
+reproduce identical sequences on every platform and distinct stream ids give
+statistically independent streams.
+
+The normal quantile :func:`ndtri` is a port of Cephes' ``ndtri`` (S. L. Moshier),
+the routine ``scipy.special.ndtri`` runs, and returns its bits. The CDF :func:`ndtr`
+is 0.5*erfc(-u/sqrt(2)) on ``math.erfc``, for the short node vectors of the
+quadratures. Neither needs scipy, so importing the package does not import it.
 """
 from __future__ import annotations
 
@@ -74,6 +79,75 @@ def _overflow_shift(max_abs, n: int):
     """
     big = np.asarray(max_abs) > math.sqrt(_FLOAT_MAX / (4.0 * n))
     return np.where(big, np.frexp(max_abs)[1], 0)
+
+
+# Cephes ndtri (S. L. Moshier): a rational approximation in y - 1/2 for the centre,
+# and in 1/x, x = sqrt(-2 log y), for the tails above and below exp(-32)
+_NDTRI_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+             1.39312609387279679503e1, -1.23916583867381258016e0)
+_NDTRI_Q0 = (1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+             -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+             1.59056225126211695515e1, -1.18331621121330003142e0)
+_NDTRI_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+             4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+             -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
+_NDTRI_Q1 = (1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+             1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+             -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_NDTRI_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+             1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+             3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
+_NDTRI_Q2 = (6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+             2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+             2.89247864745380683936e-6, 6.79019408009981274425e-9)
+_EXP_M2 = 0.13533528323661269189  # exp(-2)
+_SQRT_2PI = 2.50662827463100050242
+
+
+def _horner(x: float, coefs, monic: bool = False) -> float:
+    """The polynomial with ``coefs`` (highest power first) at x; ``monic`` adds a leading 1."""
+    value = x + coefs[0] if monic else coefs[0]
+    for c in coefs[1:]:
+        value = value * x + c
+    return value
+
+
+def ndtri(p: float) -> float:
+    """Phi^{-1}(p), the standard normal quantile, for one float p in (0, 1).
+
+    A port of the Cephes ``ndtri`` that ``scipy.special.ndtri`` runs, with the same
+    operations in the same order, so it returns the same bits.
+    """
+    y = float(p)
+    upper = y > 1.0 - _EXP_M2
+    if upper:
+        y = 1.0 - y
+    if y > _EXP_M2:
+        y -= 0.5
+        y2 = y * y
+        return (y + y * (y2 * _horner(y2, _NDTRI_P0) / _horner(y2, _NDTRI_Q0, True))) * _SQRT_2PI
+    x = math.sqrt(-2.0 * math.log(y))
+    z = 1.0 / x
+    p_tail, q_tail = (_NDTRI_P1, _NDTRI_Q1) if x < 8.0 else (_NDTRI_P2, _NDTRI_Q2)
+    x = x - math.log(x) / x - z * _horner(z, p_tail) / _horner(z, q_tail, True)
+    return x if upper else -x
+
+
+_erf, _erfc = np.frompyfunc(math.erf, 1, 1), np.frompyfunc(math.erfc, 1, 1)
+
+
+def ndtr(u, centred: bool = False) -> np.ndarray:
+    """Phi(u), the standard normal CDF, elementwise as 0.5*erfc(-u/sqrt(2)) with libm's erfc.
+
+    In the left tail erfc keeps Phi's relative accuracy, and in the right tail its
+    absolute accuracy, as Cephes' ``ndtr`` does; each value lies within (8 + u^2) eps,
+    relative, of ``scipy.special.ndtr`` (both round u/sqrt(2), which moves Phi by about
+    u^2 ulps). ``centred`` gives Phi(u) - 1/2 as 0.5*erf(u/sqrt(2)) instead, which keeps
+    its relative accuracy near u = 0. One Python call per element: meant for quadrature
+    nodes, not for large arrays.
+    """
+    x = np.multiply(u, math.sqrt(0.5))
+    return 0.5 * (_erf(x) if centred else _erfc(-x)).astype(float)
 
 
 def _type7_sorted_rows(sorted_rows: np.ndarray, p: float) -> np.ndarray:

@@ -2,6 +2,7 @@ import functools
 import json
 import math
 import re
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -198,6 +199,24 @@ class TestJointScore:
 
     def test_vanishing_logistic_weight(self):
         assert abs(joint_var_es_score(2.0, -60.0, 2.0, 0.1)) < 1e-8
+
+
+class TestExpit:
+    """The joint score's sigmoid, 1/(1 + exp(-x)) on numpy's exp."""
+
+    def test_within_4_ulps_of_scipy(self):
+        # numpy's SIMD exp: 2 ulps for |x| up to about 5, 4 out to |x| ~ 700
+        rng = np.random.default_rng(23)
+        x = np.concatenate([rng.normal(0.0, 5.0, 500_000), rng.uniform(-1000.0, 1000.0, 500_000)])
+        mine, ref = backtest._expit(x), special.expit(x)
+        normal = ref >= np.finfo(float).tiny
+        assert np.all(np.abs(mine - ref)[normal] <= 4.0 * np.spacing(ref[normal]))
+        assert np.all(np.abs(mine - ref)[~normal] <= np.finfo(float).tiny)
+
+    def test_overflow_is_silent(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert backtest._expit(np.array([-800.0, 0.0, 800.0])).tolist() == [0.0, 0.5, 1.0]
 
 
 class TestMeanScore:

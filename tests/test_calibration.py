@@ -1,10 +1,11 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
-from scipy.special import gammainc, gammaln, ndtr, ndtri, stdtr
+from scipy.special import gammainc, gammainccinv, gammaincinv, gammaln, ndtr, ndtri, stdtr, stdtrit
 
 from riskbench import (
     CalibrationEntry,
@@ -26,7 +27,7 @@ from riskbench import (
 )
 from riskbench import calibration
 from riskbench.calibration import _CHUNK_TRIALS, _TOLERANCE, _secured_chunks, _tail_count
-from riskbench.estimators import _log_chi_rule, _pivot_es
+from riskbench.estimators import _log_chi_range, _log_chi_rule, _pivot_es, _t_quantile, estimate
 
 PLUGIN_ES_CONST_10 = 1.7549833193248680  # phi(Phi^{-1}(0.10)) / 0.10
 # sd of the 200k-draw MC solve of a_50 at alpha = 0.10, measured over 40 seeds
@@ -312,6 +313,69 @@ class TestExactSolver:
     def test_breakdown_is_calibration_failure(self):
         with pytest.raises(CalibrationFailureError):
             exact_unbiased_es_constant(2, 1e-300)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 9, 49, 999, 10**6])
+    def test_chernoff_range_contains_the_exact_range(self, k):
+        # the rule's log-chi range, from Chernoff's bound, holds the exact 1e-18 quantiles
+        lo, hi = _log_chi_range(k)
+        exact_lo = 0.5 * math.log(2.0 * gammaincinv(0.5 * k, 1e-18))
+        exact_hi = 0.5 * math.log(2.0 * gammainccinv(0.5 * k, 1e-18))
+        assert exact_lo - 1.0 < lo <= exact_lo and exact_hi <= hi < exact_hi + 0.1
+
+
+def t_quantile_by_mpmath(k, alpha):
+    """t_k^{-1}(alpha) for alpha < 1/2, from the regularised incomplete beta at 40 digits."""
+    with mp.workdps(40):
+        kk, a = mp.mpf(k), mp.mpf(alpha)
+
+        def excess(t):
+            return mp.betainc(kk / 2, 0.5, 0, kk / (kk + t * t), regularized=True) / 2 - a
+
+        return -abs(float(mp.findroot(excess, mp.mpf(float(stdtrit(k, alpha))))))  # excess is even
+
+
+class TestPivotTQuantile:
+    """t_k^{-1}(alpha) of the unbiased VaR, as the alpha-quantile of Z / (V / sqrt(k))."""
+
+    KS = sorted({1, 2, 3, 4, 6, 9, 999, 1000, *np.geomspace(1, 1000, 24).astype(int).tolist()})
+
+    @pytest.mark.parametrize("alphas, bound", [
+        ((1e-3, 0.01, 0.05, 0.1, 0.25, 0.2500001, 0.4, 0.45), 2e-14),
+        ((1e-12, 1e-9, 1e-6, 1e-5, 1e-4, 9.9e-4), 1e-13),
+    ])
+    def test_within_bounds_of_stdtrit(self, alphas, bound):
+        for k in self.KS:
+            for alpha in alphas:
+                reference = stdtrit(k, alpha)
+                assert abs(_t_quantile(k, alpha) - reference) <= bound * abs(reference), (k, alpha)
+
+    @pytest.mark.parametrize("k, alpha", [(49, 0.05), (5, 0.05), (1, 0.05), (1000, 1e-3)])
+    def test_against_mpmath(self, k, alpha):
+        exact = t_quantile_by_mpmath(k, alpha)
+        assert _t_quantile(k, alpha) == pytest.approx(exact, rel=4e-15, abs=0)
+
+    @pytest.mark.parametrize("k", [1, 4, 49])
+    def test_relative_accuracy_kept_near_the_median(self, k):
+        # stdtrit itself errs by 1.8e-11 at (4, 0.499), so mpmath is the oracle here
+        for alpha in (0.499, 0.49999, 0.5 - 1e-9):
+            exact = t_quantile_by_mpmath(k, alpha)
+            assert _t_quantile(k, alpha) == pytest.approx(exact, rel=2e-14, abs=0), alpha
+
+    def test_median_and_antisymmetry_exact(self):
+        for k in (1, 7, 300):
+            assert _t_quantile(k, 0.5) == 0.0
+            for alpha in (0.95, 0.7, 0.5000001):
+                assert _t_quantile(k, alpha) == -_t_quantile(k, 1.0 - alpha)
+
+    def test_cached_per_window_size_and_level(self):
+        _t_quantile.cache_clear()
+        x = np.linspace(-1.0, 1.0, 37)
+        first = estimate("gaussian_unbiased", x, 0.05)
+        assert _t_quantile.cache_info().currsize == 1
+        assert estimate("gaussian_unbiased", x * 2.0, 0.05).capital == 2.0 * first.capital
+        assert _t_quantile.cache_info().hits == 1
+        estimate("gaussian_unbiased", x, 0.01)
+        assert _t_quantile.cache_info().currsize == 2
 
 
 class TestCalibrationTable:

@@ -371,6 +371,12 @@ class TestFitGaussian:
         with pytest.raises(SizeError):
             fit_gaussian(ReturnSeries("x", [1.0]))
 
+    def test_raw_array_checked(self):
+        with pytest.raises(SizeError):
+            fit_gaussian([1.0])
+        with pytest.raises(DataError):
+            fit_gaussian([1.0, float("nan")])
+
 
 class TestSimulateSeries:
     def test_deterministic(self):

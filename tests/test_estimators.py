@@ -29,7 +29,6 @@ from riskbench import (
     draw_gaussian,
     exact_unbiased_es_constant,
     fit_student_t,
-    sample_moments,
 )
 from riskbench import estimators
 from riskbench.backtest import BacktestConfig, _capitals
@@ -213,18 +212,19 @@ class TestVarCornishFisher:
 
     def test_noisy_constant_row_shape_matches_scalar_moments(self):
         x = constant_plus_rounding_noise()
-        ms = sample_moments(x)
+        one = window_stats(x[None, :], with_shape=True)
         ws = window_stats(np.vstack([x, x[::-1]]), with_shape=True)
-        assert np.array_equal(ws.skews, [ms.skewness] * 2)
-        assert np.array_equal(ws.kurts, [ms.excess_kurtosis] * 2)
-        assert (ms.skewness, ms.excess_kurtosis) == (0.0, 0.0)
+        assert np.array_equal(ws.skews, [one.skews[0]] * 2)
+        assert np.array_equal(ws.kurts, [one.kurts[0]] * 2)
+        assert (one.skews[0], one.kurts[0]) == (0.0, 0.0)
 
     @given(st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=2, max_size=60))
     @settings(max_examples=200, deadline=None)
     def test_shape_moments_equal_scalar_moments_to_the_bit(self, xs):
-        ms = sample_moments(xs)
-        ws = window_stats(np.array([xs]), with_shape=True)
-        assert (ws.skews[0], ws.kurts[0]) == (ms.skewness, ms.excess_kurtosis)
+        # a row's shape moments do not depend on the other rows of its batch
+        one = window_stats(np.array([xs]), with_shape=True)
+        ws = window_stats(np.array([xs, np.linspace(-1.0, 1.0, len(xs))]), with_shape=True)
+        assert (ws.skews[0], ws.kurts[0]) == (one.skews[0], one.kurts[0])
 
     @given(st.lists(grid_floats, min_size=4, max_size=40), grid_floats)
     @settings(max_examples=100, deadline=None)
@@ -954,16 +954,82 @@ class TestMethodRegistry:
             estimate("kde", [5.0], 0.05)
 
 
+# run first in a child interpreter: from then on any import of scipy raises ImportError
+NO_SCIPY = """
+import sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+
+sys.meta_path.insert(0, NoScipy())
+try:
+    import scipy.special
+except ImportError:
+    pass
+else:
+    raise SystemExit("scipy was not blocked")
+"""
+GAUSSIAN_FAMILY = ("gaussian", "gaussian_unbiased", "cornish_fisher", "empirical",
+                   "empirical_simple", "gpd", "mean")
+
+
+def run_child(code: str, cwd=None) -> str:
+    """stdout of ``python -c code`` with this checkout's package on the path."""
+    env = {**os.environ, "PYTHONPATH": str(Path(riskbench.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          cwd=cwd)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
 class TestImports:
     def test_import_leaves_scipy_stats_and_optimize_unloaded(self):
-        # the package needs scipy.special only; scipy.stats would cost about as much
-        # import time again, and scipy.optimize about a third more
-        code = ("import sys, riskbench; "
-                "print(*(m in sys.modules for m in ('scipy.stats', 'scipy.optimize')))")
-        env = {**os.environ, "PYTHONPATH": str(Path(riskbench.__file__).parents[1])}
-        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                              text=True, check=True)
-        assert done.stdout.strip() == "False False"
+        # the package imports no scipy at all: scipy.special alone took about 300 ms, more
+        # than numpy's whole import, and scipy.stats and scipy.optimize cost more again
+        code = ("import sys, riskbench; print(*(m in sys.modules for m in "
+                "('scipy.stats', 'scipy.optimize', 'scipy.special', 'scipy')))")
+        assert run_child(code).strip() == "False False False False"
+
+    def test_gaussian_family_cli_runs_without_scipy(self, tmp_path):
+        code = NO_SCIPY + f"""
+from riskbench.cli import main
+from riskbench.estimators import ES_METHODS
+
+runs = [["calibrate", "--n", "50", "--alpha", "0.05", "--mc", "100000"],
+        ["simulate", "--mu", "0", "--sigma", "1", "--length", "300", "--out", "r.csv"]]
+runs += [["estimate", "--input", "r.csv", "--column", "ret", "--scale", "decimal",
+          "--method", tag, "--measure", measure, "--alpha", "0.05"]
+         for tag in {GAUSSIAN_FAMILY!r} for measure in ("var", "es")
+         if measure == "var" or tag in ES_METHODS]
+methods = ["--methods", "u,norm,emp,cf,gpd,mean", "--alpha", "0.05"]
+runs += [["backtest", "--simulate", "--measure", "both", *methods],
+         ["replicate", "--reps", "3", "--length", "300", "--measure", "both", *methods]]
+for argv in runs:
+    assert main(argv) == 0, argv
+print(len(runs), sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+        assert run_child(code, cwd=tmp_path).splitlines()[-1] == "17 []"
+
+    @pytest.mark.parametrize("tag", ["student_t", "kde"])
+    def test_only_the_fitted_methods_load_scipy_special(self, tag):
+        code = f"""
+import sys
+import numpy as np
+from riskbench import estimate
+from riskbench.estimators import ES_METHODS
+
+x = np.random.default_rng(0).standard_normal(200)
+for method in {GAUSSIAN_FAMILY!r}:
+    estimate(method, x, 0.05)
+    if method in ES_METHODS:
+        estimate(method, x, 0.05, "es")
+loaded = "scipy" in sys.modules
+estimate({tag!r}, x, 0.05)
+print(loaded, "scipy.special" in sys.modules)
+"""
+        assert run_child(code).strip() == "False True"
 
 
     def test_one_spelling_per_formula(self):
@@ -982,7 +1048,7 @@ class TestWindowStats:
     def test_noisy_constant_row_sd_matches_scalar(self):
         x = constant_plus_rounding_noise()
         ws = window_stats(np.vstack([x, x[::-1], np.arange(12.0)]))
-        assert sample_moments(x).sd == 0.0
+        assert window_stats(x[None, :]).sds[0] == 0.0
         assert ws.sds[0] == ws.sds[1] == 0.0
         assert ws.sds[2] == np.std(np.arange(12.0), ddof=1)
 

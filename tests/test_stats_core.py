@@ -4,6 +4,7 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
+import scipy.special as sc
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -15,10 +16,9 @@ from riskbench import (
     draw_gaussian,
     draw_pivotal_pairs,
     estimate,
-    sample_moments,
 )
-from riskbench.estimators import WindowStats, batch_var_capitals
-from riskbench.stats_core import _type7_sorted_rows
+from riskbench.estimators import WindowStats, batch_var_capitals, window_stats
+from riskbench.stats_core import _type7_sorted_rows, ndtr, ndtri
 
 finite_floats = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 # values on a 1e-6 grid keep translation/scaling arithmetic well-conditioned
@@ -115,8 +115,8 @@ class TestStudentTQuantile:
 
     def test_frozen_high_precision_values(self):
         # inverted via mpmath quadrature of the t-density
-        assert student_t_quantile(0.05, 49) == pytest.approx(-1.6765508926168539, abs=1e-4)
-        assert student_t_quantile(0.05, 5) == pytest.approx(-2.0150483733330242, abs=1e-4)
+        assert student_t_quantile(0.05, 49) == pytest.approx(-1.6765508926168539, rel=1e-15, abs=0)
+        assert student_t_quantile(0.05, 5) == pytest.approx(-2.0150483733330242, rel=1e-15, abs=0)
 
     def test_antisymmetry(self):
         for p in (0.01, 0.1, 0.3):
@@ -141,64 +141,56 @@ class TestStudentTQuantile:
             student_t_quantile(0.5, -1)
 
 
-class TestSampleMoments:
+def row_moments(xs):
+    """Mean, sd, skewness and excess kurtosis of ``xs`` as one row of :func:`window_stats`."""
+    ws = window_stats(np.asarray([xs], dtype=float), with_shape=True)
+    return float(ws.means[0]), float(ws.sds[0]), float(ws.skews[0]), float(ws.kurts[0])
+
+
+class TestWindowStatsRow:
+    """The moments of one row of :func:`window_stats`: sd with divisor n-1, population shape."""
+
     def test_constant_sample(self):
-        ms = sample_moments([3.5] * 7)
-        assert ms.mean == 3.5
-        assert ms.sd == 0.0
-        assert ms.skewness == 0.0
-        assert ms.excess_kurtosis == 0.0
+        assert row_moments([3.5] * 7) == (3.5, 0.0, 0.0, 0.0)
 
     def test_two_points(self):
-        ms = sample_moments([0.0, 2.0])
-        assert ms.mean == 1.0
-        assert ms.sd == pytest.approx(math.sqrt(2.0), abs=1e-15)
+        mean, sd, _, _ = row_moments([0.0, 2.0])
+        assert mean == 1.0
+        assert sd == pytest.approx(math.sqrt(2.0), abs=1e-15)
 
     def test_symmetric_sample_zero_skew(self):
-        assert sample_moments([-1.0, 0.0, 1.0]).skewness == pytest.approx(0.0, abs=1e-15)
-
-    def test_kurtosis_flag(self):
-        assert sample_moments([0.0, 1.0, 2.0]).kurtosis_small_sample
-        assert not sample_moments([0.0, 1.0, 2.0, 3.0]).kurtosis_small_sample
+        assert row_moments([-1.0, 0.0, 1.0])[2] == pytest.approx(0.0, abs=1e-15)
 
     def test_rounding_noise_is_zero_spread(self):
         # 12 copies of one value; their computed mean is off by an ulp
-        ms = sample_moments([5.582031 + 0.007812] * 12)
-        assert (ms.sd, ms.skewness, ms.excess_kurtosis) == (0.0, 0.0, 0.0)
+        assert row_moments([5.582031 + 0.007812] * 12)[1:] == (0.0, 0.0, 0.0)
 
     def test_tiny_but_real_spread_kept(self):
-        ms = sample_moments([1.0, 1.0 + 1e-9, 1.0 - 1e-9])
-        assert ms.sd > 0.0
-        assert ms.skewness == pytest.approx(0.0, abs=1e-6)
+        _, sd, skew, _ = row_moments([1.0, 1.0 + 1e-9, 1.0 - 1e-9])
+        assert sd > 0.0
+        assert skew == pytest.approx(0.0, abs=1e-6)
 
     def test_overflowing_sample_scaled_exactly(self):
         x = draw_gaussian(SeededRng(530), 50, 0.3, 2.0)
-        base = sample_moments(x)
+        mean, sd, skew, kurt = row_moments(x)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            big = sample_moments(x * 2.0**530)
-            near_max = sample_moments(x * 1e307)
-        assert (big.mean, big.sd) == (base.mean * 2.0**530, base.sd * 2.0**530)
-        assert (big.skewness, big.excess_kurtosis) == (base.skewness, base.excess_kurtosis)
-        assert near_max.mean == pytest.approx(base.mean * 1e307, rel=1e-13)
-        assert near_max.sd == pytest.approx(base.sd * 1e307, rel=1e-13)
-
-    def test_errors(self):
-        with pytest.raises(SizeError):
-            sample_moments([1.0])
-        with pytest.raises(DataError):
-            sample_moments([1.0, float("nan")])
+            big = row_moments(x * 2.0**530)
+            near_max = row_moments(x * 1e307)
+        assert big == (mean * 2.0**530, sd * 2.0**530, skew, kurt)
+        assert near_max[0] == pytest.approx(mean * 1e307, rel=1e-13)
+        assert near_max[1] == pytest.approx(sd * 1e307, rel=1e-13)
 
     @given(st.lists(grid_floats, min_size=2, max_size=30), grid_floats)
     @example(xs=[5.582031] * 3, d=0.007812)  # shifted mean rounds: m2 ~ 1e-32
     @settings(max_examples=100, deadline=None)
     def test_translation(self, xs, d):
-        base = sample_moments(xs)
-        shifted = sample_moments([x + d for x in xs])
-        assert shifted.mean == pytest.approx(base.mean + d, abs=1e-10)
-        assert shifted.sd == pytest.approx(base.sd, abs=1e-10)
-        assert shifted.skewness == pytest.approx(base.skewness, abs=1e-6)
-        assert shifted.excess_kurtosis == pytest.approx(base.excess_kurtosis, abs=1e-6)
+        mean, sd, skew, kurt = row_moments(xs)
+        shifted = row_moments([x + d for x in xs])
+        assert shifted[0] == pytest.approx(mean + d, abs=1e-10)
+        assert shifted[1] == pytest.approx(sd, abs=1e-10)
+        assert shifted[2] == pytest.approx(skew, abs=1e-6)
+        assert shifted[3] == pytest.approx(kurt, abs=1e-6)
 
     @given(
         st.lists(grid_floats, min_size=2, max_size=30),
@@ -207,12 +199,63 @@ class TestSampleMoments:
     @example(xs=[3.191318] * 3, lam=3.0)  # scaled mean rounds: m2 ~ 1e-32
     @settings(max_examples=100, deadline=None)
     def test_positive_scaling(self, xs, lam):
-        base = sample_moments(xs)
-        scaled = sample_moments([lam * x for x in xs])
-        assert scaled.mean == pytest.approx(lam * base.mean, rel=1e-12, abs=1e-12)
-        assert scaled.sd == pytest.approx(lam * base.sd, rel=1e-12, abs=1e-12)
-        assert scaled.skewness == pytest.approx(base.skewness, abs=1e-6)
-        assert scaled.excess_kurtosis == pytest.approx(base.excess_kurtosis, abs=1e-6)
+        mean, sd, skew, kurt = row_moments(xs)
+        scaled = row_moments([lam * x for x in xs])
+        assert scaled[0] == pytest.approx(lam * mean, rel=1e-12, abs=1e-12)
+        assert scaled[1] == pytest.approx(lam * sd, rel=1e-12, abs=1e-12)
+        assert scaled[2] == pytest.approx(skew, abs=1e-6)
+        assert scaled[3] == pytest.approx(kurt, abs=1e-6)
+
+
+class TestNdtri:
+    """The Cephes port of Phi^{-1} returns scipy.special.ndtri's bits."""
+
+    def test_bit_equal_to_scipy_on_both_tails(self):
+        rng = np.random.default_rng(20)
+        tail = 10.0 ** rng.uniform(-12.0, math.log10(0.5), 50_000)
+        p = np.concatenate([tail, 1.0 - tail, rng.uniform(1e-12, 1.0 - 1e-12, 20_000),
+                            [1e-12, 1.0 - 1e-12, 0.5, math.exp(-2.0), 1.0 - math.exp(-2.0),
+                             np.nextafter(math.exp(-2.0), 1.0)]])  # the centre's edges
+        assert p.size >= 100_000 and p.min() >= 1e-12 and p.max() <= 1.0 - 1e-12
+        mine = np.array([ndtri(x) for x in p.tolist()])
+        assert mine.tobytes() == sc.ndtri(p).tobytes()
+
+    def test_bit_equal_to_scipy_below_exp_minus_32(self):
+        # the third rational approximation, for sqrt(-2 log p) >= 8
+        p = np.concatenate([10.0 ** np.random.default_rng(22).uniform(-300.0, -14.0, 2000),
+                            [math.exp(-32.0), np.nextafter(math.exp(-32.0), 0.0), 5e-324]])
+        mine = np.array([ndtri(x) for x in p.tolist()])
+        assert mine.tobytes() == sc.ndtri(p).tobytes()
+
+    def test_median_and_symmetry(self):
+        assert ndtri(0.5) == 0.0
+        for p in (0.01, 0.2, 0.4):  # 1 - p rounds, by at most 6e-17 here
+            assert ndtri(1.0 - p) == pytest.approx(-ndtri(p), rel=1e-14, abs=0)
+
+
+class TestNdtr:
+    """Phi on quadrature-node vectors, from libm's erfc."""
+
+    def test_within_argument_rounding_of_scipy(self):
+        # both round u/sqrt(2), which moves Phi by about u^2 ulps, and Cephes takes erfc
+        # below 1 as 1 - erf, a few ulps off (10 near u = -1.3): the bound is (8 + u^2) eps
+        rng = np.random.default_rng(21)
+        u = np.concatenate([rng.uniform(-37.0, 9.0, 200_000), rng.normal(0.0, 3.0, 100_000)])
+        u = u[u >= -37.0]
+        mine, ref = ndtr(u), sc.ndtr(u)
+        assert np.all(np.abs(mine - ref) <= (8.0 + u * u) * np.finfo(float).eps * ref)
+
+    def test_far_left_tail_underflows_like_scipy(self):
+        # below u = -37.5 Phi leaves the normal range; scipy flushes it to zero sooner
+        u = np.array([-37.5, -38.0, -40.0, -1e3, -1e300])
+        assert np.all(np.abs(ndtr(u) - sc.ndtr(u)) <= 1e-307)
+        assert ndtr(u)[-1] == 0.0
+
+    def test_centred_keeps_relative_accuracy_at_zero(self):
+        mp.mp.dps = 30
+        for u in (1e-12, -3e-9, 1e-4, -0.01, 0.3, -1.5):
+            exact = float(mp.ncdf(mp.mpf(u)) - mp.mpf(0.5))
+            assert ndtr(np.array([u]), centred=True)[0] == pytest.approx(exact, rel=4e-16, abs=0)
 
 
 class TestType7Quantile:
