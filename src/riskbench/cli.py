@@ -156,10 +156,8 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
-def _cell(value, width, digits, percent=False) -> str:
-    if value is None:
-        return " " * (width - 1) + "-"
-    return ("{:>" + str(width) + "." + str(digits) + ("%" if percent else "f") + "}").format(value)
+def _cell(value, width, spec) -> str:
+    return " " * (width - 1) + "-" if value is None else format(value, f">#{width}{spec}")
 
 
 def _print_backtest_table(report) -> None:
@@ -176,9 +174,10 @@ def _print_backtest_table(report) -> None:
             print(f"{tag:18s} FAILED: {r.failure}")
             continue
         print(
+            # bias and scores are in the data's units: significant digits, a 3-digit exponent fits
             f"{tag:18s} {r.exceedance_count:>7d} {r.exceedance_rate:>8.4f} "
-            f"{_cell(r.bias_statistic, 10, 5)} {_cell(r.es_z_statistic, 10, 4)} "
-            f"{_cell(r.var_mean_score, 12, 6)} {_cell(r.joint_mean_score, 12, 6)}"
+            f"{_cell(r.bias_statistic, 10, '.3g')} {_cell(r.es_z_statistic, 10, '.4f')} "
+            f"{_cell(r.var_mean_score, 12, '.5g')} {_cell(r.joint_mean_score, 12, '.5g')}"
         )
 
 
@@ -194,9 +193,9 @@ def _print_replication_table(summary: ReplicationSummary) -> None:
     for tag in cfg.methods:
         s = summary.methods[tag]
         print(
-            f"{tag:18s} {_cell(s.er_mean, 8, 4)} {_cell(s.er_sd, 8, 4)} "
-            f"{_cell(s.rd_mean, 9, 1, True)} {_cell(s.rd_sd, 8, 1, True)} "
-            f"{_cell(s.or_rate, 7, 1, True)} {_cell(s.es_z_mean, 8, 4)} {_cell(s.es_z_or_rate, 7, 1, True)}"
+            f"{tag:18s} {_cell(s.er_mean, 8, '.4f')} {_cell(s.er_sd, 8, '.4f')} "
+            f"{_cell(s.rd_mean, 9, '.1%')} {_cell(s.rd_sd, 8, '.1%')} "
+            f"{_cell(s.or_rate, 7, '.1%')} {_cell(s.es_z_mean, 8, '.4f')} {_cell(s.es_z_or_rate, 7, '.1%')}"
         )
 
 

@@ -284,7 +284,7 @@ def fit_gaussian(series) -> GaussianParams:
     ws = window_stats(as_sample(values, 2, "fit_gaussian")[None, :])
     if ws.sds[0] == 0.0:
         raise DataError("fit_gaussian: degenerate data, sample standard deviation is zero")
-    return GaussianParams(float(ws.means[0]), float(ws.sds[0]))
+    return GaussianParams(*(float(ws.in_data_units(v)[0]) for v in (ws.means, ws.sds)))
 
 
 def simulate_series(spec: SimulationSpec) -> ReturnSeries:

@@ -10,7 +10,10 @@ rolling windows summarised by :func:`window_stats`; the fitted methods
 checks call the kernels through :func:`batch_var_capitals` and
 :func:`batch_es_capitals`. A scalar estimate, ``estimate(tag, x, alpha,
 measure, **options)``, is a batch of one row returned as a :class:`RiskEstimate`.
-No row's result depends on the other rows of its batch.
+No row's result depends on the other rows of its batch. One scale rule serves every
+kernel: :func:`window_stats` puts each row in units of a power of two, the kernels read
+those units, and each capital is scaled back once. So capital(2^k x) = 2^k capital(x) to
+the bit while data and capitals are normal floats, and no kernel needs an overflow guard.
 
 :data:`METHODS` is the one place to add an estimator. It maps each canonical
 tag to its kernels, minimum sample size, aliases and location-scale flag; tag
@@ -56,10 +59,8 @@ from .errors import (
     SizeError,
 )
 from .stats_core import (
-    _overflow_shift,
     _type7_sorted_rows,
     as_sample,
-    is_rounding_noise,
     ndtr,
     ndtri,
 )
@@ -180,9 +181,12 @@ class CalibrationEntry:
 class WindowStats:
     """Per-row statistics of an (m, n) matrix of windows, computed once.
 
-    A moments-only instance has no windows or sorted rows, and its ``n`` is given:
-    only the location-scale kernels (see :class:`Method`) can read it. ``fits``
-    memoises the tail fits made on these rows, keyed by the options they read.
+    :func:`window_stats` puts row i in units of 2^``exponent[i]`` (see there): ``windows``,
+    ``sorted_rows``, ``means`` and ``sds`` read in those units, and the batch entry points
+    scale each capital back. A moments-only instance has no windows or sorted rows, its
+    ``n`` is given and its ``exponent`` is None, meaning data units: only the location-scale
+    kernels (see :class:`Method`) can read it. ``fits`` memoises the tail fits made on these
+    rows, keyed by the options they read.
     """
 
     windows: np.ndarray | None
@@ -190,6 +194,7 @@ class WindowStats:
     means: np.ndarray
     sds: np.ndarray
     n: int
+    exponent: np.ndarray | None = None
     skews: np.ndarray | None = None
     kurts: np.ndarray | None = None
     fits: dict = field(default_factory=dict, repr=False, compare=False)
@@ -199,6 +204,19 @@ class WindowStats:
         """Largest |x| per row, read off the ends of the sorted rows."""
         return np.maximum(np.abs(self.sorted_rows[:, 0]), np.abs(self.sorted_rows[:, -1]))
 
+    def is_noise(self, spread) -> np.ndarray:
+        """True where a row's spread (an sd or the root of a central second moment) is at most
+        4*n*eps*max|x|: summing n equal values moves their mean by about n ulps of max|x|."""
+        return spread <= 4.0 * self.n * _EPS * self.max_abs
+
+    def in_data_units(self, values):
+        """One value per row, read in row units, in the data's units."""
+        return values if self.exponent is None else np.ldexp(values, self.exponent)
+
+    def in_row_units(self, value: float) -> np.ndarray:
+        """One value in the data's units, per row in that row's units."""
+        return np.full(len(self.means), value) if self.exponent is None else np.ldexp(value, -self.exponent)
+
     def take(self, rows: slice) -> "WindowStats":
         """The statistics of a run of rows, as views; ``n`` and absent arrays carry over, fits do not."""
         values = (getattr(self, f.name) for f in fields(self) if f.name != "fits")
@@ -206,44 +224,44 @@ class WindowStats:
 
 
 def window_stats(windows: np.ndarray, with_shape: bool = False) -> WindowStats:
-    """Sort each row and compute its mean and sd (divisor n-1).
+    """Sort each row, put it in units of a power of two, and compute its mean and sd (divisor n-1).
 
-    A constant row's mean is that constant, which a sum can round one ulp off.
-    An sd whose population spread :func:`is_rounding_noise` judges to be noise
-    is zero, and rows whose squares could overflow are scaled by a power of two
-    first. The skew and kurtosis that Cornish-Fisher needs are filled on first
-    use; ``with_shape`` computes them now. A one-column matrix has NaN sds.
+    Row i is multiplied by 2^-e, e = ``exponent[i]`` the binary exponent of its largest |x|
+    (``np.frexp``, held at -1021 or above so that 2^-e is a float): exact for normal numbers,
+    so no square overflows or underflows, and a row's statistics in its units are the same
+    bits at every power-of-two scale. A constant row's mean is that constant, which a sum can
+    round one ulp off, and an sd whose population spread is noise (:meth:`WindowStats.is_noise`)
+    is zero. The skew and kurtosis that Cornish-Fisher needs are filled on first use;
+    ``with_shape`` computes them now. A one-column matrix has NaN sds.
     """
     w = np.ascontiguousarray(np.asarray(windows, dtype=float))
     if w.ndim != 2 or w.shape[1] < 1:
         raise SizeError(f"windows must be (m, n>=1), got shape {w.shape}")
     m, n = w.shape
     ws = WindowStats(w, np.sort(w, axis=1), None, None, n)
-    max_abs = ws.max_abs
-    shift = _overflow_shift(max_abs, n)
-    scaled = np.ldexp(w, -shift[:, None]) if shift.any() else w
+    ws.exponent = np.maximum(np.frexp(ws.max_abs)[1], -1021)
+    unit = np.ldexp(1.0, -ws.exponent)[:, None]
+    ws.sorted_rows *= unit  # in place on the sorted copy: one multiply per array
+    ws.windows = w * unit
     lo, hi = ws.sorted_rows[:, 0], ws.sorted_rows[:, -1]
-    ws.means = np.where(lo == hi, lo, np.ldexp(scaled.mean(axis=1), shift))
-    sds = np.ldexp(scaled.std(axis=1, ddof=1), shift) if n > 1 else np.full(m, np.nan)
-    ws.sds = np.where(is_rounding_noise(sds * math.sqrt((n - 1) / n), max_abs, n), 0.0, sds)
+    ws.means = np.where(lo == hi, lo, ws.windows.mean(axis=1))
+    sds = ws.windows.std(axis=1, ddof=1) if n > 1 else np.full(m, np.nan)
+    ws.sds = np.where(ws.is_noise(sds * math.sqrt((n - 1) / n)), 0.0, sds)
     if with_shape:
         _require_shape(ws)
     return ws
 
 
 def _shape_moments(ws: WindowStats):
-    """Population skewness and excess kurtosis per row, underflow- and overflow-safe.
+    """Population skewness and excess kurtosis per row.
 
     Rows whose spread is rounding noise get zero skew and kurtosis, so that
     moment adjustments vanish on constant data.
     """
-    max_abs = ws.max_abs
-    shift = _overflow_shift(max_abs, ws.n)
-    windows = np.ldexp(ws.windows, -shift[:, None]) if shift.any() else ws.windows
-    zs = windows - np.ldexp(ws.means, -shift)[:, None]
+    zs = ws.windows - ws.means[:, None]
     z2 = np.square(zs)  # two (rows, n) buffers, reused in place: fresh ones page-fault
     m2 = np.mean(z2, axis=1)
-    positive = ~is_rounding_noise(np.sqrt(m2), np.ldexp(max_abs, -shift), ws.n)
+    positive = ~ws.is_noise(np.sqrt(m2))
     zs /= np.sqrt(np.where(positive, m2, 1.0))[:, None]
     np.multiply(zs, zs, out=z2)  # products: float pow is about 30 times slower on these arrays
     skews = np.where(positive, np.mean(np.multiply(z2, zs, out=zs), axis=1), 0.0)
@@ -275,17 +293,18 @@ def _reject_rows(bad, error, describe) -> None:
         raise error(f"window {row}: {describe(row)}")
 
 
-def _batch_gpd_fit(srt: np.ndarray, thresholds: np.ndarray):
+def _batch_gpd_fit(srt: np.ndarray, thresholds: np.ndarray, exponent=None):
     """PWM fit per ascending-sorted row. Returns (xi, beta, k) arrays.
 
     Probability-weighted moments are taken over exceedances y = u - x > 0 with
     survival plotting positions, which recovers xi = 0, beta = b for
-    exponential(b) tails.
+    exponential(b) tails. A message quotes a threshold in data units, by the row's ``exponent``.
     """
     m = srt.shape[0]
     ks = (srt < thresholds[:, None]).sum(axis=1)
+    quoted = thresholds if exponent is None else np.ldexp(thresholds, exponent)
     _reject_rows(ks < 5, InsufficientTailError, lambda i: f"only {int(ks[i])} observations "
-                 f"strictly below threshold {float(thresholds[i])!r} (need 5)")
+                 f"strictly below threshold {float(quoted[i])!r} (need 5)")
     b0 = np.empty(m)
     b1 = np.empty(m)
     # rows with equal exceedance counts share one PWM evaluation, so a row's
@@ -311,17 +330,17 @@ def check_gpd_threshold_quantile(q) -> float:
 def _gpd_fit_rows(
     ws: WindowStats, gpd_threshold=None, gpd_threshold_quantile=DEFAULT_GPD_THRESHOLD_QUANTILE, **_
 ):
-    """Thresholds (by default each row's 0.3 type-7 quantile) and PWM fit (xi, beta, k); memoised."""
+    """Row-unit thresholds (by default each row's 0.3 type-7 quantile) and PWM fit (xi, beta, k); memoised."""
     u = None if gpd_threshold is None else float(gpd_threshold)
     key = ("gpd", u, float(gpd_threshold_quantile))
     if key not in ws.fits:
         if u is None:
             thresholds = _type7_sorted_rows(ws.sorted_rows, float(gpd_threshold_quantile))
         elif math.isfinite(u):
-            thresholds = np.full(ws.windows.shape[0], u)
+            thresholds = ws.in_row_units(u)
         else:
             raise DomainError(f"gpd_threshold must be finite, got {u!r}")
-        ws.fits[key] = (thresholds, *_batch_gpd_fit(ws.sorted_rows, thresholds))
+        ws.fits[key] = (thresholds, *_batch_gpd_fit(ws.sorted_rows, thresholds, ws.exponent))
     return ws.fits[key]
 
 
@@ -715,7 +734,6 @@ def _var_kde(ws, alpha, kde_kernel="gaussian", kde_bandwidth=None, **_):
     from scipy import special
     if kde_kernel not in KDE_KERNELS:
         raise ConfigError(f"unknown kernel {kde_kernel!r}; valid kernels: {', '.join(KDE_KERNELS)}")
-    m = ws.windows.shape[0]
     if kde_bandwidth is None:
         if ws.n < 10:
             raise SizeError(f"kde default bandwidth needs n >= 10, got {ws.n}")
@@ -726,7 +744,7 @@ def _var_kde(ws, alpha, kde_kernel="gaussian", kde_bandwidth=None, **_):
         h = float(kde_bandwidth)
         if not (math.isfinite(h) and h > 0.0):
             raise DomainError(f"bandwidth must be positive, got {kde_bandwidth!r}")
-        h = np.full(m, h)
+        h = ws.in_row_units(h)
     z = ndtri(alpha)
     # the quantile lies within |z_alpha| bandwidths (one, for the compact kernel) of the data
     reach_lo, reach_hi = (min(z, 0.0), max(z, 0.0)) if kde_kernel == "gaussian" else (-1.0, 1.0)
@@ -744,10 +762,10 @@ def _var_kde(ws, alpha, kde_kernel="gaussian", kde_bandwidth=None, **_):
         return f - alpha, density
 
     def rule(x, g, a, b):
-        # a row stops past the 1e-10 probability tolerance down to a ~1e-12 bracket, so
-        # equivariance holds to 1e-10. Ties (F == alpha on a numerically flat stretch)
-        # resolve upward: the sample-quantile limit as the bandwidth vanishes.
-        scale = np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
+        # a row stops past the 1e-10 probability tolerance down to a bracket ~1e-12 of its ends
+        # or of 1/16 of the row unit (max|x| is 1/2 to 1). Ties (F == alpha on a numerically
+        # flat stretch) resolve upward: the sample-quantile limit as the bandwidth vanishes.
+        scale = np.maximum(0.0625, np.maximum(np.abs(a), np.abs(b)))
         done = (np.abs(g) <= 1e-10) & (b - a <= 1e-12 * scale) | (b - a <= 1e-15 * scale)
         return done, 2.5e-13 * scale
 
@@ -874,7 +892,7 @@ def _capitals(method: str, measure: str, ws: WindowStats, alpha, options: dict) 
         raise TypeError(f"unknown estimator options {sorted(unknown)}; valid: {', '.join(OPTIONS)}")
     if "gpd_threshold_quantile" in options:  # for every method, as BacktestConfig checks it
         check_gpd_threshold_quantile(options["gpd_threshold_quantile"])
-    capitals = getattr(METHODS[method], measure)(ws, RiskLevel(alpha), **options)
+    capitals = ws.in_data_units(getattr(METHODS[method], measure)(ws, RiskLevel(alpha), **options))
     _reject_rows(~np.isfinite(capitals), DataError,
                  lambda i: f"capital must be finite, got {float(capitals[i])!r}")
     return capitals
@@ -931,4 +949,4 @@ def fit_student_t(x):
     if isinstance(x, WindowStats):
         return _t_nu(x)
     ws = window_stats(as_sample(x, 10, "fit_student_t")[None, :])
-    return StudentTParams(float(ws.means[0]), float(ws.sds[0]), float(_t_nu(ws)[0]))
+    return StudentTParams(*(float(ws.in_data_units(v)[0]) for v in (ws.means, ws.sds)), float(_t_nu(ws)[0]))

@@ -1,8 +1,7 @@
 """Deterministic statistical primitives shared by every other module.
 
-These are sample validation, the rounding-noise and overflow guards of the
-moment computations, the type-7 quantile of sorted rows, the standard normal
-quantile and CDF, and the random draws. Draws come from the counter-based
+These are sample validation, the type-7 quantile of sorted rows, the
+standard normal quantile and CDF, and the random draws. Draws come from the counter-based
 Philox bit generator keyed by ``(seed, stream_id)``, so identical keys
 reproduce identical sequences on every platform and distinct stream ids give
 statistically independent streams.
@@ -22,10 +21,6 @@ import numpy as np
 from .errors import DataError, DomainError, SizeError
 
 _UINT64_MAX = 2**64 - 1
-# A spread this many times n * eps * max|x| is rounding noise: summing n equal
-# values perturbs their mean by at most about n ulps of max|x|.
-_NOISE_ULPS_PER_POINT = 4.0
-_FLOAT_MAX = float(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -56,29 +51,6 @@ def as_sample(x, min_n: int, what: str = "sample") -> np.ndarray:
         bad = int(np.flatnonzero(~np.isfinite(arr))[0])
         raise DataError(f"{what} contains a non-finite value at position {bad}")
     return arr
-
-
-def is_rounding_noise(spread, max_abs, n: int):
-    """True where a standard deviation is indistinguishable from rounding noise.
-
-    ``spread`` (an sd or the root of a central second moment) counts as zero
-    when it is at most ``4 * n * eps * max_abs``, with ``max_abs`` the largest
-    |x| of the sample. Constant samples then read as constant however their
-    mean rounds. Works elementwise on arrays of per-row values.
-    """
-    bound = _NOISE_ULPS_PER_POINT * n * np.finfo(float).eps * np.asarray(max_abs, dtype=float)
-    return np.asarray(spread, dtype=float) <= bound
-
-
-def _overflow_shift(max_abs, n: int):
-    """Binary exponent to scale a sample down by before squaring; 0 where none is needed.
-
-    ``n`` centred squares, each at most (2 max|x|)^2, can overflow their sum once
-    max|x| > sqrt(max_float / 4n); such samples get the exponent of max|x|
-    (``np.frexp``). Power-of-two scaling is exact. Works elementwise on arrays.
-    """
-    big = np.asarray(max_abs) > math.sqrt(_FLOAT_MAX / (4.0 * n))
-    return np.where(big, np.frexp(max_abs)[1], 0)
 
 
 # Cephes ndtri (S. L. Moshier): a rational approximation in y - 1/2 for the centre,

@@ -573,6 +573,16 @@ class TestRollingBacktest:
         with pytest.raises(DataError, match="position 500"):
             rolling_backtest(values, config)
 
+    def test_gpd_fit_holds_on_a_series_near_the_float_maximum(self):
+        # exceedances ~1e200: the PWM product 2*b0*b1 reads row units and cannot overflow
+        values = np.random.default_rng(0).standard_normal(1000)
+        config = BacktestConfig(alpha=0.05, methods=("gpd",), window=50, measure="both")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scaled = rolling_backtest(values * 1e200, config).methods["gpd"]
+        assert not scaled.failed
+        assert scaled.exceedance_count == rolling_backtest(values, config).methods["gpd"].exceedance_count
+
     def test_es_methods_validated_in_config(self):
         with pytest.raises(ConfigError):
             BacktestConfig(alpha=0.1, methods=("kde",), measure="es")

@@ -209,6 +209,24 @@ class TestBacktest:
         assert code == 0
         assert "gaussian_unbiased" in out
 
+    def test_table_prints_data_unit_columns_in_significant_digits(self, capsys):
+        # at sigma = 2^-560 fixed decimals printed every bias and score as zero
+        args = ("backtest", "--simulate", "--length", "2000", "--sigma", repr(2.0**-560),
+                "--alpha", "0.05", "--methods", "u,norm,emp,cf,gpd,mean", "--measure", "both",
+                "--seed", "1")
+        code, out, _ = run(capsys, *args)
+        methods = json.loads(run(capsys, *args, "--format", "json")[1])["methods"]
+        lines = out.splitlines()
+        assert code == 0
+        assert {len(line) for line in lines[2:]} == {len(lines[1])}  # the header's columns
+        for line in lines[2:]:
+            tag, _, _, bias, _, var_score, joint_score = line.split()
+            r = methods[tag]
+            assert float(bias) == pytest.approx(r["bias_statistic"], rel=5e-3)
+            assert float(var_score) == pytest.approx(r["var_mean_score"], rel=5e-5)
+            assert float(joint_score) == pytest.approx(r["joint_mean_score"], rel=5e-5)
+            assert r["bias_statistic"] != 0.0 and abs(r["var_mean_score"]) < 2.0**-500
+
     def test_json_stdout_byte_identical(self, capsys):
         args = (
             "backtest", "--simulate", "--length", "500", "--alpha", "0.05",

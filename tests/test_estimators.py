@@ -28,13 +28,17 @@ from riskbench import (
     SizeError,
     draw_gaussian,
     exact_unbiased_es_constant,
+    fit_gaussian,
     fit_student_t,
 )
 from riskbench import estimators
 from riskbench.backtest import BacktestConfig, _capitals
 from riskbench.estimators import (
+    KDE_KERNELS,
     METHODS,
+    GaussianParams,
     RiskLevel,
+    StudentTParams,
     WindowStats,
     _batch_gpd_fit,
     _cf_expansion,
@@ -488,9 +492,11 @@ def kde_row_reference(row, alpha, kernel, h):
     else:
         lo, hi = float(row.min()) - h, float(row.max()) + h
     q = 0.5 * (lo + hi)
+    # the bracket scale's floor is 1/16 of the row's unit, 2^e with e the exponent of max|x|
+    floor = math.ldexp(1.0, max(math.frexp(float(np.abs(row).max()))[1], -1021) - 4)
     for _ in range(200):
         f, density = kde_cdf_and_density(q, row, kernel, h)
-        width, scale = hi - lo, max(1.0, abs(lo), abs(hi))
+        width, scale = hi - lo, max(floor, abs(lo), abs(hi))
         if abs(f - alpha) <= 1e-10 and width <= 1e-12 * scale or width <= 1e-15 * scale:
             break
         lo, hi = (q, hi) if f <= alpha else (lo, q)
@@ -804,6 +810,52 @@ class TestCrossCuttingInvariants:
         assert estimate(tag, np.full(n, value), 0.1, measure).capital == -value
 
 
+class TestExactHomogeneity:
+    """capital(2^k x) = 2^k capital(x) to the bit, for every kernel over the whole float range."""
+
+    KS = (-900, -560, -500, -60, 60, 500, 900)
+    X = np.random.default_rng(0).standard_normal(300)
+
+    @pytest.mark.parametrize("tag, measure", TestCrossCuttingInvariants.CASES)
+    def test_every_capital_scales_by_powers_of_two_exactly(self, tag, measure):
+        base = estimate(tag, self.X, 0.05, measure).capital
+        for k in self.KS:
+            capital = estimate(tag, np.ldexp(self.X, k), 0.05, measure).capital
+            assert capital.hex() == math.ldexp(base, k).hex(), k
+
+    @pytest.mark.parametrize("tag, measure", TestCrossCuttingInvariants.CASES)
+    def test_rows_at_different_exponents_equal_their_own_estimates(self, tag, measure):
+        rows = np.random.default_rng(1).standard_normal((len(self.KS), 300))
+        rows = np.ldexp(rows, np.array(self.KS)[:, None])
+        batch = batch_var_capitals if measure == "var" else batch_es_capitals
+        capitals = batch(tag, window_stats(rows), 0.05)
+        for row, capital in zip(rows, capitals):
+            assert capital.hex() == estimate(tag, row, 0.05, measure).capital.hex()
+
+    @pytest.mark.parametrize("measure", ["var", "es"])
+    def test_explicit_gpd_threshold_scales_with_the_row(self, measure):
+        base = estimate("gpd", self.X, 0.05, measure, gpd_threshold=-0.3).capital
+        for k in self.KS:
+            scaled = estimate("gpd", np.ldexp(self.X, k), 0.05, measure,
+                              gpd_threshold=math.ldexp(-0.3, k)).capital
+            assert scaled.hex() == math.ldexp(base, k).hex(), k
+
+    @pytest.mark.parametrize("kernel", KDE_KERNELS)
+    def test_explicit_kde_bandwidth_scales_with_the_row(self, kernel):
+        base = estimate("kde", self.X, 0.05, kde_kernel=kernel, kde_bandwidth=0.2).capital
+        for k in self.KS:
+            scaled = estimate("kde", np.ldexp(self.X, k), 0.05, kde_kernel=kernel,
+                              kde_bandwidth=math.ldexp(0.2, k)).capital
+            assert scaled.hex() == math.ldexp(base, k).hex(), k
+
+    def test_fits_return_data_units(self):
+        gauss, t = fit_gaussian(self.X), fit_student_t(self.X)
+        for k in self.KS:
+            x = np.ldexp(self.X, k)
+            assert fit_gaussian(x) == GaussianParams(math.ldexp(gauss.mu, k), math.ldexp(gauss.sigma, k))
+            assert fit_student_t(x) == StudentTParams(math.ldexp(t.mu, k), math.ldexp(t.sigma, k), t.nu)
+
+
 def _with_negatives(row, count):
     """|row| with its first ``count`` entries moved below zero."""
     out = np.abs(row) + 0.1
@@ -1048,9 +1100,10 @@ class TestWindowStats:
     def test_noisy_constant_row_sd_matches_scalar(self):
         x = constant_plus_rounding_noise()
         ws = window_stats(np.vstack([x, x[::-1], np.arange(12.0)]))
+        sds = np.ldexp(ws.sds, ws.exponent)
         assert window_stats(x[None, :]).sds[0] == 0.0
-        assert ws.sds[0] == ws.sds[1] == 0.0
-        assert ws.sds[2] == np.std(np.arange(12.0), ddof=1)
+        assert sds[0] == sds[1] == 0.0
+        assert sds[2] == np.std(np.arange(12.0), ddof=1)
 
     def test_overflowing_rows_scaled_exactly(self):
         rows = draw_gaussian(SeededRng(530), 3 * 50, 0.3, 2.0).reshape(3, 50)
@@ -1059,14 +1112,16 @@ class TestWindowStats:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             scaled = window_stats(np.vstack([big, rows]), with_shape=True)
-        assert np.array_equal(scaled.means, np.concatenate([base.means * 2.0**530, base.means]))
-        assert np.array_equal(scaled.sds, np.concatenate([base.sds * 2.0**530, base.sds]))
+        base_means, base_sds = np.ldexp(base.means, base.exponent), np.ldexp(base.sds, base.exponent)
+        means, sds = np.ldexp(scaled.means, scaled.exponent), np.ldexp(scaled.sds, scaled.exponent)
+        assert np.array_equal(means, np.concatenate([base_means * 2.0**530, base_means]))
+        assert np.array_equal(sds, np.concatenate([base_sds * 2.0**530, base_sds]))
         assert np.array_equal(scaled.skews, np.tile(base.skews, 2))
         assert np.array_equal(scaled.kurts, np.tile(base.kurts, 2))
 
     def test_moments_only_form_feeds_location_scale_kernels_to_the_bit(self):
         full = window_stats(draw_gaussian(SeededRng(8), 6 * 20, 0.3, 2.0).reshape(6, 20))
-        moments = WindowStats(None, None, full.means, full.sds, 20)
+        moments = WindowStats(None, None, full.means, full.sds, 20, exponent=full.exponent)
         for tag, spec in METHODS.items():
             if spec.location_scale:
                 for batch in (batch_var_capitals, batch_es_capitals):

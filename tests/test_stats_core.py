@@ -142,9 +142,11 @@ class TestStudentTQuantile:
 
 
 def row_moments(xs):
-    """Mean, sd, skewness and excess kurtosis of ``xs`` as one row of :func:`window_stats`."""
+    """Mean, sd, skewness and excess kurtosis of ``xs`` as one row of :func:`window_stats`,
+    the mean and sd read from the row's units through its exponent."""
     ws = window_stats(np.asarray([xs], dtype=float), with_shape=True)
-    return float(ws.means[0]), float(ws.sds[0]), float(ws.skews[0]), float(ws.kurts[0])
+    mean, sd = (float(np.ldexp(v[0], ws.exponent[0])) for v in (ws.means, ws.sds))
+    return mean, sd, float(ws.skews[0]), float(ws.kurts[0])
 
 
 class TestWindowStatsRow:
