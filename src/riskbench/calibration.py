@@ -12,9 +12,11 @@ does not hold returns the exact constant without storing it.
 :func:`solve_unbiased_es_constant` solves the same condition by bisection on
 one fixed Monte Carlo sample (common random numbers), which makes the
 objective monotone and the result bit-reproducible. It serves as an
-independent cross-check of the quadrature. Its later steps read only the rows
-that can still be in the tail, and the full sample wherever rounding could
-change a decision, so every output bit is that of the plain bisection.
+independent cross-check of the quadrature: the quadrature b_n only guesses a
+bracket, which is checked on the sample. The bisection then skips the points
+outside it, reads the others on the rows that can be in the tail, and reads the
+full sample wherever rounding could change a decision, so every output bit is
+that of the plain bisection.
 
 The Monte Carlo checks test the defining properties: unbiased VaR is exceeded
 with probability alpha (:func:`pivotality_check`), and the secured position of
@@ -60,6 +62,7 @@ _TOLERANCE = 1e-4
 _BISECTION_WIDTH = 1e-8
 _ALPHA_KEY_SCALE = 1_000_000
 _CHUNK_TRIALS = 1 << 20  # a constant: a trial's draws depend only on the seed and its index
+_PASS_ROWS = 1 << 16  # rows per chunk of the bracket's pass
 
 
 def _optional_int(value):
@@ -149,13 +152,10 @@ def empirical_es(values, alpha) -> float:
     expected-shortfall condition; ties are resolved by taking exactly
     ceil(alpha * m) order statistics.
     """
-    arr = np.asarray(values, dtype=float)
+    arr = np.array(values, dtype=float)  # a copy, which _tail_es partitions
     if arr.size == 0:
         raise SizeError("empirical_es needs a non-empty sample")
-    tail = _tail_count(RiskLevel(alpha), arr.size)
-    if tail == arr.size:
-        return -float(arr.mean())
-    return -float(np.partition(arr, tail - 1)[:tail].mean())
+    return _tail_es(arr, _tail_count(RiskLevel(alpha), arr.size))[0]
 
 
 def _undecided(g: float, head: np.ndarray) -> bool:
@@ -171,6 +171,53 @@ def _undecided(g: float, head: np.ndarray) -> bool:
     return abs(g) <= band or abs(abs(g) - _TOLERANCE) <= band
 
 
+def _tail_es(values: np.ndarray, tail: int):
+    """empirical_es of ``values``, partitioned in place, and the tail it averages."""
+    if tail == values.size:
+        return -float(values.mean()), values
+    values.partition(tail - 1)  # the introselect of np.partition, in place
+    return -float(values[:tail].mean()), values[:tail]
+
+
+def _bracket(z: np.ndarray, v: np.ndarray, tail: int, n: int, alpha):
+    """[b_l, b_h] around the quadrature b_n, checked on the sample, and the rows of its tails.
+
+    One pass in chunks keeps the rows with z + b_l*v <= c, c a widened quantile of
+    z + b_h*v on the first chunk. V_n > 0, so each rounded z + b*v is non-decreasing
+    in b, and so is q(b), the tail-th smallest. If at least t = ``tail`` kept rows
+    have z + b_h*v <= c, then q(b) <= q(b_h) <= c for b <= b_h, and every row of the
+    tail at any b in [b_l, b_h] is kept. The bracket holds if, on the kept rows,
+    g(b_l) > 1e-4 + band and g(b_h) < -1e-4 - band. The exact mean of the rounded
+    tail is monotone in b, and a computed g errs from it by at most about u*(t+1)*M
+    (:func:`_undecided`), M bounding every |x| summed: max|z| + b*max v, where no
+    point of the walk exceeds max(1, 2*b_h). So the band, 2*eps*(t+1)*M, makes the
+    full sample's g(b) > 1e-4 at every b <= b_l and < -1e-4 at every b >= b_h. A
+    bracket that fails, keeps over a quarter of the rows, or whose quadrature
+    raises, gives None: the guess only saves time.
+    """
+    try:
+        guess = exact_unbiased_es_constant(n, alpha).b_n
+    except CalibrationFailureError:
+        return None
+    delta = 8.0 * guess / math.sqrt(tail)  # the root's MC sd is ~1.2 guess/sqrt(tail) at n = 2
+    b_l, b_h = max(guess - delta, 0.0), guess + delta
+    first = tail * _PASS_ROWS / z.size  # the first chunk's tail count, widened by 6 sd
+    rank = int(first + 6.0 * math.sqrt(first) + 6.0)
+    c = np.partition(z[:_PASS_ROWS] + b_h * v[:_PASS_ROWS], rank)[rank]
+    parts = []
+    for start in range(0, z.size, _PASS_ROWS):
+        zs, vs = z[start : start + _PASS_ROWS], v[start : start + _PASS_ROWS]
+        index = np.flatnonzero(zs + b_l * vs <= c)  # take: about twice as fast as a boolean mask
+        parts.append((zs.take(index), vs.take(index)))
+    rows = tuple(np.concatenate(part) for part in zip(*parts))
+    if 4 * rows[0].size > z.size or np.count_nonzero(rows[0] + b_h * rows[1] <= c) < tail:
+        return None
+    size = max(z.max(), -z.min()) + max(1.0, 2.0 * b_h) * v.max()  # bounds every |x| summed
+    band = 2.0 * np.finfo(float).eps * (tail + 1) * size
+    g_l, g_h = (_tail_es(rows[0] + b * rows[1], tail)[0] for b in (b_l, b_h))
+    return (b_l, b_h, rows) if g_l > _TOLERANCE + band and g_h < -_TOLERANCE - band else None
+
+
 def solve_unbiased_es_constant(
     n: int,
     alpha,
@@ -184,13 +231,18 @@ def solve_unbiased_es_constant(
     bisection terminates deterministically. Stops when the bracket is below
     1e-8 or |g| falls below 1e-4, whichever comes first.
 
-    V_n > 0, so each z + b*v, rounded, is non-decreasing in b, and so is q(b),
-    the tail-th smallest of them: within the bracket [lo, hi] a row can be in
-    the tail only if z + lo*v <= q(hi). Once at most a quarter of the rows pass,
-    each later step reads g on those rows alone, the same tail summed in another
-    order. Where that g lies in the rounding band of a decision (the sign of g,
-    and |g| <= 1e-4: :func:`_undecided`), the step re-reads the full sample, as
-    does the returned residual, so every output bit is the plain bisection's.
+    The walk is the plain bisection's: g(0), the doublings from 1, the midpoints.
+    The quadrature b_n guesses a bracket [b_l, b_h] that :func:`_bracket` checks
+    on the sample. A point <= b_l is then decided positive, and a point >= b_h
+    negative, without reading g. A point inside reads g on the bracket's rows, the
+    same tail summed in another order; where that g lies in the rounding band of a
+    decision (the sign of g, and |g| <= 1e-4: :func:`_undecided`), the step
+    re-reads the full sample. With no bracket (a tail over a quarter of the
+    sample, a guess off by over 8 MC standard errors, a tail of a few dozen rows,
+    or a quadrature that raises) every step reads the full sample. The residual
+    is computed in z and v themselves, v *= b and z += v: the values and order of
+    z + b*v. So no sample-sized scratch array is held, and every output bit is the
+    plain bisection's.
     """
     n = int(n)
     if n < 2:
@@ -202,28 +254,25 @@ def solve_unbiased_es_constant(
 
     z, v = draw_pivotal_pairs(SeededRng(int(seed)), n, mc_samples)
     tail = _tail_count(alpha, mc_samples)
-    buf = np.empty(mc_samples)  # one buffer for every evaluation: no fresh pages per step
+    bracket = 4 * tail <= mc_samples and _bracket(z, v, tail, n, alpha)
+    b_l, b_h, rows = bracket or (-math.inf, math.inf, (z, v))
 
-    def at(b, rows):  # z + b*v over ``rows``, in ``buf``: the operations of ``z + b * v``
-        out = buf[: rows[0].size]
-        return np.add(rows[0], np.multiply(rows[1], b, out=out), out=out)
+    def g(b):
+        """g(b) read on ``rows``; +-inf where the bracket decides its sign."""
+        if b <= b_l or b >= b_h:
+            return math.inf if b <= b_l else -math.inf
+        gb, head = _tail_es(rows[0] + b * rows[1], tail)
+        if rows[0] is not z and _undecided(gb, head):
+            gb = _tail_es(z + b * v, tail)[0]
+        return gb
 
-    def g(b, rows=(z, v)):
-        """empirical_es(z + b*v) over ``rows``, the tail it averages, and q(b) (inf: keep all)."""
-        values = at(b, rows)
-        if tail == values.size:
-            return -float(values.mean()), values, math.inf
-        values.partition(tail - 1)  # the introselect of np.partition, in place
-        return -float(values[:tail].mean()), values[:tail], float(values[tail - 1])
-
-    if g(0.0)[0] <= 0.0:
+    if g(0.0) <= 0.0:
         raise CalibrationFailureError(
             "empirical ES at b = 0 is already non-positive; no positive root exists"
         )
     hi = 1.0
     for _ in range(_MAX_DOUBLINGS):
-        g_hi, _, q_hi = g(hi)
-        if g_hi < 0.0:
+        if g(hi) < 0.0:
             break
         hi *= 2.0
     else:
@@ -232,24 +281,18 @@ def solve_unbiased_es_constant(
         )
 
     lo = 0.0
-    rows = (z, v)  # every row that can be among the tail smallest for b in [lo, hi]
     while hi - lo > _BISECTION_WIDTH:
         b = 0.5 * (lo + hi)
-        gb, head, q = g(b, rows)
-        if rows[0] is not z and _undecided(gb, head):
-            gb = g(b)[0]
+        gb = g(b)
         if abs(gb) <= _TOLERANCE:
             break
         if gb < 0.0:
-            hi, q_hi = b, q
+            hi = b
         else:
             lo = b
-        if 4 * tail <= mc_samples:  # else the candidates never shrink to a quarter
-            keep = at(lo, rows) <= q_hi
-            if 4 * np.count_nonzero(keep) <= mc_samples:
-                index = np.flatnonzero(keep)  # take: about twice as fast as a boolean mask here
-                rows = (rows[0].take(index), rows[1].take(index))
-    residual = abs(g(b)[0])
+    v *= b  # the residual in place: z + b*v, the same values in the same order
+    z += v
+    residual = abs(_tail_es(z, tail)[0])
 
     a_n = -b * math.sqrt((n - 1) * (n + 1) / n)
     return CalibrationEntry(

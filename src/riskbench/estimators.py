@@ -367,6 +367,7 @@ def _gpd_es_from_fit(thresholds, xi, beta, var_emp):
 # ---------------------------------------------------------------------------
 
 
+@np.errstate(over="ignore")  # g over a subnormal slope is inf, whose point the midpoint replaces
 def _safeguarded_newton(fun, lo: np.ndarray, hi: np.ndarray, x: np.ndarray, rule) -> np.ndarray:
     """A root in [lo, hi] of each row of an increasing function, by safeguarded Newton in lockstep.
 

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import types
 
 import mpmath as mp
 import numpy as np
@@ -129,6 +131,26 @@ def entry_bits(entry):
         entry.residual.hex(), entry.source
 
 
+def spy_solver(monkeypatch, samples):
+    """Record the solver's full-sample reads of g and whether each bracket it tried held."""
+    full, brackets = [], []
+    tail_es, bracket = calibration._tail_es, calibration._bracket
+
+    def tail_spy(values, tail):
+        if values.size == samples:
+            full.append(values.size)
+        return tail_es(values, tail)
+
+    def bracket_spy(*args):
+        found = bracket(*args)
+        brackets.append(found is not None)
+        return found
+
+    monkeypatch.setattr(calibration, "_tail_es", tail_spy)
+    monkeypatch.setattr(calibration, "_bracket", bracket_spy)
+    return full, brackets
+
+
 class TestEmpiricalEs:
     def test_half_tail(self):
         assert empirical_es([-4.0, -2.0, 0.0, 2.0], 0.5) == 3.0
@@ -240,6 +262,44 @@ class TestSolverBits:
             entry = solve_unbiased_es_constant(n, alpha, 200_000, seed=seed)
             assert entry_bits(entry) == expected, (n, alpha, seed)
 
+    @pytest.mark.parametrize("case", [c for c, *_ in PINS if 4 * _tail_count(c[1], c[2]) <= c[2]])
+    def test_bracket_path_reads_candidates(self, monkeypatch, case):
+        # the pinned bits are test_pinned_bits'; here only the path that gives them
+        full, brackets = spy_solver(monkeypatch, case[2])
+        solve_unbiased_es_constant(case[0], case[1], case[2], seed=case[3])
+        assert brackets == [True]
+        assert 1 <= len(full) <= 2  # the residual, and at most one step in a rounding band
+
+    @pytest.mark.parametrize("guess", ["far_low", "far_high", "below_root", "above_root", "raises"])
+    def test_wrong_guess_falls_back_to_the_same_bits(self, monkeypatch, guess):
+        n, alpha, samples, seed = case = (50, 0.05, 200_000, 0)
+        root = plain_bisection(*case).b_n
+        width = 8.0 / math.sqrt(_tail_count(alpha, samples))  # the bracket's half-width over b
+        b_n = {"far_low": 0.01 * root, "far_high": 100.0 * root,
+               "below_root": root * 0.999 / (1.0 + width),  # b_h just below the root
+               "above_root": root * 1.001 / (1.0 - width)}.get(guess)  # b_l just above it
+
+        def exact(n, alpha):
+            if b_n is None:
+                raise CalibrationFailureError("the quadrature broke down")
+            return types.SimpleNamespace(b_n=b_n)
+
+        monkeypatch.setattr(calibration, "exact_unbiased_es_constant", exact)
+        _, brackets = spy_solver(monkeypatch, samples)
+        entry = solve_unbiased_es_constant(n, alpha, samples, seed=seed)
+        assert brackets == [False]
+        assert entry_bits(entry) == entry_bits(plain_bisection(*case))
+
+    def test_peak_memory_below_three_samples(self):
+        exact_unbiased_es_constant(50, 0.05)  # the guess is cached, as calibrate has it
+        tracemalloc.start()
+        try:
+            solve_unbiased_es_constant(50, 0.05, 1_000_000, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 8 * 1_000_000  # z and v, and less than one more float64 sample
+
     @pytest.mark.parametrize("target", [0.0, _TOLERANCE, -_TOLERANCE])
     def test_guard_band_reads_the_full_sample(self, monkeypatch, target):
         # Shift Z so that g at b_t, the dyadic k/256 nearest the root, is target up to
@@ -263,7 +323,9 @@ class TestSolverBits:
 
         monkeypatch.setattr(calibration, "draw_pivotal_pairs", draw)
         monkeypatch.setattr(calibration, "_undecided", spy)
+        _, brackets = spy_solver(monkeypatch, samples)
         entry = solve_unbiased_es_constant(n, alpha, samples, seed=21)
+        assert brackets == [True]  # the quadrature guess brackets this sample's root
         assert any(calls)  # a candidate-row g fell in the band, so that step read the full sample
         assert entry_bits(entry) == entry_bits(plain_bisection(n, alpha, samples, 21, draw))
         if target == 0.0:

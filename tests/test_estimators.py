@@ -529,6 +529,15 @@ class TestVarKde:
                 h = 1.06 * np.std(row, ddof=1) * row.size ** (-0.2) if bandwidth is None else bandwidth
                 assert capital.hex() == kde_row_reference(row, alpha, kernel, h).hex()
 
+    def test_subnormal_slope_warns_nothing(self):
+        # a narrow bandwidth on wide t3 rows: some Newton iterates see a subnormal density
+        rows = 30 * np.random.default_rng(0).standard_t(3, (300, 50))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = batch_var_capitals("kde", window_stats(rows), 0.1, kde_bandwidth=0.05)
+        for row, capital in zip(rows, batch):
+            assert capital.hex() == kde_row_reference(row, 0.1, "gaussian", 0.05).hex()
+
     @pytest.mark.parametrize("kernel", ["gaussian", "epanechnikov"])
     def test_quantile_is_the_mixture_root_to_1e12(self, kernel):
         gen = SeededRng(58).generator()
