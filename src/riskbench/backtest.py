@@ -186,9 +186,11 @@ def _backtest_stats(var_caps, es_caps, windows, alpha) -> dict:
     """Per group, the backtest's statistics of (..., K) capitals on (..., K, w) evaluation windows.
 
     ``windows`` are the raw windows or, to share one sort between methods, their
-    :func:`_sort_windows`. Every statistic is read off the sorted window y, its
+    :func:`_sort_windows`; capitals with a leading method axis, (M, ..., K), score
+    every method in one call. Every statistic is read off the sorted window y, its
     centre r and the prefix sums P[j] = sum_{i<j} (y_i - r). With x1 = -VaR
-    capital, u = x1 - r and k = #{y < x1} (one comparison per window):
+    capital, u = x1 - r and k = #{y < x1}, a lower bound found by ceil(log2 w)
+    halvings of the window and one comparison (a NaN x1 gives k = 0):
 
     - the exceedances are k: ``y < x1`` is exactly the strict ``y + c < 0``, so a
       tie is none;
@@ -212,7 +214,13 @@ def _backtest_stats(var_caps, es_caps, windows, alpha) -> dict:
     rows, w = y.shape[-2:]
     x1 = -var_caps
     u = x1 - r
-    k = np.count_nonzero(y < x1[..., None], axis=-1)
+    first = start - start // (w + 1)  # the flat index of each window's y[..., 0]
+    base, span = first, w
+    while span > 1:  # a lower bound: the window's first y >= x1 lies in [base, base + span]
+        probe = base + span // 2
+        base = np.where(y.take(probe) < x1, probe, base)
+        span -= span // 2
+    k = base - first + (y.take(base) < x1)
     below = prefix.take(start + k)  # P[k]
     gain = k * u - below  # sum_{y < x1} (x1 - y)
     var = gain - alpha * (w * u - prefix[..., w])
@@ -447,8 +455,9 @@ def _backtest_groups(estimation, evaluation, config: BacktestConfig, table):
 
     ``estimation`` and ``evaluation`` are (G, K-1, w); ``evaluation[g, k]`` is
     the window that follows ``estimation[g, k]`` in group g's series.
-    One :func:`window_stats` call, one kernel call per method and measure, and
-    one sort of the evaluation windows serve every group. Each per-row reduction
+    One :func:`window_stats` call, one kernel call per method and measure, one
+    sort of the evaluation windows and one :func:`_backtest_stats` call on the
+    (M, G, K-1) capitals of all M methods serve every group. Each per-row reduction
     runs along a contiguous row in the order a single group's would, so every
     group's statistics are bit-identical to a backtest of that group alone.
 
@@ -459,18 +468,20 @@ def _backtest_groups(estimation, evaluation, config: BacktestConfig, table):
     and a Z left undefined by a non-positive ES capital.
     """
     groups, rows, w = estimation.shape
-    ws = window_stats(estimation.reshape(groups * rows, w))
-    ordered = _sort_windows(evaluation)
-    for method in config.methods:
-        var_caps, es_caps, failures = _group_capitals(method, ws, groups, config, table)
-        var_caps = var_caps.reshape(groups, rows)
-        es_caps = None if es_caps is None else es_caps.reshape(groups, rows)
-        stats = _backtest_stats(var_caps, es_caps, ordered, config.alpha)
-        count = stats.pop("count")
-        stats["er"] = count / (rows * w)
-        failed = np.array([f is not None for f in failures])
-        stats = {key: np.where(failed, np.nan, v) for key, v in stats.items()}
-        yield method, failures, var_caps, es_caps, stats | {"count": count, "failed": failed}
+    ws = window_stats(estimation)
+    per_method = (_group_capitals(m, ws, groups, config, table) for m in config.methods)
+    var_caps, es_caps, failures = zip(*per_method)
+    var_caps = np.stack(var_caps).reshape(-1, groups, rows)
+    es_caps = None if config.measure == "var" else np.stack(es_caps).reshape(var_caps.shape)
+    stats = _backtest_stats(var_caps, es_caps, _sort_windows(evaluation), config.alpha)
+    count = stats.pop("count")
+    stats["er"] = count / (rows * w)
+    failed = np.array([[f is not None for f in fs] for fs in failures])
+    stats = {key: np.where(failed, np.nan, v) for key, v in stats.items()}
+    stats |= {"count": count, "failed": failed}
+    for m, method in enumerate(config.methods):
+        es = None if es_caps is None else es_caps[m]
+        yield method, failures[m], var_caps[m], es, {key: v[m] for key, v in stats.items()}
 
 
 def rolling_backtest(series, config: BacktestConfig, table=None) -> BacktestReport:
@@ -578,6 +589,11 @@ def _outperformance_rate(values: np.ndarray, reference: np.ndarray, target: floa
     return float(np.mean(np.abs(values[both] - target) > np.abs(reference[both] - target)))
 
 
+def _nan_mean(values: np.ndarray):
+    valid = values[~np.isnan(values)]
+    return float(valid.mean()) if valid.size else None
+
+
 def _nan_stats(values: np.ndarray):
     valid = values[~np.isnan(values)]
     if valid.size == 0:
@@ -600,11 +616,12 @@ def replication_study(
 ) -> ReplicationSummary:
     """Simulate N series, backtest each, aggregate ER / RD / OR per method.
 
-    Replication i draws from the stream ``(seed, stream_id=i)``. Replications
+    Replication i draws from the stream ``(seed, stream_id=i)``, through one Philox
+    generator re-keyed to each stream (:meth:`SeededRng.generator`). Replications
     run in chunks sized to a fixed budget of window cells, so memory does not
-    grow with N: each chunk makes one window-statistics call and one kernel
-    call per method, and a kernel failure is charged to the replications that
-    cause it. Results are bit-identical to backtesting each replication alone
+    grow with N: each chunk makes one window-statistics call, one kernel call
+    per method and one scoring call, and a kernel failure is charged to the
+    replications that cause it. Results are bit-identical to backtesting each replication alone
     with :func:`rolling_backtest`, whatever the chunk size.
     RD_i = (ER_i - ER_i(ref)) / ER_i(ref); OR_i = 1 iff the competitor's
     exceedance rate sits farther from alpha than the reference's. With an ES
@@ -631,11 +648,13 @@ def replication_study(
         for m in config.methods
     }
     block = np.empty((min(chunk, replications), series_length))  # each chunk's series, in place
+    bits = SeededRng(int(seed)).generator()  # one Philox, re-keyed to each replication's stream
     for start in range(0, replications, chunk):
         stop = min(start + chunk, replications)
         series = block[: stop - start]
         for i, row in enumerate(series, start):
-            draw_gaussian(SeededRng(int(seed), i), series_length, generator.mu, generator.sigma, row)
+            rng = SeededRng(int(seed), i).generator(bits)
+            draw_gaussian(rng, series_length, generator.mu, generator.sigma, row)
         tiled = series[:, : windows * w].reshape(stop - start, windows, w)
         for method, _, _, _, stats in _backtest_groups(tiled[:, :-1], tiled[:, 1:], config, table):
             for key, values in merged[method].items():
@@ -647,8 +666,8 @@ def replication_study(
         slot = merged[method]
         er_mean, er_sd = _nan_stats(slot["er"])
         z_mean, z_sd = _nan_stats(slot["es_z"])
-        var_score_mean, _ = _nan_stats(slot["var_score"])
-        joint_score_mean, _ = _nan_stats(slot["joint_score"])
+        var_score_mean = _nan_mean(slot["var_score"])  # no sd: it squares the data's units
+        joint_score_mean = _nan_mean(slot["joint_score"])
         rd_mean = rd_sd = or_rate = z_or = None
         rd_excluded = 0
         if ref is not None and method != reference:

@@ -59,6 +59,7 @@ from .errors import (
     SizeError,
 )
 from .stats_core import (
+    _type7_index,
     _type7_sorted_rows,
     as_sample,
     ndtr,
@@ -226,26 +227,32 @@ class WindowStats:
 def window_stats(windows: np.ndarray, with_shape: bool = False) -> WindowStats:
     """Sort each row, put it in units of a power of two, and compute its mean and sd (divisor n-1).
 
+    ``windows`` (..., n) is read as the (m, n) matrix of its rows; a strided view is not copied.
     Row i is multiplied by 2^-e, e = ``exponent[i]`` the binary exponent of its largest |x|
     (``np.frexp``, held at -1021 or above so that 2^-e is a float): exact for normal numbers,
     so no square overflows or underflows, and a row's statistics in its units are the same
     bits at every power-of-two scale. A constant row's mean is that constant, which a sum can
-    round one ulp off, and an sd whose population spread is noise (:meth:`WindowStats.is_noise`)
-    is zero. The skew and kurtosis that Cornish-Fisher needs are filled on first use;
-    ``with_shape`` computes them now. A one-column matrix has NaN sds.
+    round one ulp off; the sd about the mean is ``np.std``'s, and zero where its population
+    spread is noise (:meth:`WindowStats.is_noise`). The skew and kurtosis that Cornish-Fisher
+    needs are filled on first use; ``with_shape`` computes them now. A one-column matrix has NaN sds.
     """
-    w = np.ascontiguousarray(np.asarray(windows, dtype=float))
-    if w.ndim != 2 or w.shape[1] < 1:
-        raise SizeError(f"windows must be (m, n>=1), got shape {w.shape}")
-    m, n = w.shape
-    ws = WindowStats(w, np.sort(w, axis=1), None, None, n)
+    w = np.asarray(windows, dtype=float)
+    if w.ndim < 2 or w.shape[-1] < 1:
+        raise SizeError(f"windows must be (..., n>=1), got shape {w.shape}")
+    n = w.shape[-1]
+    ws = WindowStats(None, np.sort(w, axis=-1).reshape(-1, n), None, None, n)
     ws.exponent = np.maximum(np.frexp(ws.max_abs)[1], -1021)
-    unit = np.ldexp(1.0, -ws.exponent)[:, None]
-    ws.sorted_rows *= unit  # in place on the sorted copy: one multiply per array
-    ws.windows = w * unit
+    unit = np.ldexp(1.0, -ws.exponent)
+    ws.sorted_rows *= unit[:, None]  # in place on the sorted copy: one multiply per array
+    # C order: a row's sums then run along it as for a C-contiguous input, whatever the layout
+    ws.windows = np.multiply(w, unit.reshape(w.shape[:-1] + (1,)), order="C").reshape(-1, n)
     lo, hi = ws.sorted_rows[:, 0], ws.sorted_rows[:, -1]
     ws.means = np.where(lo == hi, lo, ws.windows.mean(axis=1))
-    sds = ws.windows.std(axis=1, ddof=1) if n > 1 else np.full(m, np.nan)
+    if n > 1:
+        centred = ws.windows - ws.means[:, None]
+        sds = np.sqrt(np.square(centred, out=centred).sum(axis=1) / (n - 1))
+    else:
+        sds = np.full(len(lo), np.nan)
     ws.sds = np.where(ws.is_noise(sds * math.sqrt((n - 1) / n)), 0.0, sds)
     if with_shape:
         _require_shape(ws)
@@ -293,15 +300,30 @@ def _reject_rows(bad, error, describe) -> None:
         raise error(f"window {row}: {describe(row)}")
 
 
-def _batch_gpd_fit(srt: np.ndarray, thresholds: np.ndarray, exponent=None):
+def _count_below(srt: np.ndarray, q: np.ndarray, p: float | None = None) -> np.ndarray:
+    """#{x < q} per ascending-sorted row. Where q is each row's type-7 ``p``-quantile, its index j
+    is the count wherever x[j-1] < q <= x[j]; other rows (ties at q, or no ``p``) compare in full."""
+    n = srt.shape[1]
+    j = n if p is None else _type7_index(n, p)[0]
+    if j >= n:
+        return (srt < q[:, None]).sum(axis=1)
+    counts = np.full(len(q), j)
+    other = ~((srt[:, j - 1] < q) & (q <= srt[:, j]))
+    if other.any():
+        counts[other] = (srt[other] < q[other, None]).sum(axis=1)
+    return counts
+
+
+def _batch_gpd_fit(srt: np.ndarray, thresholds: np.ndarray, exponent=None, level=None):
     """PWM fit per ascending-sorted row. Returns (xi, beta, k) arrays.
 
     Probability-weighted moments are taken over exceedances y = u - x > 0 with
     survival plotting positions, which recovers xi = 0, beta = b for
     exponential(b) tails. A message quotes a threshold in data units, by the row's ``exponent``.
+    Thresholds that are the rows' type-7 quantiles at ``level`` count their tails by index.
     """
     m = srt.shape[0]
-    ks = (srt < thresholds[:, None]).sum(axis=1)
+    ks = _count_below(srt, thresholds, level)
     quoted = thresholds if exponent is None else np.ldexp(thresholds, exponent)
     _reject_rows(ks < 5, InsufficientTailError, lambda i: f"only {int(ks[i])} observations "
                  f"strictly below threshold {float(quoted[i])!r} (need 5)")
@@ -334,13 +356,14 @@ def _gpd_fit_rows(
     u = None if gpd_threshold is None else float(gpd_threshold)
     key = ("gpd", u, float(gpd_threshold_quantile))
     if key not in ws.fits:
+        level = float(gpd_threshold_quantile) if u is None else None
         if u is None:
-            thresholds = _type7_sorted_rows(ws.sorted_rows, float(gpd_threshold_quantile))
+            thresholds = _type7_sorted_rows(ws.sorted_rows, level)
         elif math.isfinite(u):
             thresholds = ws.in_row_units(u)
         else:
             raise DomainError(f"gpd_threshold must be finite, got {u!r}")
-        ws.fits[key] = (thresholds, *_batch_gpd_fit(ws.sorted_rows, thresholds, ws.exponent))
+        ws.fits[key] = (thresholds, *_batch_gpd_fit(ws.sorted_rows, thresholds, ws.exponent, level))
     return ws.fits[key]
 
 
@@ -781,7 +804,7 @@ def _mean(ws, alpha, **_):
 def _es_empirical(ws, alpha, **_):
     """Average loss beyond the empirical VaR (the negated mean of the points below it)."""
     quantiles = _type7_sorted_rows(ws.sorted_rows, alpha)
-    counts = (ws.sorted_rows < quantiles[:, None]).sum(axis=1)
+    counts = _count_below(ws.sorted_rows, quantiles, alpha)
     _reject_rows(counts == 0, EmptyTailError, lambda _: "no observation below the empirical VaR")
     # a cumsum prefix does not depend on later columns, so only the longest tail is summed
     prefix = np.cumsum(ws.sorted_rows[:, : counts.max()], axis=1)

@@ -95,6 +95,25 @@ class TestExceedanceRate:
         hits = _exceedances(np.array([1.0, 0.0]), np.array([[-1.0, -1.5], [0.0, -0.0]]))
         assert hits.tolist() == [[False, True], [False, False]]
 
+    @pytest.mark.parametrize("w", [1, 2, 50, 64])
+    def test_lower_bound_count_equals_the_comparison(self, w):
+        # each window's count against the elementwise one, with three methods' (M, G, K)
+        # capitals at once: x1 on tied values, at each end, beyond them and NaN
+        gen = np.random.default_rng(w)
+        windows = gen.integers(-3, 4, (40, 3, w)).astype(float)
+        x1 = np.stack([
+            windows[..., 0],
+            gen.choice([-4.0, -3.0, 0.0, 3.0, 3.5, np.nan], windows.shape[:-1]),
+            gen.integers(-4, 5, windows.shape[:-1]) + gen.choice([0.0, 0.5, -0.0], windows.shape[:-1]),
+        ])
+        count = _backtest_stats(-x1, None, windows, 0.05)["count"]
+        expected = np.count_nonzero(windows < x1[..., None], axis=(-2, -1))
+        assert count.shape == (3, 40)
+        assert count.tolist() == expected.tolist()
+        for g in range(40):
+            alone = _backtest_stats(-x1[:, g, :1], None, windows[g, :1], 0.05)["count"]
+            assert alone.tolist() == np.count_nonzero(windows[g, 0] < x1[:, g, :1], axis=-1).tolist()
+
 
 class TestBiasStatistic:
     def test_constant_secured_positions(self):
@@ -772,6 +791,47 @@ class TestReplicationEngine:
         assert 0 < summary.methods["empirical"].failures < 16
         assert 0 < summary.methods["gpd"].failures < 16
         assert summary.methods["gaussian"].failures == 0
+
+    def test_constant_replication_fails_alone_inside_its_chunk(self, monkeypatch):
+        # replication 2 of 5 is a constant series: GPD finds no tail below its threshold and
+        # empirical ES none below its VaR, while the chunk's other replications score as usual
+        config = BacktestConfig(alpha=0.05, methods=("u", "norm", "emp", "cf", "gpd"), window=50,
+                                measure="both")
+        monkeypatch.setattr(backtest, "_CHUNK_CELLS", 4 * 300)  # four replications a chunk
+        draw, drawn = backtest.draw_gaussian, []
+
+        def constant_third(rng, count, mu, sigma, out=None):
+            out = draw(rng, count, mu, sigma, out)
+            if len(drawn) == 2:
+                out[:] = 0.75
+            drawn.append(out.copy())
+            return out
+
+        monkeypatch.setattr(backtest, "draw_gaussian", constant_third)
+        summary = replication_study(config, GaussianParams(0.0, 1.0), 350, 5, 21, keep_samples=True)
+        assert len(drawn) == 5 and np.all(drawn[2] == 0.75)
+        for i, values in enumerate(drawn):
+            report = rolling_backtest(values, config)
+            for method, r in report.methods.items():
+                assert summary.samples[method]["failed"][i] == r.failed == (
+                    i == 2 and method in ("empirical", "gpd"))
+                assert np.array_equal(_sample_row(summary, method, i), _report_row(r), equal_nan=True)
+        assert summary.methods["gpd"].failures == summary.methods["empirical"].failures == 1
+
+    @pytest.mark.parametrize("k", [-560, 660])
+    def test_power_of_two_scales_read_the_same_and_do_not_warn(self, k):
+        config = BacktestConfig(alpha=0.05, methods=("emp", "u", "norm", "cf", "gpd"), window=50,
+                                measure="both")
+        unit = replication_study(config, GaussianParams(0.0, 1.0), 500, 5, 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            scaled = replication_study(config, GaussianParams(0.0, 2.0**k), 500, 5, 0)
+        for method, stats in unit.methods.items():
+            other = scaled.methods[method]
+            for name in ("er_mean", "er_sd", "rd_mean", "rd_sd", "or_rate", "es_z_mean", "es_z_sd",
+                         "es_z_or_rate", "failures"):
+                assert getattr(other, name) == getattr(stats, name), (method, name)
+            assert other.var_score_mean == math.ldexp(stats.var_score_mean, k)
 
     def test_golden_summary(self):
         # values recorded from the per-replication engine this one replaced

@@ -52,6 +52,7 @@ from riskbench.estimators import (
     estimate,
     window_stats,
 )
+from riskbench.stats_core import _type7_index, _type7_sorted_rows
 
 # frozen oracle constants (high-precision inversion of the target densities)
 Z_05 = -1.6448536269514727          # Phi^{-1}(0.05)
@@ -1143,3 +1144,81 @@ class TestWindowStats:
             with pytest.raises(ConfigError, match="gaussian, gaussian_unbiased, mean"):
                 batch_var_capitals(tag, moments, 0.05)
         assert moments.take(slice(1, 3)).n == 20
+
+    def test_sd_is_numpys_about_the_stored_mean(self):
+        # enough rows that a rounding of the same sd in another order would show
+        rows = np.vstack([
+            draw_gaussian(SeededRng(81), 200 * 50, 0.3, 2.0).reshape(200, 50),
+            np.round(draw_gaussian(SeededRng(82), 20 * 50, 0.0, 3.0)).reshape(20, 50),
+            np.full((1, 50), 0.1),  # constant: an sd of exactly zero
+        ])
+        ws = window_stats(rows)
+        scaled = np.ldexp(rows, -ws.exponent[:, None])
+        assert np.array_equal(ws.windows, scaled)
+        assert [s.hex() for s in ws.sds[:-1]] == [np.std(r, ddof=1).hex() for r in scaled[:-1]]
+        assert ws.sds[-1] == 0.0 and ws.means[-1] == scaled[-1, 0]
+
+    def test_strided_windows_read_as_their_rows(self):
+        # the (G, K-1, n) estimation view of tiled series, as a replication chunk passes it
+        tiled = draw_gaussian(SeededRng(83), 3 * 6 * 20, 0.1, 1.5).reshape(3, 6, 20)
+        view = tiled[:, :-1]
+        assert not view.flags.c_contiguous
+        rows = window_stats(view.reshape(-1, 20), with_shape=True)
+        # and a column-major copy of the rows, whose row sums must not run down the columns
+        for other in (view, np.asfortranarray(view.reshape(-1, 20))):
+            ws = window_stats(other, with_shape=True)
+            for name in ("windows", "sorted_rows", "means", "sds", "exponent", "skews", "kurts"):
+                assert getattr(ws, name).tobytes() == getattr(rows, name).tobytes(), name
+            assert ws.windows.shape == (15, 20)
+        with pytest.raises(SizeError):
+            window_stats(np.zeros(5))
+
+
+def full_count_below(srt, q, p=None):
+    """#{x < q} per sorted row by the full comparison."""
+    return (srt < q[:, None]).sum(axis=1)
+
+
+class TestIndexTailCounts:
+    """Tail counts read off a type-7 quantile's index against the full comparison."""
+
+    ROWS = np.vstack([
+        draw_gaussian(SeededRng(84), 6 * 21, 0.0, 1.0).reshape(6, 21),
+        np.round(draw_gaussian(SeededRng(85), 30 * 21, 0.0, 1.5)).reshape(30, 21),  # ties
+        np.full((2, 21), -0.25),
+    ])
+
+    # g = 0 where h = 20p + 1 is an integer: q is an order statistic
+    @pytest.mark.parametrize("p, order_statistic", [(0.05, True), (0.12, False), (0.3, True),
+                                                    (0.33, False), (0.5, True), (0.999, False)])
+    def test_counts_equal_the_comparison(self, p, order_statistic):
+        assert (_type7_index(21, p)[1] == 0.0) == order_statistic
+        srt = np.sort(self.ROWS, axis=1)
+        q = _type7_sorted_rows(srt, p)
+        counts = estimators._count_below(srt, q, p)
+        assert counts.dtype == full_count_below(srt, q).dtype
+        assert counts.tolist() == full_count_below(srt, q).tolist()
+        # any other threshold: the full comparison
+        u = q + 0.5
+        assert estimators._count_below(srt, u).tolist() == full_count_below(srt, u).tolist()
+
+    @pytest.mark.parametrize("options", [{}, {"gpd_threshold_quantile": 0.25},
+                                         {"gpd_threshold_quantile": 0.5}, {"gpd_threshold": 0.0},
+                                         {"gpd_threshold": -0.5}])
+    @pytest.mark.parametrize("alpha", [0.05, 0.25])
+    def test_kernels_equal_the_comparison(self, options, alpha, monkeypatch):
+        def capitals():
+            out = []
+            for kernel, tag in ((batch_es_capitals, "empirical"), (batch_var_capitals, "gpd"),
+                                (batch_es_capitals, "gpd")):
+                for rows in self.ROWS[:, None]:
+                    try:
+                        out.append(kernel(tag, window_stats(rows), alpha, **options)[0].hex())
+                    except RiskbenchError as exc:
+                        out.append(f"{type(exc).__name__}: {exc}")
+            return out
+
+        indexed = capitals()
+        monkeypatch.setattr(estimators, "_count_below", full_count_below)
+        assert indexed == capitals()
+        assert sum(not c.startswith("0x") and not c.startswith("-0x") for c in indexed) > 0

@@ -314,6 +314,24 @@ class TestSeededRng:
             SeededRng(2**64)
         SeededRng(2**64 - 1, 2**64 - 1)  # boundary accepted
 
+    def test_reused_generator_draws_the_fresh_streams_bits(self):
+        # one generator re-keyed from stream to stream, left mid-buffer each time
+        # (an odd count of normals, a buffered 32-bit half), draws what a fresh one does
+        reused = SeededRng(0).generator()
+        for seed in (0, 2**64 - 1):
+            for stream_id in (0, 1, 2**64 - 1):
+                rng = SeededRng(seed, stream_id)
+                fresh = rng.generator()
+                gen = rng.generator(reused)
+                assert gen is reused
+                for draw in (lambda g: g.standard_normal(1001),
+                             lambda g: g.integers(0, 2**32, 3, dtype=np.uint32),
+                             lambda g: g.random(5)):
+                    assert draw(gen).tobytes() == draw(fresh).tobytes()
+                expected = draw_gaussian(rng, 2500, 0.5, 2.0)
+                got = draw_gaussian(rng.generator(reused), 2500, 0.5, 2.0)
+                assert got.tobytes() == expected.tobytes()
+
 
 class TestDrawGaussian:
     def test_degenerate_sigma(self):
