@@ -9,12 +9,10 @@ from .backtest import (
     WindowPairing,
     acerbi_z,
     bias_statistic,
-    joint_var_es_score,
     mean_score,
     replication_study,
     rolling_backtest,
     split_windows,
-    var_score,
 )
 from .calibration import (
     CalibrationEntry,

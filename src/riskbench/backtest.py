@@ -164,14 +164,13 @@ class _SortedWindows(typing.NamedTuple):
 
 def _sort_windows(windows) -> _SortedWindows:
     w = windows.shape[-1]
-    y = windows if w == 1 else np.sort(windows, axis=-1)  # a one-point window is its own sort
+    y = np.sort(windows, axis=-1)
     r = y[..., w // 2]
     prefix = np.empty(y.shape[:-1] + (w + 1,))
     prefix[..., 0] = 0.0
     sums = prefix[..., 1:]  # in place: a full-size temporary nearly doubles this function's time
     np.subtract(y, r[..., None], out=sums)
-    if w > 1:  # one point's sums are already P = [0, y - r]
-        np.cumsum(sums, axis=-1, out=sums)
+    np.cumsum(sums, axis=-1, out=sums)
     start = np.arange(0, prefix.size, prefix.shape[-1]).reshape(r.shape)
     return _SortedWindows(y, r, prefix, start)
 
@@ -206,8 +205,7 @@ def _backtest_stats(var_caps, es_caps, windows, alpha) -> dict:
     of raw y carry rounding errors of the size of |y|, which a location shift
     makes arbitrarily larger, while a median minimises sum |y - c| over c, so
     sum |y - r| <= sum |y - x1|. Each window's sum is divided by w, then averaged over the
-    K windows; the ES statistics are NaN without ``es_caps``. The pointwise :func:`var_score`
-    and :func:`joint_var_es_score` are these scores of one-point windows (K = w = 1).
+    K windows; the ES statistics are NaN without ``es_caps``.
     """
     y, r, prefix, start = windows if isinstance(windows, _SortedWindows) else _sort_windows(windows)
     alpha = float(RiskLevel(alpha))
@@ -275,34 +273,6 @@ def acerbi_z(var_capitals, es_capitals, evaluation_windows, alpha):
         raise DomainError(reason)
     z = _backtest_stats(var_caps, es_caps, windows, alpha)["es_z"]
     return float(z) if z.ndim == 0 else z
-
-
-def _pointwise(score, alpha, outcome, *forecasts):
-    """``score`` of each outcome as a one-point window (K = w = 1) of :func:`_backtest_stats`."""
-    y, *x = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (outcome, *forecasts)))
-    if not all(np.isfinite(a).all() for a in (y, *x)):
-        raise DataError("forecasts and outcomes must be finite")
-    caps = [-a[..., None] for a in x] + [None]  # the VaR and, for the joint score, ES capitals
-    result = _backtest_stats(caps[0], caps[1], y[..., None, None], alpha)[score]
-    return float(result) if result.ndim == 0 else result
-
-
-def var_score(forecast, outcome, alpha):
-    """Consistent quantile score of a forecast x1 (minus the VaR capital) at an outcome y.
-
-    S = (1{x1 >= y} - alpha)(x1 - y), the penalty alpha*(y-x1)^+ + (1-alpha)*(y-x1)^-.
-    The arguments broadcast; a non-finite one raises :class:`DataError`.
-    """
-    return _pointwise("var_score", alpha, outcome, forecast)
-
-
-def joint_var_es_score(var_forecast, es_forecast, outcome, alpha):
-    """Joint VaR-ES consistent score with logistic weighting of the ES leg.
-
-    With x1, x2 minus the VaR and ES capitals, sig = expit(x2) and S the :func:`var_score`,
-    the score at y is S + sig*1{x1 >= y}*(x1 - y)/alpha + sig*(x2 - x1) - sig. Inputs as there.
-    """
-    return _pointwise("joint_score", alpha, outcome, var_forecast, es_forecast)
 
 
 def mean_score(forecasts, evaluation_windows, alpha, score: str = "var", es_forecasts=None):

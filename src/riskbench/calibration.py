@@ -60,7 +60,6 @@ _READABLE_TABLE_VERSIONS = (1, 2)
 DEFAULT_MC_SAMPLES = 10_000_000
 _TOLERANCE = 1e-4
 _BISECTION_WIDTH = 1e-8
-_ALPHA_KEY_SCALE = 1_000_000
 _CHUNK_TRIALS = 1 << 20  # a constant: a trial's draws depend only on the seed and its index
 _PASS_ROWS = 1 << 16  # rows per chunk of the bracket's pass
 
@@ -69,25 +68,21 @@ def _optional_int(value):
     return None if value is None else int(value)
 
 
-def _alpha_key(alpha: float) -> int:
-    return int(round(float(alpha) * _ALPHA_KEY_SCALE))
-
-
 @dataclass
 class CalibrationTable:
-    """Calibration entries keyed by (n, alpha @ 1e-6), with the exact constant behind them.
+    """Calibration entries keyed by (n, alpha), with the exact constant behind them.
 
-    Lookups match keys exactly: a_n varies sharply in n at small n, so no
-    interpolation is offered. A key the table does not hold falls back to
+    Lookups match keys exactly, alpha to the bit (JSON keeps a stored alpha's bits): a_n
+    varies sharply in n at small n and in alpha at small alpha, so no interpolation or
+    rounding is offered. A key the table does not hold falls back to
     :func:`exact_unbiased_es_constant`, which is not stored.
     """
 
     entries: dict = field(default_factory=dict)
-    version: int = TABLE_FORMAT_VERSION
 
     @staticmethod
-    def key(n: int, alpha: float) -> tuple[int, int]:
-        return int(n), _alpha_key(alpha)
+    def key(n: int, alpha: float) -> tuple[int, float]:
+        return int(n), float(alpha)
 
     def add(self, entry: CalibrationEntry) -> None:
         self.entries[self.key(entry.n, entry.alpha)] = entry
@@ -99,7 +94,7 @@ class CalibrationTable:
     def save(self, path) -> None:
         """Write the table as JSON; a path that cannot be written raises :class:`OutputError`."""
         records = [asdict(e) for _, e in sorted(self.entries.items())]
-        text = json.dumps({"version": self.version, "entries": records}, indent=2, sort_keys=True)
+        text = json.dumps({"version": TABLE_FORMAT_VERSION, "entries": records}, indent=2, sort_keys=True)
         write_text(path, text + "\n", "calibration table")
 
     @classmethod

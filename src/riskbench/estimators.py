@@ -18,6 +18,8 @@ the bit while data and capitals are normal floats, and no kernel needs an overfl
 :data:`METHODS` is the one place to add an estimator. It maps each canonical
 tag to its kernels, minimum sample size, aliases and location-scale flag; tag
 resolution, the size and form checks, the Monte Carlo checks and the CLI read it.
+:data:`OPTIONS` holds the two settings a kernel may read: the quantile level of the GPD
+threshold and a calibration table for the unbiased ES.
 
 The unbiased Gaussian ES kernel needs the constant ``a_n``, which
 :func:`exact_unbiased_es_constant` computes by quadrature and caches, so every
@@ -86,9 +88,6 @@ class RiskLevel(float):
         if not (math.isfinite(value) and 0.0 < value < 1.0):
             raise DomainError(f"risk level must lie in (0, 1), got {alpha!r}")
         return super().__new__(cls, value)
-
-
-KDE_KERNELS = ("gaussian", "epanechnikov")
 
 
 @dataclass(frozen=True)
@@ -214,10 +213,6 @@ class WindowStats:
         """One value per row, read in row units, in the data's units."""
         return values if self.exponent is None else np.ldexp(values, self.exponent)
 
-    def in_row_units(self, value: float) -> np.ndarray:
-        """One value in the data's units, per row in that row's units."""
-        return np.full(len(self.means), value) if self.exponent is None else np.ldexp(value, -self.exponent)
-
     def take(self, rows: slice) -> "WindowStats":
         """The statistics of a run of rows, as views; ``n`` and absent arrays carry over, fits do not."""
         values = (getattr(self, f.name) for f in fields(self) if f.name != "fits")
@@ -300,11 +295,11 @@ def _reject_rows(bad, error, describe) -> None:
         raise error(f"window {row}: {describe(row)}")
 
 
-def _count_below(srt: np.ndarray, q: np.ndarray, p: float | None = None) -> np.ndarray:
-    """#{x < q} per ascending-sorted row. Where q is each row's type-7 ``p``-quantile, its index j
-    is the count wherever x[j-1] < q <= x[j]; other rows (ties at q, or no ``p``) compare in full."""
+def _count_below(srt: np.ndarray, q: np.ndarray, p: float) -> np.ndarray:
+    """#{x < q} per ascending-sorted row, where q is each row's type-7 ``p``-quantile: its index j
+    is the count wherever x[j-1] < q <= x[j]; other rows (ties at q) compare in full."""
     n = srt.shape[1]
-    j = n if p is None else _type7_index(n, p)[0]
+    j = _type7_index(n, p)[0]
     if j >= n:
         return (srt < q[:, None]).sum(axis=1)
     counts = np.full(len(q), j)
@@ -314,17 +309,17 @@ def _count_below(srt: np.ndarray, q: np.ndarray, p: float | None = None) -> np.n
     return counts
 
 
-def _batch_gpd_fit(srt: np.ndarray, thresholds: np.ndarray, exponent=None, level=None):
-    """PWM fit per ascending-sorted row. Returns (xi, beta, k) arrays.
+def _batch_gpd_fit(srt: np.ndarray, thresholds: np.ndarray, exponent: np.ndarray, level: float):
+    """PWM fit per ascending-sorted row at its type-7 ``level``-quantile threshold. Returns (xi, beta, k).
 
     Probability-weighted moments are taken over exceedances y = u - x > 0 with
     survival plotting positions, which recovers xi = 0, beta = b for
-    exponential(b) tails. A message quotes a threshold in data units, by the row's ``exponent``.
-    Thresholds that are the rows' type-7 quantiles at ``level`` count their tails by index.
+    exponential(b) tails. The tails are counted by index (:func:`_count_below`), and a
+    message quotes a threshold in data units, by the row's ``exponent``.
     """
     m = srt.shape[0]
     ks = _count_below(srt, thresholds, level)
-    quoted = thresholds if exponent is None else np.ldexp(thresholds, exponent)
+    quoted = np.ldexp(thresholds, exponent)
     _reject_rows(ks < 5, InsufficientTailError, lambda i: f"only {int(ks[i])} observations "
                  f"strictly below threshold {float(quoted[i])!r} (need 5)")
     b0 = np.empty(m)
@@ -349,20 +344,12 @@ def check_gpd_threshold_quantile(q) -> float:
     return q
 
 
-def _gpd_fit_rows(
-    ws: WindowStats, gpd_threshold=None, gpd_threshold_quantile=DEFAULT_GPD_THRESHOLD_QUANTILE, **_
-):
-    """Row-unit thresholds (by default each row's 0.3 type-7 quantile) and PWM fit (xi, beta, k); memoised."""
-    u = None if gpd_threshold is None else float(gpd_threshold)
-    key = ("gpd", u, float(gpd_threshold_quantile))
+def _gpd_fit_rows(ws: WindowStats, gpd_threshold_quantile=DEFAULT_GPD_THRESHOLD_QUANTILE, **_):
+    """Row-unit thresholds (each row's type-7 quantile, 0.3 by default) and PWM fit (xi, beta, k); memoised."""
+    level = float(gpd_threshold_quantile)
+    key = ("gpd", level)
     if key not in ws.fits:
-        level = float(gpd_threshold_quantile) if u is None else None
-        if u is None:
-            thresholds = _type7_sorted_rows(ws.sorted_rows, level)
-        elif math.isfinite(u):
-            thresholds = ws.in_row_units(u)
-        else:
-            raise DomainError(f"gpd_threshold must be finite, got {u!r}")
+        thresholds = _type7_sorted_rows(ws.sorted_rows, level)
         ws.fits[key] = (thresholds, *_batch_gpd_fit(ws.sorted_rows, thresholds, ws.exponent, level))
     return ws.fits[key]
 
@@ -748,41 +735,25 @@ def _var_gpd(ws, alpha, **options):
     return _gpd_var_from_fit(thresholds, xi, beta, ks, ws.n, alpha)
 
 
-def _var_kde(ws, alpha, kde_kernel="gaussian", kde_bandwidth=None, **_):
-    """KDE quantile on the exact kernel CDF; the default bandwidth is 1.06*sd*n^(-1/5).
+def _var_kde(ws, alpha, **_):
+    """Quantile of the Gaussian KDE at bandwidth 1.06*sd*n^(-1/5), on the exact mixture CDF.
 
-    The Gaussian mixture CDF reads ``scipy.special.ndtr`` on (rows, n) arrays, imported here
-    at first use: :func:`~riskbench.stats_core.ndtr` makes one Python call per element, and
-    a numpy port of Cephes' ``ndtr`` took about three times as long.
+    The mixture CDF reads ``scipy.special.ndtr`` on (rows, n) arrays, imported here at first
+    use: :func:`~riskbench.stats_core.ndtr` makes one Python call per element, and a numpy
+    port of Cephes' ``ndtr`` took about three times as long.
     """
     from scipy import special
-    if kde_kernel not in KDE_KERNELS:
-        raise ConfigError(f"unknown kernel {kde_kernel!r}; valid kernels: {', '.join(KDE_KERNELS)}")
-    if kde_bandwidth is None:
-        if ws.n < 10:
-            raise SizeError(f"kde default bandwidth needs n >= 10, got {ws.n}")
-        _reject_rows(ws.sds == 0.0, DataError,
-                     lambda _: "kde default bandwidth needs a sample with positive spread")
-        h = 1.06 * ws.sds * ws.n ** (-0.2)
-    else:
-        h = float(kde_bandwidth)
-        if not (math.isfinite(h) and h > 0.0):
-            raise DomainError(f"bandwidth must be positive, got {kde_bandwidth!r}")
-        h = ws.in_row_units(h)
+    _reject_rows(ws.sds == 0.0, DataError,
+                 lambda _: "kde default bandwidth needs a sample with positive spread")
+    h = 1.06 * ws.sds * ws.n ** (-0.2)
     z = ndtri(alpha)
-    # the quantile lies within |z_alpha| bandwidths (one, for the compact kernel) of the data
-    reach_lo, reach_hi = (min(z, 0.0), max(z, 0.0)) if kde_kernel == "gaussian" else (-1.0, 1.0)
-    lo, hi = ws.sorted_rows[:, 0] + h * reach_lo, ws.sorted_rows[:, -1] + h * reach_hi
+    # the quantile lies within |z_alpha| bandwidths of the data
+    lo, hi = ws.sorted_rows[:, 0] + h * min(z, 0.0), ws.sorted_rows[:, -1] + h * max(z, 0.0)
 
     def excess_mass(rows, x):
         t = (x[:, None] - ws.windows[rows]) / h[rows, None]
-        if kde_kernel == "gaussian":
-            f = np.mean(special.ndtr(t), axis=1)
-            density = np.mean(np.exp(-0.5 * (t * t)), axis=1) / (math.sqrt(2.0 * math.pi) * h[rows])
-        else:
-            t = np.clip(t, -1.0, 1.0)
-            f = np.mean((2.0 + 3.0 * t - t**3) / 4.0, axis=1)
-            density = np.mean(0.75 * (1.0 - t * t), axis=1) / h[rows]
+        f = np.mean(special.ndtr(t), axis=1)
+        density = np.mean(np.exp(-0.5 * (t * t)), axis=1) / (math.sqrt(2.0 * math.pi) * h[rows])
         return f - alpha, density
 
     def rule(x, g, a, b):
@@ -870,15 +841,15 @@ METHODS = {
     "cornish_fisher": Method(_var_cornish_fisher, _es_cornish_fisher, 4, ("cf",)),
     "student_t": Method(_var_student_t, None, 10, ("t", "student")),
     "gpd": Method(_var_gpd, _es_gpd, 2, ("evt",)),
-    # an explicit bandwidth admits one point; the default bandwidth needs ten
-    "kde": Method(_var_kde, None, 1),
+    "kde": Method(_var_kde, None, 10),
     "gaussian_unbiased": Method(_var_unbiased, _es_unbiased, 2, ("u", "unbiased"), location_scale=True),
     "mean": Method(_mean, _mean, 1, location_scale=True),
 }
 ES_METHODS = tuple(tag for tag, spec in METHODS.items() if spec.es is not None)
 LOCATION_SCALE_METHODS = tuple(tag for tag, spec in METHODS.items() if spec.location_scale)
-# the settings a kernel may read; each method ignores those it does not use
-OPTIONS = ("gpd_threshold", "gpd_threshold_quantile", "kde_kernel", "kde_bandwidth", "table")
+# the settings a kernel may read: the GPD threshold's quantile level and the unbiased ES's
+# calibration table; each method ignores those it does not use
+OPTIONS = ("gpd_threshold_quantile", "table")
 _TAGS = {alias: tag for tag, spec in METHODS.items() for alias in (tag, *spec.aliases)}
 
 

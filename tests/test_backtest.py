@@ -27,12 +27,10 @@ from riskbench import (
     draw_gaussian,
     estimate,
     exact_unbiased_es_constant,
-    joint_var_es_score,
     mean_score,
     replication_study,
     rolling_backtest,
     split_windows,
-    var_score,
 )
 from riskbench import backtest
 from riskbench.backtest import _backtest_stats
@@ -176,7 +174,20 @@ class TestAcerbiZ:
             acerbi_z(np.zeros(2), np.array([1.0, 0.0]), np.zeros((2, 5)), 0.1)
 
 
+def var_score(forecast, outcome, alpha):
+    """The VaR mean score of one forecast on a one-point window."""
+    return mean_score(np.array([forecast]), np.array([[outcome]]), alpha)
+
+
+def joint_score(var_forecast, es_forecast, outcome, alpha):
+    """The joint mean score of one forecast pair on a one-point window."""
+    return mean_score(np.array([var_forecast]), np.array([[outcome]]), alpha, "joint",
+                      es_forecasts=np.array([es_forecast]))
+
+
 class TestVarScore:
+    """S = (1{x1 >= y} - alpha)(x1 - y) at a forecast x1 (minus the VaR capital) and outcome y."""
+
     def test_zero_gap(self):
         assert var_score(1.3, 1.3, 0.05) == 0.0
 
@@ -210,14 +221,16 @@ class TestVarScore:
 
 
 class TestJointScore:
+    """S + sig*1{x1 >= y}*(x1 - y)/alpha + sig*(x2 - x1) - sig, with sig = expit(x2)."""
+
     def test_origin_value(self):
-        assert joint_var_es_score(0.0, 0.0, 0.0, 0.3) == pytest.approx(-0.5)
+        assert joint_score(0.0, 0.0, 0.0, 0.3) == pytest.approx(-0.5)
 
     def test_miss_value(self):
-        assert joint_var_es_score(0.0, 0.0, 1.0, 0.1) == pytest.approx(-0.4)
+        assert joint_score(0.0, 0.0, 1.0, 0.1) == pytest.approx(-0.4)
 
     def test_vanishing_logistic_weight(self):
-        assert abs(joint_var_es_score(2.0, -60.0, 2.0, 0.1)) < 1e-8
+        assert abs(joint_score(2.0, -60.0, 2.0, 0.1)) < 1e-8
 
 
 class TestExpit:
@@ -282,13 +295,14 @@ class TestMeanScore:
             mean_score(np.ones(2), windows, 0.1)
         with pytest.raises(DataError):
             acerbi_z(np.ones(2), np.ones(2), windows, 0.1)
-        # the pointwise scores and the bias statistic, whose secured positions would carry it
+        # one-point windows, each argument of either score, and the bias statistic, whose
+        # secured positions would carry it
         for args in ((bad, 0.0), (0.0, bad)):
             with pytest.raises(DataError):
                 var_score(*args, 0.05)
         for args in ((bad, 0.0, 1.0), (0.0, bad, 1.0), (0.0, 0.0, bad)):
             with pytest.raises(DataError):
-                joint_var_es_score(*args, 0.1)
+                joint_score(*args, 0.1)
         for samples, measure in ((np.zeros(20), "var"), (np.linspace(-1.0, 1.0, 20), "es")):
             samples[3] = bad
             with pytest.raises(DataError):
@@ -413,17 +427,18 @@ class TestFusedScoringPass:
                 self.assert_near_exact(expected[key], exact, key)
                 self.assert_near_exact(stats[key], exact, key)
             assert self.hexed(stats["er"]) == self.hexed(expected["count"] / evaluation[0].size)
-            # and so do the pointwise scores, each point a one-point window, ties included
-            x1, x2 = (np.broadcast_to(-c[..., None], evaluation.shape) for c in (var_caps, es_caps))
-            points = self.exact(-x1.reshape(-1, 1), -x2.reshape(-1, 1), evaluation.reshape(-1, 1, 1),
-                                self.ALPHA)
-            pointwise = {
-                "var_score": var_score(x1, evaluation, self.ALPHA),
-                "joint_score": joint_var_es_score(x1, x2, evaluation, self.ALPHA),
-            }
-            for key, values in pointwise.items():
-                assert values.shape == evaluation.shape
-                self.assert_near_exact(values.ravel(), points, key)
+            # and so do the elementwise formulas and the pass at each point alone, each point a
+            # one-point window, ties included
+            caps = [np.broadcast_to(c[..., None], evaluation.shape).reshape(-1, 1)
+                    for c in (var_caps, es_caps)]
+            points = evaluation.reshape(-1, 1, 1)
+            exact_points = self.exact(*caps, points, self.ALPHA)
+            pointwise = self.oracle(*caps, points, self.ALPHA)
+            one_point = _backtest_stats(*caps, points, self.ALPHA)
+            for key in ("var_score", "joint_score"):
+                assert one_point[key].shape == (evaluation.size,)
+                self.assert_near_exact(pointwise[key], exact_points, key)
+                self.assert_near_exact(one_point[key], exact_points, key)
         assert ties >= 5 * 3 * 7
 
     @staticmethod
@@ -493,10 +508,9 @@ class TestFusedScoringPass:
         assert stats["count"].tolist() == [0] and stats["es_z"].tolist() == [1.0]
         for key in ("var_score", "joint_score"):
             assert self.hexed(stats[key]) == self.hexed(expected[key])
-        # d = 0 at a tie, so the indicator shows only in the sign of the pointwise score:
-        # (1 - alpha) * 0 = +0.0, where an indicator of 0 gives (0 - alpha) * 0 = -0.0.
-        # A mean adds from +0.0 and cannot show it.
-        assert var_score(-1.5, -1.5, 0.1).hex() == "0x0.0p+0"
+        # d = 0 at a tie, so the indicator shows only in the sign of the score of the one point:
+        # (1 - alpha) * 0 = +0.0, where an indicator of 0 gives (0 - alpha) * 0 = -0.0
+        assert stats["var_score"][0].hex() == "0x0.0p+0"
 
     def test_each_group_equals_its_own_backtest(self, block):
         estimation, evaluation = block

@@ -459,10 +459,16 @@ class TestCalibrationTable:
             assert table_a50.lookup(n, alpha) is exact_unbiased_es_constant(n, alpha)
         assert list(table_a50.entries) == [CalibrationTable.key(50, 0.10)]
 
-    def test_alpha_quantised_at_1e6(self, table_a50):
-        entry = table_a50.lookup(50, 0.10)
-        assert table_a50.lookup(50, 0.10 + 1e-9) is entry
-        assert table_a50.lookup(50, 0.1001) is exact_unbiased_es_constant(50, 0.1001)
+    def test_entry_answers_for_its_own_alpha_only(self, table_a50):
+        # a_50 at 4e-7 is -5.99 and at 1e-7 -6.38: a level within 1e-6 of a stored one,
+        # or one ulp off it, reads its own exact constant
+        table = CalibrationTable()
+        table.add(exact_unbiased_es_constant(50, 4e-7))
+        for held, alpha in ((table, 1e-7), (table_a50, 0.10 + 1e-9),
+                            (table_a50, math.nextafter(0.10, 1.0)), (table_a50, 0.1001)):
+            assert held.lookup(50, alpha) is exact_unbiased_es_constant(50, alpha)
+        assert table.lookup(50, 4e-7).a_n != table.lookup(50, 1e-7).a_n
+        assert table_a50.lookup(50, 0.10).source == "monte_carlo"
 
     def test_quadrature_entry_round_trip(self, tmp_path):
         table = CalibrationTable()

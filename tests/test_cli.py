@@ -262,6 +262,20 @@ class TestBacktest:
         assert code == 0
         assert (0, out, "") == run(capsys, *args, "--table", exact_table(tmp_path, 50, 0.10))
 
+    def test_table_entry_at_another_alpha_is_not_read(self, capsys, tmp_path):
+        # a table holding a_50 at 4e-7 leaves a backtest at 1e-7 as no table does
+        args = ("backtest", "--simulate", "--length", "2000", "--alpha", "1e-7", "--methods", "u",
+                "--measure", "es", "--format", "json")
+        code, out, _ = run(capsys, *args)
+        assert code == 0
+        assert (0, out, "") == run(capsys, *args, "--table", exact_table(tmp_path, 50, 4e-7))
+
+    def test_kde_below_its_minimum_window_exits_1(self, capsys):
+        code, out, err = run(capsys, "backtest", "--simulate", "--window", "5", "--alpha", "0.05",
+                             "--methods", "kde")
+        assert (code, out) == (1, "")
+        assert "window 5 is below the 10 observations that kde needs" in err
+
 
 class TestReplicate:
     def test_summary_and_csv_long(self, capsys):

@@ -34,7 +34,6 @@ from riskbench import (
 from riskbench import estimators
 from riskbench.backtest import BacktestConfig, _capitals
 from riskbench.estimators import (
-    KDE_KERNELS,
     METHODS,
     GaussianParams,
     RiskLevel,
@@ -80,10 +79,13 @@ def standardized(x):
     return (arr - arr.mean()) / arr.std(ddof=1)
 
 
-def gpd_fit(x, u):
-    """PWM fit (xi, beta, k) of the exceedances below ``u``, as the GPD kernels fit a row."""
-    xi, beta, ks = _batch_gpd_fit(np.sort(np.asarray(x, dtype=float))[None, :], np.array([u]))
-    return float(xi[0]), float(beta[0]), int(ks[0])
+def gpd_fit(x, q):
+    """Threshold u, the type-7 ``q``-quantile, and PWM fit (u, xi, beta, k) of the exceedances
+    below it, as the GPD kernels fit a row."""
+    srt = np.sort(np.asarray(x, dtype=float))[None, :]
+    u = _type7_sorted_rows(srt, q)
+    xi, beta, ks = _batch_gpd_fit(srt, u, np.zeros(1, dtype=int), q)
+    return float(u[0]), float(xi[0]), float(beta[0]), int(ks[0])
 
 
 def gpd_var(u, xi, beta, k, n, alpha):
@@ -335,12 +337,14 @@ class TestStudentT:
 
 
 class TestGpdFit:
+    # five zeros above a tail: its 0.99999-quantile, between two zeros, is the threshold 0
+
     def test_exponential_tail(self):
         gen = SeededRng(5).generator()
         below = -gen.exponential(1.0, 100_000)
-        sample = np.concatenate([below, np.ones(5)])
-        xi, beta, k = gpd_fit(sample, 0.0)
-        assert k == 100_000
+        sample = np.concatenate([below, np.zeros(5)])
+        u, xi, beta, k = gpd_fit(sample, 0.99999)
+        assert (u, k) == (0.0, 100_000)
         assert -0.02 <= xi <= 0.02
         assert 0.98 <= beta <= 1.02
 
@@ -348,19 +352,22 @@ class TestGpdFit:
         gen = SeededRng(6).generator()
         uniforms = gen.uniform(size=100_000)
         y = 2.0 / 0.3 * (uniforms ** (-0.3) - 1.0)  # GPD(xi=0.3, beta=2)
-        sample = np.concatenate([-y, np.ones(5)])
-        xi, beta, _ = gpd_fit(sample, 0.0)
+        sample = np.concatenate([-y, np.zeros(5)])
+        u, xi, beta, _ = gpd_fit(sample, 0.99999)
+        assert u == 0.0
         assert 0.27 <= xi <= 0.33
         assert 1.9 <= beta <= 2.1
 
     def test_constant_exceedances_degenerate(self):
+        # the 0.5-quantile is 0, so every exceedance is 1
         sample = np.concatenate([-np.ones(10), np.ones(10)])
         with pytest.raises(DegenerateFitError):
-            estimate("gpd", sample, 0.05, gpd_threshold=0.0)
+            estimate("gpd", sample, 0.05, gpd_threshold_quantile=0.5)
 
     def test_insufficient_tail(self):
+        # the 0.3-quantile is -0.6, with two points below it
         with pytest.raises(InsufficientTailError):
-            estimate("gpd", [-1.0, -2.0, 1.0, 2.0, 3.0], 0.05, gpd_threshold=0.0)
+            estimate("gpd", [-1.0, -2.0, 1.0, 2.0, 3.0], 0.05)
 
     def test_row_fit_independent_of_other_rows(self):
         rows = draw_gaussian(SeededRng(61), 20 * 50, 0.0, 1.0).reshape(20, 50)
@@ -409,26 +416,17 @@ class TestGpdFitMemo:
 
     def test_fit_that_raised_is_not_memoised(self):
         rows = self.ROWS.copy()
-        rows[3] = np.abs(rows[3])
-        rows[3, :4] = -1.0  # four outcomes below a zero threshold, where five are needed
+        rows[3, 4:] = 5.0  # four outcomes below the 0.3-quantile 5, where five are needed
         ws = window_stats(rows)
         with pytest.raises(InsufficientTailError) as var_error:
-            batch_var_capitals("gpd", ws, 0.05, gpd_threshold=0.0)
+            batch_var_capitals("gpd", ws, 0.05)
         assert ws.fits == {}
         with pytest.raises(InsufficientTailError) as es_error:
-            batch_es_capitals("gpd", ws, 0.05, gpd_threshold=0.0)
+            batch_es_capitals("gpd", ws, 0.05)
         assert str(es_error.value) == str(var_error.value)
 
 
 class TestVarGpd:
-    @pytest.mark.parametrize("measure", ["var", "es"])
-    @pytest.mark.parametrize("u", [math.inf, -math.inf, math.nan])
-    def test_non_finite_threshold_is_domain_error(self, gaussian_sample, measure, u):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(DomainError, match="gpd_threshold must be finite"):
-                estimate("gpd", gaussian_sample, 0.05, measure, gpd_threshold=u)
-
     def test_hand_formula(self):
         capital = gpd_var(u=-1.0, xi=0.5, beta=1.0, k=30, n=100, alpha=0.05)
         assert capital == pytest.approx(1 + 2 * (math.sqrt(6) - 1), abs=1e-4)
@@ -446,9 +444,9 @@ class TestVarGpd:
             gpd_var(u=-1.0, xi=0.5, beta=1.0, k=10, n=100, alpha=0.2)
 
     def test_sample_route_matches_fit_route(self, gaussian_sample):
-        u = float(np.quantile(gaussian_sample, 0.3))
-        est = estimate("gpd", gaussian_sample, 0.05, gpd_threshold=u)
-        xi, beta, k = gpd_fit(gaussian_sample, u)
+        est = estimate("gpd", gaussian_sample, 0.05)
+        u, xi, beta, k = gpd_fit(gaussian_sample, 0.3)
+        assert u == pytest.approx(float(np.quantile(gaussian_sample, 0.3)), abs=1e-15)
         assert est.capital == pytest.approx(gpd_var(u, xi, beta, k, 50, 0.05), abs=1e-12)
 
     def test_translation_equivariance_with_data_driven_threshold(self, gaussian_sample):
@@ -475,28 +473,27 @@ class TestGpdThresholdQuantile:
         assert "gpd_threshold_quantile must lie in (0, 1)" in str(kernel_error.value)
 
 
-def kde_cdf_and_density(q, row, kernel, h):
-    """One row's mixture CDF and density at ``q``, in the batch kernel's arithmetic."""
-    if kernel == "gaussian":
-        t = (q - row) / h
-        density = np.mean(np.exp(-0.5 * (t * t))) / (math.sqrt(2.0 * math.pi) * h)
-        return float(np.mean(special.ndtr(t))), float(density)
-    t = np.clip((q - row) / h, -1.0, 1.0)
-    return float(np.mean((2.0 + 3.0 * t - t**3) / 4.0)), float(np.mean(0.75 * (1.0 - t * t)) / h)
+def kde_bandwidth(row):
+    """Silverman's bandwidth 1.06*sd*n^(-1/5), the one the KDE kernel uses."""
+    return 1.06 * np.std(row, ddof=1) * row.size ** (-0.2)
 
 
-def kde_row_reference(row, alpha, kernel, h):
+def kde_cdf_and_density(q, row, h):
+    """One row's Gaussian mixture CDF and density at ``q``, in the batch kernel's arithmetic."""
+    t = (q - row) / h
+    density = np.mean(np.exp(-0.5 * (t * t))) / (math.sqrt(2.0 * math.pi) * h)
+    return float(np.mean(special.ndtr(t))), float(density)
+
+
+def kde_row_reference(row, alpha, h):
     """One row's KDE quantile by the scalar form of the batch kernel's safeguarded Newton iteration."""
-    if kernel == "gaussian":
-        z = float(special.ndtri(alpha))
-        lo, hi = float(row.min()) + h * min(z, 0.0), float(row.max()) + h * max(z, 0.0)
-    else:
-        lo, hi = float(row.min()) - h, float(row.max()) + h
+    z = float(special.ndtri(alpha))
+    lo, hi = float(row.min()) + h * min(z, 0.0), float(row.max()) + h * max(z, 0.0)
     q = 0.5 * (lo + hi)
     # the bracket scale's floor is 1/16 of the row's unit, 2^e with e the exponent of max|x|
     floor = math.ldexp(1.0, max(math.frexp(float(np.abs(row).max()))[1], -1021) - 4)
     for _ in range(200):
-        f, density = kde_cdf_and_density(q, row, kernel, h)
+        f, density = kde_cdf_and_density(q, row, h)
         width, scale = hi - lo, max(floor, abs(lo), abs(hi))
         if abs(f - alpha) <= 1e-10 and width <= 1e-12 * scale or width <= 1e-15 * scale:
             break
@@ -509,84 +506,60 @@ def kde_row_reference(row, alpha, kernel, h):
     return -q
 
 
-def kde_mixture_root(row, alpha, kernel, h):
+def kde_mixture_root(row, alpha, h):
     """The root of the mixture CDF minus alpha, by brentq over 40 bandwidths past the data."""
-    return optimize.brentq(lambda q: kde_cdf_and_density(q, row, kernel, h)[0] - alpha,
+    return optimize.brentq(lambda q: kde_cdf_and_density(q, row, h)[0] - alpha,
                            row.min() - 40.0 * h, row.max() + 40.0 * h,
                            xtol=1e-300, rtol=4 * np.finfo(float).eps, maxiter=1000)
 
 
 class TestVarKde:
-    @pytest.mark.parametrize("kernel", ["gaussian", "epanechnikov"])
-    @pytest.mark.parametrize("bandwidth", [None, 0.05])
-    def test_batch_equals_scalar_loop_to_the_bit(self, kernel, bandwidth):
+    def test_batch_equals_scalar_loop_to_the_bit(self):
         # rows of different scales stop after different numbers of steps
         gen = SeededRng(58).generator()
         rows = np.vstack([gen.standard_t(3, 40) * s + m for s, m in [(0.01, 0), (1, 5), (30, -2)]])
         for alpha in (0.01, 0.1, 0.5):
-            batch = batch_var_capitals("kde", window_stats(rows), alpha,
-                                       kde_kernel=kernel, kde_bandwidth=bandwidth)
+            batch = batch_var_capitals("kde", window_stats(rows), alpha)
             for row, capital in zip(rows, batch):
-                h = 1.06 * np.std(row, ddof=1) * row.size ** (-0.2) if bandwidth is None else bandwidth
-                assert capital.hex() == kde_row_reference(row, alpha, kernel, h).hex()
+                assert capital.hex() == kde_row_reference(row, alpha, kde_bandwidth(row)).hex()
 
     def test_subnormal_slope_warns_nothing(self):
-        # a narrow bandwidth on wide t3 rows: some Newton iterates see a subnormal density
-        rows = 30 * np.random.default_rng(0).standard_t(3, (300, 50))
+        # Cauchy rows, one with an outlier ~2000 below the rest: some Newton iterates on it
+        # see a subnormal density
+        rows = np.random.default_rng(0).standard_t(1, (300, 1000))[116:120]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            batch = batch_var_capitals("kde", window_stats(rows), 0.1, kde_bandwidth=0.05)
+            batch = batch_var_capitals("kde", window_stats(rows), 0.1)
         for row, capital in zip(rows, batch):
-            assert capital.hex() == kde_row_reference(row, 0.1, "gaussian", 0.05).hex()
+            assert capital.hex() == kde_row_reference(row, 0.1, kde_bandwidth(row)).hex()
 
-    @pytest.mark.parametrize("kernel", ["gaussian", "epanechnikov"])
-    def test_quantile_is_the_mixture_root_to_1e12(self, kernel):
+    def test_quantile_is_the_mixture_root_to_1e12(self):
         gen = SeededRng(58).generator()
         rows = np.vstack([gen.standard_t(3, 40) * s + m for s, m in [(0.01, 0), (1, 5), (30, -2)]])
         for alpha in (0.01, 0.1, 0.5):
-            batch = batch_var_capitals("kde", window_stats(rows), alpha, kde_kernel=kernel)
+            batch = batch_var_capitals("kde", window_stats(rows), alpha)
             for row, capital in zip(rows, batch):
-                root = kde_mixture_root(row, alpha, kernel, 1.06 * np.std(row, ddof=1) * row.size ** (-0.2))
+                root = kde_mixture_root(row, alpha, kde_bandwidth(row))
                 assert abs(-capital - root) <= 1e-12 * max(1.0, abs(root))
 
     def test_flat_stretch_resolves_upward(self):
-        # F == alpha on all of [0.1, 0.9]; the tie resolves to its upper end
-        x = np.arange(20.0)
-        est = estimate("kde", x, 0.05, kde_kernel="epanechnikov", kde_bandwidth=0.1)
-        assert est.capital == pytest.approx(-0.9, abs=1e-8)
-
-    def test_single_point_gaussian_kernel(self):
-        est = estimate("kde", [5.0], 0.05, kde_kernel="gaussian", kde_bandwidth=1.0)
-        assert est.capital == pytest.approx(-(5.0 + Z_05), abs=1e-8)
-
-    def test_small_bandwidth_approaches_empirical(self):
-        x = draw_gaussian(SeededRng(10), 1000, 0.0, 1.0)
-        kde_cap = estimate("kde", x, 0.05, kde_bandwidth=1e-4).capital
-        emp_cap = estimate("empirical", x, 0.05).capital
-        assert abs(kde_cap - emp_cap) <= 0.01
+        # one point far below 399 zeros: F == alpha = 1/400 to the bit from where the far
+        # point's term reaches 1 to where the zeros' terms register; the tie resolves to the
+        # upper end of that stretch
+        x = np.r_[-1e4, np.zeros(399)]
+        q, h = -estimate("kde", x, 1 / 400).capital, kde_bandwidth(x)
+        assert kde_cdf_and_density(q - 3000.0, x, h)[0] == 1 / 400
+        assert kde_cdf_and_density(q, x, h)[0] == 1 / 400
+        assert kde_cdf_and_density(q + 1e-9 * abs(q), x, h)[0] > 1 / 400
 
     def test_translation_equivariance(self, gaussian_sample):
         base = estimate("kde", gaussian_sample, 0.05).capital
         shifted = estimate("kde", gaussian_sample + 0.73, 0.05).capital
         assert shifted == pytest.approx(base - 0.73, abs=1e-10)
 
-    def test_epanechnikov_self_consistent(self, gaussian_sample):
-        est = estimate("kde", gaussian_sample, 0.1, kde_kernel="epanechnikov")
-        h = 1.06 * np.std(gaussian_sample, ddof=1) * 50 ** (-0.2)
-        t = np.clip((-est.capital - gaussian_sample) / h, -1.0, 1.0)
-        assert np.mean((2 + 3 * t - t**3) / 4) == pytest.approx(0.1, abs=1e-9)
-
-    def test_bandwidth_domain(self):
-        with pytest.raises(DomainError):
-            estimate("kde", [1.0, 2.0], 0.05, kde_bandwidth=0.0)
-
     def test_constant_plus_rounding_noise_rejected(self):
         with pytest.raises(DataError):
             estimate("kde", constant_plus_rounding_noise(), 0.05)
-
-    def test_unknown_kernel(self):
-        with pytest.raises(ConfigError):
-            estimate("kde", [1.0, 2.0], 0.05, kde_kernel="triangle", kde_bandwidth=1.0)
 
 
 class TestEsEmpirical:
@@ -690,9 +663,8 @@ class TestEsGpd:
         assert caps[0] < caps[1] < caps[2]
 
     def test_sample_route(self, gaussian_sample):
-        u = float(np.quantile(gaussian_sample, 0.3))
-        est = estimate("gpd", gaussian_sample, 0.10, "es", gpd_threshold=u)
-        xi, beta, _ = gpd_fit(gaussian_sample, u)
+        est = estimate("gpd", gaussian_sample, 0.10, "es")
+        u, xi, beta, _ = gpd_fit(gaussian_sample, 0.3)
         expected = gpd_es(u, xi, beta, estimate("empirical", gaussian_sample, 0.10).capital)
         assert est.capital == pytest.approx(expected, abs=1e-12)
 
@@ -842,35 +814,12 @@ class TestExactHomogeneity:
         for row, capital in zip(rows, capitals):
             assert capital.hex() == estimate(tag, row, 0.05, measure).capital.hex()
 
-    @pytest.mark.parametrize("measure", ["var", "es"])
-    def test_explicit_gpd_threshold_scales_with_the_row(self, measure):
-        base = estimate("gpd", self.X, 0.05, measure, gpd_threshold=-0.3).capital
-        for k in self.KS:
-            scaled = estimate("gpd", np.ldexp(self.X, k), 0.05, measure,
-                              gpd_threshold=math.ldexp(-0.3, k)).capital
-            assert scaled.hex() == math.ldexp(base, k).hex(), k
-
-    @pytest.mark.parametrize("kernel", KDE_KERNELS)
-    def test_explicit_kde_bandwidth_scales_with_the_row(self, kernel):
-        base = estimate("kde", self.X, 0.05, kde_kernel=kernel, kde_bandwidth=0.2).capital
-        for k in self.KS:
-            scaled = estimate("kde", np.ldexp(self.X, k), 0.05, kde_kernel=kernel,
-                              kde_bandwidth=math.ldexp(0.2, k)).capital
-            assert scaled.hex() == math.ldexp(base, k).hex(), k
-
     def test_fits_return_data_units(self):
         gauss, t = fit_gaussian(self.X), fit_student_t(self.X)
         for k in self.KS:
             x = np.ldexp(self.X, k)
             assert fit_gaussian(x) == GaussianParams(math.ldexp(gauss.mu, k), math.ldexp(gauss.sigma, k))
             assert fit_student_t(x) == StudentTParams(math.ldexp(t.mu, k), math.ldexp(t.sigma, k), t.nu)
-
-
-def _with_negatives(row, count):
-    """|row| with its first ``count`` entries moved below zero."""
-    out = np.abs(row) + 0.1
-    out[:count] *= -1.0
-    return out
 
 
 def _constant(row):
@@ -880,24 +829,25 @@ def _constant(row):
 class TestRowFaults:
     """Each kernel fault names the first batch row that causes it: planted at row 2 of 5 here."""
 
-    # the other rows lie mostly below zero, so at a zero threshold each fits a long tail
+    # the other rows have no ties, so each has 15 points below its 0.3-quantile and 25 below
+    # its 0.5-quantile; a planted row's ties pin its quantile and so its tail
     ROWS = draw_gaussian(SeededRng(17), 5 * 50, -1.0, 1.0).reshape(5, 50)
     CASES = {
         "gpd_tail_below_five": (
-            "gpd", "var", 0.05, {"gpd_threshold": 0.0},
-            lambda row: _with_negatives(row, 4), InsufficientTailError,
+            "gpd", "var", 0.05, {},
+            lambda row: np.r_[row[:4], np.full(46, 5.0)], InsufficientTailError,
         ),
-        "gpd_degenerate_pwm": (  # equal exceedances give b0 - 2*b1 = 0
-            "gpd", "var", 0.05, {"gpd_threshold": 0.0},
+        "gpd_degenerate_pwm": (  # the 0.5-quantile 0 makes every exceedance 1: b0 - 2*b1 = 0
+            "gpd", "var", 0.05, {"gpd_threshold_quantile": 0.5},
             lambda row: np.repeat([-1.0, 1.0], 25), DegenerateFitError,
         ),
-        "gpd_level_too_high": (  # alpha*n/k = 25/10, where the other rows give 25/k < 1
-            "gpd", "var", 0.5, {"gpd_threshold": 0.0},
-            lambda row: _with_negatives(row, 10), LevelTooHighError,
+        "gpd_level_too_high": (  # alpha*n/k = 10/6, where the other rows give 10/15 < 1
+            "gpd", "var", 0.2, {},
+            lambda row: np.r_[-np.abs(row[:6]) - 5.0, np.full(44, 0.5)], LevelTooHighError,
         ),
         "gpd_infinite_mean": (  # b1 vanishes beside b0, so xi = 2 - b0/(b0 - 2*b1) rounds to 1
-            "gpd", "es", 0.05, {"gpd_threshold": 0.0},
-            lambda row: np.r_[-1e20, -1e-20 * np.arange(1.0, 5.0), np.abs(row[5:])],
+            "gpd", "es", 0.05, {},
+            lambda row: np.r_[-1e20, -1e-20 * np.arange(1.0, 5.0), np.zeros(45)],
             InfiniteMeanTailError,
         ),
         "student_t_zero_spread": ("student_t", "var", 0.05, {}, _constant, DataError),
@@ -1010,8 +960,6 @@ class TestMethodRegistry:
             warnings.simplefilter("error")
             assert estimate("empirical_simple", [3.0], 0.5).capital == -3.0
             assert estimate("mean", [2.0], 0.5).capital == -2.0
-            est = estimate("kde", [5.0], 0.05, kde_bandwidth=1.0)
-            assert est.capital == pytest.approx(-(5.0 + Z_05), abs=1e-8)
         with pytest.raises(SizeError):
             estimate("kde", [5.0], 0.05)
 
@@ -1198,13 +1146,9 @@ class TestIndexTailCounts:
         counts = estimators._count_below(srt, q, p)
         assert counts.dtype == full_count_below(srt, q).dtype
         assert counts.tolist() == full_count_below(srt, q).tolist()
-        # any other threshold: the full comparison
-        u = q + 0.5
-        assert estimators._count_below(srt, u).tolist() == full_count_below(srt, u).tolist()
 
     @pytest.mark.parametrize("options", [{}, {"gpd_threshold_quantile": 0.25},
-                                         {"gpd_threshold_quantile": 0.5}, {"gpd_threshold": 0.0},
-                                         {"gpd_threshold": -0.5}])
+                                         {"gpd_threshold_quantile": 0.5}])
     @pytest.mark.parametrize("alpha", [0.05, 0.25])
     def test_kernels_equal_the_comparison(self, options, alpha, monkeypatch):
         def capitals():

@@ -44,42 +44,37 @@ def student_t_quantile(p, df):
     return -standard_var("gaussian_unbiased", p, n) / math.sqrt((n + 1) / n)
 
 
-def kde_quantile(p, bandwidth=1.0):
-    """Root of the Gaussian KDE CDF of the one point 0: Phi(q / h) = p."""
-    return -estimate("kde", [0.0], p, kde_bandwidth=bandwidth).capital
+class TestKdeQuantile:
+    """The Gaussian KDE's VaR kernel: the root q of its mixture CDF F(q) = p, read in mpmath.
 
-
-class TestGaussianCdf:
-    """The standard normal CDF, as the Gaussian KDE evaluates it.
-
-    The KDE of the one point 0 at unit bandwidth has CDF Phi, and its VaR kernel
-    returns the root of Phi(q) = p.
+    F(q) = mean(Phi((q - x_i) / h)) at Silverman's bandwidth h = 1.06*sd*n^(-1/5).
     """
 
-    def test_symmetry_at_zero(self):
-        assert kde_quantile(0.5) == 0.0
+    SAMPLE = draw_gaussian(SeededRng(12), 12, 0.0, 1.0)
 
-    def test_table_values(self):
-        assert kde_quantile(0.95) == pytest.approx(1.6448536, abs=1e-6)
-        assert kde_quantile(0.10) == pytest.approx(-1.2815516, abs=1e-6)
+    def quantile(self, p):
+        return -estimate("kde", self.SAMPLE, p).capital
+
+    def mixture_cdf(self, q):
+        h = mp.mpf(1.06 * np.std(self.SAMPLE, ddof=1) * self.SAMPLE.size ** (-0.2))
+        terms = (mp.ncdf((mp.mpf(q) - mp.mpf(float(x))) / h) for x in self.SAMPLE)
+        return mp.fsum(terms) / self.SAMPLE.size
 
     def test_absolute_error_below_1e12_vs_mpmath(self):
         mp.mp.dps = 30
         for z in np.linspace(-8.0, 8.0, 33):
             p = float(mp.ncdf(mp.mpf(float(z))))
-            assert abs(float(mp.ncdf(mp.mpf(kde_quantile(p)))) - p) <= 1e-12
+            assert abs(float(self.mixture_cdf(self.quantile(p))) - p) <= 1e-12
 
     def test_strictly_increasing(self):
         levels = [float(mp.ncdf(mp.mpf(float(z)))) for z in np.linspace(-6, 6, 101)]
-        values = [kde_quantile(p) for p in levels]
+        values = [self.quantile(p) for p in levels]
         assert all(b > a for a, b in zip(values, values[1:]))
 
     def test_non_finite_rejected(self):
         for bad in (float("nan"), float("inf")):
             with pytest.raises(DomainError):
-                kde_quantile(bad)
-            with pytest.raises(DomainError):
-                kde_quantile(0.5, bandwidth=bad)
+                self.quantile(bad)
 
 
 class TestGaussianQuantile:
@@ -93,12 +88,10 @@ class TestGaussianQuantile:
         assert gaussian_quantile(0.975) == pytest.approx(1.9599640, abs=1e-6)
 
     def test_round_trip_on_99_point_grid(self):
-        # the KDE kernel inverts Phi by Newton; the plug-in kernel reads Phi^{-1} in closed form
         for p in np.linspace(0.01, 0.99, 99):
             assert float(mp.ncdf(mp.mpf(gaussian_quantile(float(p))))) == pytest.approx(
                 float(p), abs=1e-10
             )
-            assert kde_quantile(float(p)) == pytest.approx(gaussian_quantile(float(p)), abs=1e-10)
 
     @pytest.mark.parametrize("p", [0.0, 1.0, -0.1, 1.5])
     def test_domain(self, p):
