@@ -512,6 +512,16 @@ class TestFusedScoringPass:
         # (1 - alpha) * 0 = +0.0, where an indicator of 0 gives (0 - alpha) * 0 = -0.0
         assert stats["var_score"][0].hex() == "0x0.0p+0"
 
+    def test_one_point_windows_sort_to_themselves(self):
+        # w = 1 takes the general path: the window is its own sort and centre, its prefix sums 0
+        windows = np.array([[[-2.5], [0.0], [1e300]], [[1e-300], [-0.0], [7.0]]])
+        y, r, prefix, start = backtest._sort_windows(windows)
+        assert y.tobytes() == windows.tobytes()
+        assert r.tobytes() == windows[..., 0].tobytes()
+        assert prefix.shape == (2, 3, 2)
+        assert not prefix.any()
+        assert start.tolist() == [[0, 2, 4], [6, 8, 10]]
+
     def test_each_group_equals_its_own_backtest(self, block):
         estimation, evaluation = block
         grouped = list(backtest._backtest_groups(estimation, evaluation, self.CONFIG, None))
@@ -619,6 +629,12 @@ class TestRollingBacktest:
     def test_es_methods_validated_in_config(self):
         with pytest.raises(ConfigError):
             BacktestConfig(alpha=0.1, methods=("kde",), measure="es")
+
+    def test_kde_window_below_ten_rejected_in_config(self):
+        # the KDE's size rule is the registry's min_n, as every other method's is
+        with pytest.raises(ConfigError, match="window 9 is below the 10 observations that kde needs"):
+            BacktestConfig(alpha=0.1, methods=("kde",), window=9)
+        assert BacktestConfig(alpha=0.1, methods=("kde",), window=10).window == 10
 
     def test_window_below_method_minimum_rejected_in_config(self):
         with pytest.raises(ConfigError, match="student_t needs") as exc:

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 import types
@@ -28,7 +29,13 @@ from riskbench import (
     solve_unbiased_es_constant,
 )
 from riskbench import calibration
-from riskbench.calibration import _CHUNK_TRIALS, _TOLERANCE, _secured_chunks, _tail_count
+from riskbench.calibration import (
+    TABLE_FORMAT_VERSION,
+    _CHUNK_TRIALS,
+    _TOLERANCE,
+    _secured_chunks,
+    _tail_count,
+)
 from riskbench.estimators import _log_chi_range, _log_chi_rule, _pivot_es, _t_quantile, estimate
 
 PLUGIN_ES_CONST_10 = 1.7549833193248680  # phi(Phi^{-1}(0.10)) / 0.10
@@ -469,6 +476,29 @@ class TestCalibrationTable:
             assert held.lookup(50, alpha) is exact_unbiased_es_constant(50, alpha)
         assert table.lookup(50, 4e-7).a_n != table.lookup(50, 1e-7).a_n
         assert table_a50.lookup(50, 0.10).source == "monte_carlo"
+
+    def test_alphas_a_rounding_would_merge_round_trip_apart(self, tmp_path):
+        # 1e-7 and 4e-7 round to the same 1e-6 step; saved and reloaded, each keeps its own entry
+        table = CalibrationTable()
+        for alpha in (1e-7, 4e-7, 0.05, 0.0500004):
+            table.add(exact_unbiased_es_constant(50, alpha))
+        path = tmp_path / "table.json"
+        table.save(path)
+        reloaded = CalibrationTable.load(path)
+        assert list(reloaded.entries) == sorted(table.entries)
+        for alpha in (1e-7, 4e-7, 0.05, 0.0500004):
+            entry = reloaded.lookup(50, alpha)
+            assert (entry.alpha, entry.a_n) == (alpha, exact_unbiased_es_constant(50, alpha).a_n)
+
+    def test_key_holds_alpha_to_the_bit(self):
+        key = CalibrationTable.key(np.int64(50), np.float64(0.1))
+        assert key == (50, 0.1) and type(key[0]) is int and type(key[1]) is float
+        assert CalibrationTable.key(50, math.nextafter(0.1, 0.0)) != key
+
+    def test_saved_version_is_the_format_version(self, tmp_path, table_a50):
+        path = tmp_path / "table.json"
+        table_a50.save(path)
+        assert json.loads(path.read_text())["version"] == TABLE_FORMAT_VERSION == 2
 
     def test_quadrature_entry_round_trip(self, tmp_path):
         table = CalibrationTable()

@@ -270,6 +270,20 @@ class TestBacktest:
         assert code == 0
         assert (0, out, "") == run(capsys, *args, "--table", exact_table(tmp_path, 50, 4e-7))
 
+    def test_table_entry_a_rounding_step_away_is_not_read(self, capsys, tmp_path):
+        # 0.0500004 lies within 1e-6 of a held 0.05 and reads its own exact constant
+        args = ("backtest", "--simulate", "--length", "1000", "--alpha", "0.0500004", "--methods",
+                "u", "--measure", "es", "--format", "json")
+        code, out, _ = run(capsys, *args)
+        assert code == 0
+        assert (0, out, "") == run(capsys, *args, "--table", exact_table(tmp_path, 50, 0.05))
+
+    def test_kde_at_its_minimum_window_runs(self, capsys):
+        code, out, err = run(capsys, "backtest", "--simulate", "--window", "10", "--alpha", "0.05",
+                             "--methods", "kde", "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["methods"]["kde"]["failed"] is False
+
     def test_kde_below_its_minimum_window_exits_1(self, capsys):
         code, out, err = run(capsys, "backtest", "--simulate", "--window", "5", "--alpha", "0.05",
                              "--methods", "kde")
@@ -300,6 +314,13 @@ class TestReplicate:
         code, out, _ = run(capsys, *args)
         assert code == 0
         assert (0, out, "") == run(capsys, *args, "--table", exact_table(tmp_path, 50, 0.05))
+
+
+    def test_kde_below_its_minimum_window_exits_1(self, capsys):
+        code, out, err = run(capsys, "replicate", "--reps", "2", "--length", "300", "--window", "9",
+                             "--alpha", "0.05", "--methods", "kde", "--seed", "4")
+        assert (code, out) == (1, "")
+        assert "window 9 is below the 10 observations that kde needs" in err
 
 
 class TestTablePaths:

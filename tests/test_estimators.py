@@ -462,7 +462,7 @@ class TestVarGpd:
 
 class TestGpdThresholdQuantile:
     @pytest.mark.parametrize("measure", ["var", "es"])
-    @pytest.mark.parametrize("q", [-0.5, 0.0, 1.0, 1.5, math.nan])
+    @pytest.mark.parametrize("q", [-0.5, 0.0, 1.0, 1.5, math.nan, math.inf, -math.inf])
     def test_outside_open_unit_interval_is_config_error(self, gaussian_sample, measure, q):
         # the kernels reject what the backtest config rejects, with the same message
         with pytest.raises(ConfigError) as kernel_error:
@@ -560,6 +560,33 @@ class TestVarKde:
     def test_constant_plus_rounding_noise_rejected(self):
         with pytest.raises(DataError):
             estimate("kde", constant_plus_rounding_noise(), 0.05)
+
+    def test_ten_observations_are_its_minimum(self):
+        # the registry's min_n is the KDE's one size rule, in both entry points
+        assert METHODS["kde"].min_n == 10
+        rows = draw_gaussian(SeededRng(59), 2 * 10, 0.0, 1.0).reshape(2, 10)
+        for row, capital in zip(rows, batch_var_capitals("kde", window_stats(rows), 0.05)):
+            assert capital.hex() == kde_row_reference(row, 0.05, kde_bandwidth(row)).hex()
+            assert estimate("kde", row, 0.05).capital.hex() == capital.hex()
+        with pytest.raises(SizeError, match="kde needs at least 10 observations, got 9"):
+            estimate("kde", rows[0, :9], 0.05)
+        with pytest.raises(SizeError, match="kde needs at least 10 observations, got 9"):
+            batch_var_capitals("kde", window_stats(rows[:, :9]), 0.05)
+
+    def test_mirrored_sample_mirrors_the_quantile(self, gaussian_sample):
+        # the bandwidth reads the sd, which a reflection keeps: q(-x, p) = -q(x, 1 - p)
+        for alpha in (0.01, 0.1, 0.3):
+            q = -estimate("kde", gaussian_sample, alpha).capital
+            mirrored = -estimate("kde", -gaussian_sample, 1.0 - alpha).capital
+            assert mirrored == pytest.approx(-q, abs=1e-11)
+
+    def test_large_sample_approaches_empirical(self):
+        # h = 1.06*n^(-1/5) is about 0.1 at n = 1e5: the smoothing moves the 5% quantile by
+        # about (sqrt(1 + h^2) - 1)*1.645 = 0.009, and the empirical one errs by about 0.007
+        x = draw_gaussian(SeededRng(10), 100_000, 0.0, 1.0)
+        kde_cap = estimate("kde", x, 0.05).capital
+        emp_cap = estimate("empirical", x, 0.05).capital
+        assert abs(kde_cap - emp_cap) <= 0.03
 
 
 class TestEsEmpirical:
@@ -814,6 +841,15 @@ class TestExactHomogeneity:
         for row, capital in zip(rows, capitals):
             assert capital.hex() == estimate(tag, row, 0.05, measure).capital.hex()
 
+    @pytest.mark.parametrize("measure", ["var", "es"])
+    def test_gpd_threshold_quantile_scales_with_the_row(self, measure):
+        for q in (0.1, 0.5):
+            base = estimate("gpd", self.X, 0.05, measure, gpd_threshold_quantile=q).capital
+            for k in self.KS:
+                scaled = estimate("gpd", np.ldexp(self.X, k), 0.05, measure,
+                                  gpd_threshold_quantile=q).capital
+                assert scaled.hex() == math.ldexp(base, k).hex(), (q, k)
+
     def test_fits_return_data_units(self):
         gauss, t = fit_gaussian(self.X), fit_student_t(self.X)
         for k in self.KS:
@@ -954,6 +990,18 @@ class TestMethodRegistry:
     def test_unknown_option_rejected(self):
         with pytest.raises(TypeError, match="gpd_treshold"):
             estimate("gpd", self.ROWS[0], self.ALPHA, gpd_treshold=0.0)
+
+    @pytest.mark.parametrize("tag, option, value", [("kde", "kde_kernel", "gaussian"),
+                                                    ("kde", "kde_bandwidth", 0.2),
+                                                    ("gpd", "gpd_threshold", 0.0)])
+    def test_removed_option_rejected(self, tag, option, value):
+        # the KDE has one kernel and bandwidth and the GPD one threshold rule: no setting of
+        # another is read as a no-op
+        with pytest.raises(TypeError, match=f"{option}.*valid: gpd_threshold_quantile, table"):
+            estimate(tag, self.ROWS[0], self.ALPHA, **{option: value})
+        with pytest.raises(TypeError, match=option):
+            batch_var_capitals(tag, window_stats(self.ROWS), self.ALPHA, **{option: value})
+        assert estimators.OPTIONS == ("gpd_threshold_quantile", "table")
 
     def test_single_observation_where_defined(self):
         with warnings.catch_warnings():
@@ -1148,7 +1196,9 @@ class TestIndexTailCounts:
         assert counts.tolist() == full_count_below(srt, q).tolist()
 
     @pytest.mark.parametrize("options", [{}, {"gpd_threshold_quantile": 0.25},
-                                         {"gpd_threshold_quantile": 0.5}])
+                                         {"gpd_threshold_quantile": 0.5},
+                                         {"gpd_threshold_quantile": 0.1},
+                                         {"gpd_threshold_quantile": 0.75}])
     @pytest.mark.parametrize("alpha", [0.05, 0.25])
     def test_kernels_equal_the_comparison(self, options, alpha, monkeypatch):
         def capitals():

@@ -76,6 +76,18 @@ class TestKdeQuantile:
             with pytest.raises(DomainError):
                 self.quantile(bad)
 
+    def test_symmetry_at_zero(self):
+        # a sample symmetric about 0 has F(0) = 1/2, so its median is 0
+        x = np.r_[self.SAMPLE, -self.SAMPLE]
+        assert abs(estimate("kde", x, 0.5).capital) <= 1e-12
+
+    def test_table_values(self):
+        # the quantile is mpmath's own root of F(q) = p at three levels
+        mp.mp.dps = 30
+        for p in (0.01, 0.05, 0.95):
+            root = mp.findroot(lambda q: self.mixture_cdf(q) - p, self.quantile(p))
+            assert self.quantile(p) == pytest.approx(float(root), abs=1e-12)
+
 
 class TestGaussianQuantile:
     """Phi^{-1}, as the Gaussian plug-in VaR kernel reads it."""
