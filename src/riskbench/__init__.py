@@ -6,7 +6,6 @@ from .backtest import (
     MethodReplicationStats,
     MethodResult,
     ReplicationSummary,
-    WindowPairing,
     acerbi_z,
     bias_statistic,
     mean_score,
@@ -26,8 +25,6 @@ from .calibration import (
 )
 from .data_io import (
     ReturnSeries,
-    SimulationSpec,
-    fit_gaussian,
     load_returns_csv,
     simulate_series,
     write_report,
@@ -52,7 +49,6 @@ from .errors import (
 from .estimators import (
     METHODS,
     GaussianParams,
-    RiskEstimate,
     RiskLevel,
     StudentTParams,
     canonical_method,

@@ -76,30 +76,11 @@ class BacktestConfig:
         object.__setattr__(self, "gpd_threshold_quantile", q)
 
 
-@dataclass(frozen=True)
-class WindowPairing:
-    """Consecutive disjoint windows; window k estimates, window k+1 evaluates."""
+def split_windows(series, window: int) -> np.ndarray:
+    """The (K, w) matrix of the series' K = floor(len/window) full windows, dropping the tail.
 
-    windows: np.ndarray  # (K, w)
-    dropped: int
-
-    @property
-    def window_count(self) -> int:
-        return int(self.windows.shape[0])
-
-    @property
-    def estimation(self) -> np.ndarray:
-        return self.windows[:-1]
-
-    @property
-    def evaluation(self) -> np.ndarray:
-        return self.windows[1:]
-
-
-def split_windows(series, window: int) -> WindowPairing:
-    """Tile the series into floor(len/window) full windows, dropping the tail.
-
-    A non-finite value raises :class:`DataError` naming its position.
+    Window k estimates and window k+1 evaluates. A non-finite value raises
+    :class:`DataError` naming its position.
     """
     values = as_sample(getattr(series, "values", series), 0, "series")
     window = int(window)
@@ -111,8 +92,7 @@ def split_windows(series, window: int) -> WindowPairing:
             f"series of length {values.size} cannot form an estimate/evaluate pair "
             f"with window {window} (needs at least {2 * window})"
         )
-    tiled = values[: count * window].reshape(count, window)
-    return WindowPairing(windows=tiled, dropped=int(values.size - count * window))
+    return values[: count * window].reshape(count, window)
 
 
 def bias_statistic(samples, capitals, alpha, measure: str = "var") -> float:
@@ -328,7 +308,21 @@ class _MethodTable:
     dataclasses become dicts with tuples as lists, and each method's record
     leaves out its ``method`` field. The CSV forms hold the numeric fields of
     the class's ``RECORD`` dataclass, one row per method in ``config.methods`` order.
+    The table is the class's ``TITLE`` over the report's fields, then one row per
+    method of its ``COLUMNS`` (header, record field, width, format spec), ``-`` for an
+    absent value, or a failed method's failure.
     """
+
+    def to_table(self) -> str:
+        header = (f"{head:>{width}s}" for head, _, width, _ in self.COLUMNS)
+        lines = [self.TITLE.format_map(vars(self)), " ".join([f"{'method':18s}", *header])]
+        for tag in self.config.methods:
+            r = self.methods[tag]
+            cells = ("-".rjust(width) if (v := getattr(r, name)) is None else format(v, f">#{width}{spec}")
+                     for _, name, width, spec in self.COLUMNS)
+            row = f"FAILED: {r.failure}" if getattr(r, "failed", False) else " ".join(cells)
+            lines.append(f"{tag:18s} {row}")
+        return "\n".join(lines) + "\n"
 
     def to_json_dict(self) -> dict:
         out = {"type": self.JSON_TYPE}
@@ -374,6 +368,17 @@ class BacktestReport(_MethodTable):
 
     JSON_TYPE = "backtest_report"
     RECORD = MethodResult
+    TITLE = ("series={series_name} window={config.window} alpha={config.alpha:g} "
+             "windows={window_count} evaluated={evaluated_points}")
+    # bias and scores are in the data's units: significant digits, a 3-digit exponent fits
+    COLUMNS = (
+        ("exceed", "exceedance_count", 7, "d"),
+        ("rate", "exceedance_rate", 8, ".4f"),
+        ("bias", "bias_statistic", 10, ".3g"),
+        ("es_z", "es_z_statistic", 10, ".4f"),
+        ("var_score", "var_mean_score", 12, ".5g"),
+        ("joint_score", "joint_mean_score", 12, ".5g"),
+    )
 
     series_name: str = field(metadata={"json": "series"})
     config: BacktestConfig
@@ -461,11 +466,11 @@ def rolling_backtest(series, config: BacktestConfig, table=None) -> BacktestRepo
     methods. Unbiased ES uses the exact a_n unless ``table`` stores an entry
     for (window, alpha). A non-finite observation raises :class:`DataError`.
     """
-    pairing = split_windows(series, config.window)
-    ev = pairing.evaluation
+    windows = split_windows(series, config.window)
+    ev = windows[1:]
     bias_measure = "es" if config.measure == "es" else "var"
     results: dict = {}
-    per_method = _backtest_groups(pairing.estimation[None], ev[None], config, table)
+    per_method = _backtest_groups(windows[:-1][None], ev[None], config, table)
     for method, failures, var_caps, es_caps, stats in per_method:
         if failures[0] is not None:
             results[method] = MethodResult(method=method, failed=True, failure=failures[0])
@@ -498,7 +503,7 @@ def rolling_backtest(series, config: BacktestConfig, table=None) -> BacktestRepo
     return BacktestReport(
         series_name=str(getattr(series, "name", "series")),
         config=config,
-        window_count=pairing.window_count,
+        window_count=len(windows),
         evaluated_points=int(ev.size),
         methods=results,
     )
@@ -540,6 +545,19 @@ class ReplicationSummary(_MethodTable):
 
     JSON_TYPE = "replication_summary"
     RECORD = MethodReplicationStats
+    TITLE = ("replications={replications} length={series_length} window={config.window} "
+             "alpha={config.alpha:g} mu={generator.mu:g} sigma={generator.sigma:g} "
+             "reference={reference}")
+    # the paper's ER, RD and OR, and Z with its OR
+    COLUMNS = (
+        ("er_mean", "er_mean", 8, ".4f"),
+        ("er_sd", "er_sd", 8, ".4f"),
+        ("rd_mean", "rd_mean", 9, ".1%"),
+        ("rd_sd", "rd_sd", 8, ".1%"),
+        ("or", "or_rate", 7, ".1%"),
+        ("z_mean", "es_z_mean", 8, ".4f"),
+        ("z_or", "es_z_or_rate", 7, ".1%"),
+    )
 
     config: BacktestConfig
     generator: GaussianParams

@@ -18,7 +18,7 @@ import argparse
 import sys
 
 from . import estimators
-from .backtest import BacktestConfig, ReplicationSummary, replication_study, rolling_backtest
+from .backtest import BacktestConfig, replication_study, rolling_backtest
 from .calibration import (
     DEFAULT_MC_SAMPLES,
     CalibrationTable,
@@ -28,7 +28,6 @@ from .calibration import (
 from .data_io import (
     REPORT_FORMATS,
     SCALES,
-    SimulationSpec,
     load_returns_csv,
     simulate_series,
     write_report,
@@ -89,7 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--gpd-q", type=float, default=0.3, help="GPD threshold quantile on returns")
     common.add_argument("--table", help="calibration table whose entries replace the exact a_n")
     common.add_argument("--out", help="write the report to this path")
-    common.add_argument("--format", choices=(*REPORT_FORMATS, "table"), default="table",
+    common.add_argument("--format", choices=REPORT_FORMATS, default="table",
                         help="output format")
 
     bt = sub.add_parser("backtest", parents=[common], formatter_class=fmt,
@@ -148,55 +147,12 @@ def _cmd_estimate(args) -> int:
     table = CalibrationTable.load(args.table) if args.table else None
     print(f"series={series.name} n={len(series)} measure={args.measure} alpha={args.alpha:g}")
     for method in methods:
-        est = estimators.estimate(
+        capital = estimators.estimate(
             method, series.values, args.alpha, args.measure,
             gpd_threshold_quantile=args.gpd_q, table=table,
         )
-        print(f"{method:18s} {est.measure:3s} capital={est.capital!r}")
+        print(f"{method:18s} {args.measure:3s} capital={capital!r}")
     return 0
-
-
-def _cell(value, width, spec) -> str:
-    return " " * (width - 1) + "-" if value is None else format(value, f">#{width}{spec}")
-
-
-def _print_backtest_table(report) -> None:
-    print(
-        f"series={report.series_name} window={report.config.window} "
-        f"alpha={report.config.alpha:g} windows={report.window_count} "
-        f"evaluated={report.evaluated_points}"
-    )
-    header = f"{'method':18s} {'exceed':>7s} {'rate':>8s} {'bias':>10s} {'es_z':>10s} {'var_score':>12s} {'joint_score':>12s}"
-    print(header)
-    for tag in report.config.methods:
-        r = report.methods[tag]
-        if r.failed:
-            print(f"{tag:18s} FAILED: {r.failure}")
-            continue
-        print(
-            # bias and scores are in the data's units: significant digits, a 3-digit exponent fits
-            f"{tag:18s} {r.exceedance_count:>7d} {r.exceedance_rate:>8.4f} "
-            f"{_cell(r.bias_statistic, 10, '.3g')} {_cell(r.es_z_statistic, 10, '.4f')} "
-            f"{_cell(r.var_mean_score, 12, '.5g')} {_cell(r.joint_mean_score, 12, '.5g')}"
-        )
-
-
-def _print_replication_table(summary: ReplicationSummary) -> None:
-    cfg = summary.config
-    print(
-        f"replications={summary.replications} length={summary.series_length} "
-        f"window={cfg.window} alpha={cfg.alpha:g} mu={summary.generator.mu:g} "
-        f"sigma={summary.generator.sigma:g} reference={summary.reference}"
-    )
-    header = f"{'method':18s} {'er_mean':>8s} {'er_sd':>8s} {'rd_mean':>9s} {'rd_sd':>8s} {'or':>7s} {'z_mean':>8s} {'z_or':>7s}"
-    print(header)
-    for tag in cfg.methods:
-        s = summary.methods[tag]
-        print(
-            f"{tag:18s} {_cell(s.er_mean, 8, '.4f')} {_cell(s.er_sd, 8, '.4f')} "
-            f"{_cell(s.rd_mean, 9, '.1%')} {_cell(s.rd_sd, 8, '.1%')} "
-            f"{_cell(s.or_rate, 7, '.1%')} {_cell(s.es_z_mean, 8, '.4f')} {_cell(s.es_z_or_rate, 7, '.1%')}"
-        )
 
 
 def _config(args) -> BacktestConfig:
@@ -210,16 +166,11 @@ def _config(args) -> BacktestConfig:
 
 
 def _emit(obj, args) -> None:
-    if args.out:
+    if args.out:  # a file written in the table format holds JSON
         write_report(obj, args.out, "json" if args.format == "table" else args.format)
         print(f"wrote {args.out}", file=sys.stderr)
-    elif args.format != "table":
-        # stdout ends every format with one newline
+    else:  # stdout ends every format with one newline
         print(getattr(obj, REPORT_FORMATS[args.format])().rstrip("\n"))
-    elif isinstance(obj, ReplicationSummary):
-        _print_replication_table(obj)
-    else:
-        _print_backtest_table(obj)
 
 
 def _cmd_backtest(args) -> int:
@@ -229,16 +180,14 @@ def _cmd_backtest(args) -> int:
             raise ConfigError("--input requires --column and --scale")
         series = load_returns_csv(args.input, args.column, args.scale)
     else:
-        spec = SimulationSpec(GaussianParams(args.mu, args.sigma), args.length, args.seed)
-        series = simulate_series(spec)
+        series = simulate_series(GaussianParams(args.mu, args.sigma), args.length, args.seed)
     table = CalibrationTable.load(args.table) if args.table else None
     _emit(rolling_backtest(series, config, table), args)
     return 0
 
 
 def _cmd_simulate(args) -> int:
-    spec = SimulationSpec(GaussianParams(args.mu, args.sigma), args.length, args.seed)
-    series = simulate_series(spec)
+    series = simulate_series(GaussianParams(args.mu, args.sigma), args.length, args.seed)
     lines = ["ret"] + [repr(float(v)) for v in series.values]
     text = "\n".join(lines) + "\n"
     if args.out:

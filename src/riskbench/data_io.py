@@ -1,4 +1,4 @@
-"""Return-series ingestion, Gaussian fitting / simulation, report and table output.
+"""Return-series ingestion, Gaussian simulation, report and table output.
 
 Returns are stored in decimal units internally. The public portfolio CSVs
 circulate in percent, so ingestion demands an explicit ``scale`` flag rather
@@ -28,7 +28,7 @@ from itertools import repeat
 import numpy as np
 
 from .errors import DataError, DomainError, IngestionError, OutputError
-from .estimators import GaussianParams, window_stats
+from .estimators import GaussianParams
 from .stats_core import SeededRng, as_sample, draw_gaussian
 
 SCALES = ("decimal", "percent")
@@ -39,7 +39,7 @@ _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 # a line the csv module reads as a blank row: commas between whitespace, quoted or not
 _BLANK_LINE = re.compile(r'^(?:"[^\S\n]*")?[^\S\n]*(?:,(?:"[^\S\n]*")?[^\S\n]*)*$', re.M)
 # the report method that renders each output format
-REPORT_FORMATS = {"json": "to_json", "csv": "to_csv", "csv-long": "to_csv_long"}
+REPORT_FORMATS = {"json": "to_json", "csv": "to_csv", "csv-long": "to_csv_long", "table": "to_table"}
 # days in each month of a common year by its two-digit number; no month is numbered 0 or 13-99
 _MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31] + [0] * 87, np.uint8)
 # YYYYMMDD and YYYY-MM-DD as _calendar_days sees a cell: 16 characters less "0" (mod 256),
@@ -139,20 +139,6 @@ class ReturnSeries:
 
     def __len__(self) -> int:
         return int(self.values.size)
-
-
-@dataclass(frozen=True)
-class SimulationSpec:
-    """Gaussian simulation request: parameters, length and seed."""
-
-    params: GaussianParams
-    length: int
-    seed: int
-    stream_id: int = 0
-
-    def __post_init__(self):
-        if int(self.length) < 1:
-            raise DomainError(f"length must be at least 1, got {self.length!r}")
 
 
 def _itemise(fh, rows, limit: int = 20) -> str:
@@ -278,23 +264,10 @@ def load_returns_csv(path, column: str, scale: str) -> ReturnSeries:
         raise IngestionError(f"cannot read {path}: {exc}") from exc
 
 
-def fit_gaussian(series) -> GaussianParams:
-    """Sample mean and sd (divisor n-1) of :func:`window_stats`; constant series are rejected."""
-    values = series.values if isinstance(series, ReturnSeries) else series
-    ws = window_stats(as_sample(values, 2, "fit_gaussian")[None, :])
-    if ws.sds[0] == 0.0:
-        raise DataError("fit_gaussian: degenerate data, sample standard deviation is zero")
-    return GaussianParams(*(float(ws.in_data_units(v)[0]) for v in (ws.means, ws.sds)))
-
-
-def simulate_series(spec: SimulationSpec) -> ReturnSeries:
-    """Deterministic i.i.d. Gaussian series named after its spec."""
-    rng = SeededRng(int(spec.seed), int(spec.stream_id))
-    values = draw_gaussian(rng, spec.length, spec.params.mu, spec.params.sigma)
-    name = (
-        f"simulated(mu={spec.params.mu:g},sigma={spec.params.sigma:g},"
-        f"n={int(spec.length)},seed={int(spec.seed)},stream={int(spec.stream_id)})"
-    )
+def simulate_series(params: GaussianParams, length: int, seed: int) -> ReturnSeries:
+    """``length`` i.i.d. N(mu, sigma^2) draws from stream 0 of ``seed``, named after them."""
+    values = draw_gaussian(SeededRng(int(seed)), length, params.mu, params.sigma)
+    name = f"simulated(mu={params.mu:g},sigma={params.sigma:g},n={int(length)},seed={int(seed)})"
     return ReturnSeries(name=name, values=values)
 
 
@@ -308,7 +281,7 @@ def write_text(path, text: str, what: str) -> None:
 
 
 def write_report(report, path, format: str = "json") -> None:
-    """Persist a report; ``format`` is json, csv (one row per method) or csv-long."""
+    """Persist a report in one of :data:`REPORT_FORMATS`; csv has one row per method."""
     if format not in REPORT_FORMATS:
-        raise DomainError(f"unknown report format {format!r}; use json, csv or csv-long")
+        raise DomainError(f"unknown report format {format!r}; use {', '.join(REPORT_FORMATS)}")
     write_text(path, getattr(report, REPORT_FORMATS[format])(), "report")

@@ -9,7 +9,7 @@ rolling windows summarised by :func:`window_stats`; the fitted methods
 (Student-t, KDE) fit every row at once. The backtester and the Monte Carlo
 checks call the kernels through :func:`batch_var_capitals` and
 :func:`batch_es_capitals`. A scalar estimate, ``estimate(tag, x, alpha,
-measure, **options)``, is a batch of one row returned as a :class:`RiskEstimate`.
+measure, **options)``, is a batch of one row returned as a float.
 No row's result depends on the other rows of its batch. One scale rule serves every
 kernel: :func:`window_stats` puts each row in units of a power of two, the kernels read
 those units, and each capital is scaled back once. So capital(2^k x) = 2^k capital(x) to
@@ -91,23 +91,6 @@ class RiskLevel(float):
 
 
 @dataclass(frozen=True)
-class RiskEstimate:
-    """One estimator's capital output."""
-
-    measure: str  # "var" or "es"
-    method: str
-    alpha: float
-    n: int
-    capital: float
-
-    def __post_init__(self):
-        if self.measure not in ("var", "es"):
-            raise ConfigError(f"measure must be 'var' or 'es', got {self.measure!r}")
-        if not math.isfinite(self.capital):
-            raise DataError(f"capital must be finite, got {self.capital!r}")
-
-
-@dataclass(frozen=True)
 class GaussianParams:
     """Mean and standard deviation of a Gaussian model."""
 
@@ -156,9 +139,11 @@ class CalibrationEntry:
     source: str = "monte_carlo"
 
     def __post_init__(self):
-        if self.b_n <= 0.0:
+        if self.n < 2:
+            raise SizeError(f"calibration needs window size n >= 2, got {self.n!r}")
+        if not self.b_n > 0.0:  # NaN fails too
             raise DomainError(f"b_n must be positive, got {self.b_n!r}")
-        if self.a_n >= 0.0:
+        if not self.a_n < 0.0:
             raise DomainError(f"a_n must be negative, got {self.a_n!r}")
         slack = self.a_n * math.sqrt(self.n / ((self.n - 1) * (self.n + 1))) + self.b_n
         if abs(slack) > 1e-12 * max(1.0, self.b_n):
@@ -903,8 +888,8 @@ def batch_es_capitals(method: str, ws: WindowStats, alpha: float, **options) -> 
     return _capitals(method, "es", ws, alpha, options)
 
 
-def estimate(method: str, x, alpha, measure: str = "var", **options) -> RiskEstimate:
-    """One capital estimate: the method's batch kernel on ``x`` as a single window.
+def estimate(method: str, x, alpha, measure: str = "var", **options) -> float:
+    """One finite capital: the method's batch kernel on ``x`` as a single window.
 
     ``method`` may be an alias; ``options`` are those of :data:`OPTIONS`.
     """
@@ -913,8 +898,7 @@ def estimate(method: str, x, alpha, measure: str = "var", **options) -> RiskEsti
         raise ConfigError(f"measure must be 'var' or 'es', got {measure!r}")
     arr = as_sample(x, 0, method)
     batch = batch_var_capitals if measure == "var" else batch_es_capitals
-    capital = batch(method, window_stats(arr[None, :]), alpha, **options)[0]
-    return RiskEstimate(measure, method, float(RiskLevel(alpha)), arr.size, float(capital))
+    return float(batch(method, window_stats(arr[None, :]), alpha, **options)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -41,25 +41,23 @@ bounded_floats = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 
 class TestSplitWindows:
     def test_exact_tiling_2500(self):
-        pairing = split_windows(np.arange(2500.0), 50)
-        assert pairing.window_count == 50
-        assert pairing.estimation.shape == (49, 50)
-        assert pairing.evaluation.shape == (49, 50)
-        assert pairing.dropped == 0
+        windows = split_windows(np.arange(2500.0), 50)
+        assert windows.shape == (50, 50)
+        assert windows[-1, -1] == 2499.0
 
     def test_floor_rule_drops_tail(self):
-        pairing = split_windows(np.arange(2549.0), 50)
-        assert pairing.window_count == 50
-        assert pairing.dropped == 49
+        windows = split_windows(np.arange(2549.0), 50)
+        assert windows.shape == (50, 50)
+        assert windows[-1, -1] == 2499.0
 
     def test_too_short(self):
         with pytest.raises(SizeError):
             split_windows(np.arange(99.0), 50)
 
     def test_windows_preserve_order(self):
-        pairing = split_windows(np.arange(200.0), 50)
-        assert pairing.windows[0, 0] == 0.0
-        assert pairing.windows[3, -1] == 199.0
+        windows = split_windows(np.arange(200.0), 50)
+        assert windows[0, 0] == 0.0
+        assert windows[3, -1] == 199.0
 
 
 def _exceedances(capitals, windows):
@@ -210,8 +208,10 @@ class TestVarScore:
             probs = rng.dirichlet(np.ones(atoms.size))
             alpha = 0.1
             grid = np.arange(atoms[0] - 0.05, atoms[-1] + 0.05, 1e-3)
-            expected = ((grid[:, None] >= atoms) - alpha) * (grid[:, None] - atoms)
-            mean_scores = expected @ probs
+            # S(x, atom) for every (grid point, atom): one group of one one-point window each
+            forecasts, outcomes = np.broadcast_arrays(grid[:, None], atoms)
+            scores = mean_score(forecasts.reshape(-1, 1), outcomes.reshape(-1, 1, 1), alpha)
+            mean_scores = scores.reshape(grid.size, atoms.size) @ probs
             minimisers = grid[mean_scores <= mean_scores.min() + 1e-12]
             cdf = np.cumsum(probs)
             lo = atoms[int(np.searchsorted(cdf, alpha - 1e-12))]
@@ -544,16 +544,16 @@ class TestRollingBacktest:
         """Dual route: the vectorised engine must equal per-window scalar calls."""
         config = BacktestConfig(alpha=0.1, methods=("emp", "norm", "cf", "u"), window=50)
         report = rolling_backtest(series, config)
-        pairing = split_windows(series, 50)
+        windows = split_windows(series, 50)
         scalar_fns = {
             tag: functools.partial(estimate, tag)
             for tag in ("empirical", "gaussian", "cornish_fisher", "gaussian_unbiased")
         }
         for tag, fn in scalar_fns.items():
             count = 0
-            for k in range(pairing.window_count - 1):
-                cap = fn(pairing.windows[k], 0.1).capital
-                count += int(np.count_nonzero(pairing.windows[k + 1] + cap < 0))
+            for k in range(len(windows) - 1):
+                cap = fn(windows[k], 0.1)
+                count += int(np.count_nonzero(windows[k + 1] + cap < 0))
             assert report.methods[tag].exceedance_count == count
 
     def test_deterministic(self, series):
@@ -579,8 +579,8 @@ class TestRollingBacktest:
         row, quoted = re.fullmatch(
             r"window (\d+): non-positive ES capital (\S+); Z statistic undefined", reason
         ).groups()
-        window = split_windows(series, 20).windows[int(row)]
-        assert float(quoted) == estimate("mean", window, 0.05, "es").capital
+        window = split_windows(series, 20)[int(row)]
+        assert float(quoted) == estimate("mean", window, 0.05, "es")
         constant = np.concatenate([np.full(50, 0.1), draw_gaussian(SeededRng(4), 150, 0.0, 1.0)])
         config = BacktestConfig(alpha=0.1, methods=("gpd",), window=50)
         failure = rolling_backtest(constant, config).methods["gpd"].failure

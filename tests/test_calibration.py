@@ -441,7 +441,7 @@ class TestPivotTQuantile:
         x = np.linspace(-1.0, 1.0, 37)
         first = estimate("gaussian_unbiased", x, 0.05)
         assert _t_quantile.cache_info().currsize == 1
-        assert estimate("gaussian_unbiased", x * 2.0, 0.05).capital == 2.0 * first.capital
+        assert estimate("gaussian_unbiased", x * 2.0, 0.05) == 2.0 * first
         assert _t_quantile.cache_info().hits == 1
         estimate("gaussian_unbiased", x, 0.01)
         assert _t_quantile.cache_info().currsize == 2
@@ -554,6 +554,13 @@ class TestCalibrationTable:
         with pytest.raises(DataError):
             CalibrationEntry(50, 0.1, b_n, a_n=-1.0, mc_samples=1, seed=0, residual=0.0,
                              source="guess")
+
+    def test_entry_needs_two_observations_and_real_constants(self):
+        with pytest.raises(SizeError):
+            CalibrationEntry(1, 0.1, b_n=1.0, a_n=-1.0, mc_samples=1, seed=0, residual=0.0)
+        for b_n, a_n in ((math.nan, -1.0), (1.0, math.nan), (math.nan, math.nan)):
+            with pytest.raises(DomainError):
+                CalibrationEntry(50, 0.1, b_n, a_n, mc_samples=1, seed=0, residual=0.0)
 
 
 class TestPivotalityCheck:

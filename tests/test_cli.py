@@ -153,8 +153,8 @@ class TestEstimate:
         x = load_returns_csv(csv_path, "ret", "decimal").values
         _, out, _ = run(capsys, *args, "--table", str(tmp_path / "stored.json"))
         capital = float(out.split("capital=")[1])
-        assert capital == estimate("gaussian_unbiased", x, 0.10, "es", table=table).capital
-        assert capital != estimate("gaussian_unbiased", x, 0.10, "es").capital
+        assert capital == estimate("gaussian_unbiased", x, 0.10, "es", table=table)
+        assert capital != estimate("gaussian_unbiased", x, 0.10, "es")
 
     @pytest.mark.parametrize("q", ["-0.5", "nan"])
     def test_gpd_quantile_outside_unit_interval_exits_1(self, capsys, csv_path, q):
@@ -208,6 +208,20 @@ class TestBacktest:
         )
         assert code == 0
         assert "gaussian_unbiased" in out
+
+    def test_table_bytes_with_a_failed_method_and_an_undefined_z(self, capsys):
+        code, out, err = run(capsys, "backtest", "--simulate", "--length", "300", "--window", "10",
+                             "--alpha", "0.05", "--methods", "gpd,u,mean", "--measure", "both",
+                             "--seed", "3")
+        assert (code, err) == (0, "")
+        assert out == (
+            "series=simulated(mu=0,sigma=1,n=300,seed=3) window=10 alpha=0.05 windows=30 evaluated=290\n"
+            "method              exceed     rate       bias       es_z    var_score  joint_score\n"
+            "gpd                FAILED: InsufficientTailError: window 0: only 3 observations strictly "
+            "below threshold -0.1352130321022479 (need 5)\n"
+            "gaussian_unbiased       15   0.0517      0.114    -0.0848      0.12847     0.075126\n"
+            "mean                   139   0.4793       1.85          -      0.42663       4.4744\n"
+        )
 
     def test_table_prints_data_unit_columns_in_significant_digits(self, capsys):
         # at sigma = 2^-560 fixed decimals printed every bias and score as zero
@@ -308,6 +322,31 @@ class TestReplicate:
         assert code == 0
         assert "er_mean" in out
 
+    def test_table_bytes_with_a_failing_method(self, capsys):
+        code, out, err = run(capsys, "replicate", "--reps", "4", "--length", "300", "--window", "10",
+                             "--alpha", "0.05", "--methods", "gpd,u,norm,emp", "--measure", "both",
+                             "--seed", "4")
+        assert (code, err) == (0, "")
+        assert out == (
+            "replications=4 length=300 window=10 alpha=0.05 mu=0 sigma=1 reference=gaussian_unbiased\n"
+            "method              er_mean    er_sd   rd_mean    rd_sd      or   z_mean    z_or\n"
+            "gpd                       -        -         -        -       -        -       -\n"
+            "gaussian_unbiased    0.0466   0.0107         -        -       -   0.0711       -\n"
+            "gaussian             0.0690   0.0074     51.7%    21.4%   75.0%  -0.5686   75.0%\n"
+            "empirical            0.1147   0.0114    158.9%    73.8%  100.0%  -2.3269  100.0%\n"
+        )
+        summary = json.loads(run(capsys, "replicate", "--reps", "4", "--length", "300", "--window",
+                                 "10", "--alpha", "0.05", "--methods", "gpd,u,norm,emp",
+                                 "--measure", "both", "--seed", "4", "--format", "json")[1])
+        assert {m: r["failures"] for m, r in summary["methods"].items()} == {
+            "gpd": 4, "gaussian_unbiased": 0, "gaussian": 0, "empirical": 0}
+
+    def test_table_format_to_file_writes_json(self, capsys, tmp_path):
+        args = ("replicate", "--reps", "3", "--length", "300", "--alpha", "0.05", "--methods", "emp,u")
+        path = tmp_path / "summary.json"
+        assert run(capsys, *args, "--out", str(path)) == (0, "", f"wrote {path}\n")
+        assert path.read_text().rstrip("\n") == run(capsys, *args, "--format", "json")[1].rstrip("\n")
+
     def test_es_without_table_matches_exact_table(self, capsys, tmp_path):
         args = ("replicate", "--reps", "4", "--length", "300", "--alpha", "0.05", "--methods", "u,norm",
                 "--measure", "both", "--seed", "4", "--format", "json")
@@ -371,3 +410,22 @@ class TestTablePaths:
         args = self.command(capsys, tmp_path, name)
         self.assert_one_error_line(run(capsys, *args, "--table", str(path)), path)
         assert not path.exists()
+
+    # an entry of one observation divided by zero in its consistency check, and NaN
+    # constants passed the sign checks and failed every window of a backtest
+    @pytest.mark.parametrize("entry", [{"n": 1, "b_n": 1.0, "a_n": -1.0},
+                                       {"n": 50, "b_n": math.nan, "a_n": math.nan}],
+                             ids=["n1", "nan"])
+    @pytest.mark.parametrize("name", [*COMMANDS, "calibrate"])
+    def test_malformed_entry(self, capsys, tmp_path, name, entry):
+        path = tmp_path / "bad.json"
+        record = {"alpha": 0.10, "mc_samples": None, "seed": None, "residual": 0.0,
+                  "source": "quadrature", **entry}
+        path.write_text(json.dumps({"version": 2, "entries": [record]}))
+        if name == "calibrate":
+            args = ("calibrate", "--n", "50", "--alpha", "0.10", "--mc", "100000")
+        else:
+            args = self.command(capsys, tmp_path, name)
+        result = run(capsys, *args, "--table", str(path))
+        self.assert_one_error_line(result, path)
+        assert "cannot read calibration table" in result[2]

@@ -1,5 +1,4 @@
 import json
-import math
 import os
 import threading
 
@@ -15,9 +14,7 @@ from riskbench import (
     OutputError,
     ReturnSeries,
     SeededRng,
-    SimulationSpec,
     SizeError,
-    fit_gaussian,
     load_returns_csv,
     rolling_backtest,
     simulate_series,
@@ -345,67 +342,44 @@ class TestReturnSeries:
         assert len(ReturnSeries("x", [1.0, 2.0])) == 2
 
 
-class TestFitGaussian:
-    def test_hand_values(self):
-        params = fit_gaussian(ReturnSeries("x", [0.0, 2.0]))
-        assert params.mu == 1.0
-        assert params.sigma == pytest.approx(math.sqrt(2.0))
-
-    def test_degenerate_rejected(self):
-        with pytest.raises(DataError):
-            fit_gaussian(ReturnSeries("x", [1.0] * 5))
-
-    def test_constant_plus_rounding_noise_rejected(self):
-        x = np.full(12, 5.589843)
-        x[::2] = np.nextafter(x[::2], np.inf)  # one-ulp jitter
-        with pytest.raises(DataError):
-            fit_gaussian(ReturnSeries("x", x))
-
-    def test_shift_equivariance(self):
-        x = np.array([0.1, -0.2, 0.4, 0.0])
-        a, b = fit_gaussian(x), fit_gaussian(x + 3.0)
-        assert b.mu == pytest.approx(a.mu + 3.0)
-        assert b.sigma == pytest.approx(a.sigma)
-
-    def test_size(self):
-        with pytest.raises(SizeError):
-            fit_gaussian(ReturnSeries("x", [1.0]))
-
-    def test_raw_array_checked(self):
-        with pytest.raises(SizeError):
-            fit_gaussian([1.0])
-        with pytest.raises(DataError):
-            fit_gaussian([1.0, float("nan")])
-
-
 class TestSimulateSeries:
     def test_deterministic(self):
-        spec = SimulationSpec(GaussianParams(0.1, 0.2), 1000, seed=5)
-        a, b = simulate_series(spec), simulate_series(spec)
+        a, b = (simulate_series(GaussianParams(0.1, 0.2), 1000, seed=5) for _ in range(2))
         assert np.array_equal(a.values, b.values)
         assert a.name == b.name and "seed=5" in a.name
 
     def test_moment_recovery(self):
-        spec = SimulationSpec(GaussianParams(0.5, 2.0), 1_000_000, seed=6)
-        values = simulate_series(spec).values
+        values = simulate_series(GaussianParams(0.5, 2.0), 1_000_000, seed=6).values
         assert values.mean() == pytest.approx(0.5, abs=3 * 2.0 / 1000.0)
         assert values.std(ddof=1) == pytest.approx(2.0, rel=0.01)
 
     def test_sigma_zero_rejected_upstream(self):
         with pytest.raises(DomainError):
-            SimulationSpec(GaussianParams(0.0, 0.0), 10, seed=0)
+            simulate_series(GaussianParams(0.0, 0.0), 10, seed=0)
 
     def test_length_validated(self):
         with pytest.raises(DomainError):
-            SimulationSpec(GaussianParams(0.0, 1.0), 0, seed=0)
+            simulate_series(GaussianParams(0.0, 1.0), 0, seed=0)
 
 
 class TestWriteReport:
     @pytest.fixture()
     def report(self):
-        series = simulate_series(SimulationSpec(GaussianParams(0.0, 1.0), 300, seed=9))
+        series = simulate_series(GaussianParams(0.0, 1.0), 300, seed=9)
         config = BacktestConfig(alpha=0.1, methods=("emp", "norm"), window=50)
         return rolling_backtest(series, config)
+
+    def test_unknown_format_lists_every_format(self, report, tmp_path):
+        with pytest.raises(DomainError, match=r"'xml'; use json, csv, csv-long, table$"):
+            write_report(report, tmp_path / "r.xml", "xml")
+        assert not (tmp_path / "r.xml").exists()
+
+    def test_table_is_the_cli_table(self, report, tmp_path):
+        path = tmp_path / "r.txt"
+        write_report(report, path, "table")
+        lines = path.read_text().splitlines()
+        assert lines[0] == "series=" + report.series_name + " window=50 alpha=0.1 windows=6 evaluated=250"
+        assert [line.split()[0] for line in lines[1:]] == ["method", "empirical", "gaussian"]
 
     def test_json_round_trip_exact(self, report, tmp_path):
         path = tmp_path / "r.json"
