@@ -9,14 +9,13 @@ table is needed. A :class:`CalibrationTable` is optional: an entry it stores
 for (n, alpha) takes precedence over the exact constant, and a lookup it
 does not hold returns the exact constant without storing it.
 
-:func:`solve_unbiased_es_constant` solves the same condition by bisection on
-one fixed Monte Carlo sample (common random numbers), which makes the
-objective monotone and the result bit-reproducible. It serves as an
-independent cross-check of the quadrature: the quadrature b_n only guesses a
-bracket, which is checked on the sample. The bisection then skips the points
-outside it, reads the others on the rows that can be in the tail, and reads the
-full sample wherever rounding could change a decision, so every output bit is
-that of the plain bisection.
+:func:`solve_unbiased_es_constant` solves the same condition exactly on one
+fixed Monte Carlo sample (common random numbers), which makes it
+bit-reproducible. It serves as an independent cross-check of the quadrature.
+On the sample the condition is convex and piecewise linear in b, so Newton's
+steps on the tail set (Dinkelbach's iteration) reach its root in a few steps.
+The quadrature b_n only guesses which rows can be in the tail; each step checks
+that guess, and reads the full sample where it fails, with the same bits.
 
 The Monte Carlo checks test the defining properties: unbiased VaR is exceeded
 with probability alpha (:func:`pivotality_check`), and the secured position of
@@ -31,6 +30,7 @@ shorter run is a prefix of a longer one.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -41,7 +41,6 @@ import numpy as np
 from .data_io import write_text
 from .errors import CalibrationFailureError, DataError, DomainError, SizeError
 from .estimators import (
-    _MAX_DOUBLINGS,
     CalibrationEntry,
     GaussianParams,
     RiskLevel,
@@ -58,10 +57,8 @@ from .stats_core import SeededRng, draw_pivotal_pairs
 TABLE_FORMAT_VERSION = 2
 _READABLE_TABLE_VERSIONS = (1, 2)
 DEFAULT_MC_SAMPLES = 10_000_000
-_TOLERANCE = 1e-4
-_BISECTION_WIDTH = 1e-8
 _CHUNK_TRIALS = 1 << 20  # a constant: a trial's draws depend only on the seed and its index
-_PASS_ROWS = 1 << 16  # rows per chunk of the bracket's pass
+_PASS_ROWS = 1 << 16  # rows per chunk of the candidate pass
 
 
 def _optional_int(value):
@@ -147,48 +144,25 @@ def empirical_es(values, alpha) -> float:
     expected-shortfall condition; ties are resolved by taking exactly
     ceil(alpha * m) order statistics.
     """
-    arr = np.array(values, dtype=float)  # a copy, which _tail_es partitions
+    arr = np.array(values, dtype=float)  # a copy, which the partition reorders
     if arr.size == 0:
         raise SizeError("empirical_es needs a non-empty sample")
-    return _tail_es(arr, _tail_count(RiskLevel(alpha), arr.size))[0]
+    tail = _tail_count(RiskLevel(alpha), arr.size)
+    if tail < arr.size:
+        arr.partition(tail - 1)  # the introselect of np.partition, in place
+    return -float(arr[:tail].mean())
 
 
-def _undecided(g: float, head: np.ndarray) -> bool:
-    """Whether g on the candidate rows may differ from the full sample's g in a decision.
+def _candidates(z: np.ndarray, v: np.ndarray, tail: int, n: int, alpha):
+    """The rows that can hold the tail near the quadrature b_n: (z rows, v rows, guess, b_l, c).
 
-    Both are -fl(S/t) with S the sum of the same t values ``head`` in two orders.
-    Any order errs by at most gamma_{t-1} * sum|x|, gamma_k = k*u/(1 - k*u) with
-    u = eps/2 (Higham, Accuracy and Stability of Numerical Algorithms, 4.2), and
-    each division adds u*|g|, so the two g differ by about eps * (sum|x| + |g|)
-    at most. The band is twice that, to cover the rounding of sum|x| itself.
-    """
-    band = 2.0 * np.finfo(float).eps * (float(np.abs(head).sum()) + abs(g))
-    return abs(g) <= band or abs(abs(g) - _TOLERANCE) <= band
-
-
-def _tail_es(values: np.ndarray, tail: int):
-    """empirical_es of ``values``, partitioned in place, and the tail it averages."""
-    if tail == values.size:
-        return -float(values.mean()), values
-    values.partition(tail - 1)  # the introselect of np.partition, in place
-    return -float(values[:tail].mean()), values[:tail]
-
-
-def _bracket(z: np.ndarray, v: np.ndarray, tail: int, n: int, alpha):
-    """[b_l, b_h] around the quadrature b_n, checked on the sample, and the rows of its tails.
-
-    One pass in chunks keeps the rows with z + b_l*v <= c, c a widened quantile of
-    z + b_h*v on the first chunk. V_n > 0, so each rounded z + b*v is non-decreasing
-    in b, and so is q(b), the tail-th smallest. If at least t = ``tail`` kept rows
-    have z + b_h*v <= c, then q(b) <= q(b_h) <= c for b <= b_h, and every row of the
-    tail at any b in [b_l, b_h] is kept. The bracket holds if, on the kept rows,
-    g(b_l) > 1e-4 + band and g(b_h) < -1e-4 - band. The exact mean of the rounded
-    tail is monotone in b, and a computed g errs from it by at most about u*(t+1)*M
-    (:func:`_undecided`), M bounding every |x| summed: max|z| + b*max v, where no
-    point of the walk exceeds max(1, 2*b_h). So the band, 2*eps*(t+1)*M, makes the
-    full sample's g(b) > 1e-4 at every b <= b_l and < -1e-4 at every b >= b_h. A
-    bracket that fails, keeps over a quarter of the rows, or whose quadrature
-    raises, gives None: the guess only saves time.
+    One pass in chunks keeps the rows with z + b_l*v <= c, where [b_l, b_h] is the
+    quadrature guess -+ 8 MC standard errors and c a widened quantile of z + b_h*v
+    on the first chunk. V_n > 0, so each rounded z + b*v is non-decreasing in b: at
+    any b >= b_l every row not kept exceeds c, and a tail of the kept rows whose
+    largest value is <= c is the full sample's tail. A quadrature that raises, or
+    kept rows fewer than the tail or over half the sample, give None: the guess only
+    saves time.
     """
     try:
         guess = exact_unbiased_es_constant(n, alpha).b_n
@@ -205,12 +179,39 @@ def _bracket(z: np.ndarray, v: np.ndarray, tail: int, n: int, alpha):
         index = np.flatnonzero(zs + b_l * vs <= c)  # take: about twice as fast as a boolean mask
         parts.append((zs.take(index), vs.take(index)))
     rows = tuple(np.concatenate(part) for part in zip(*parts))
-    if 4 * rows[0].size > z.size or np.count_nonzero(rows[0] + b_h * rows[1] <= c) < tail:
-        return None
-    size = max(z.max(), -z.min()) + max(1.0, 2.0 * b_h) * v.max()  # bounds every |x| summed
-    band = 2.0 * np.finfo(float).eps * (tail + 1) * size
-    g_l, g_h = (_tail_es(rows[0] + b * rows[1], tail)[0] for b in (b_l, b_h))
-    return (b_l, b_h, rows) if g_l > _TOLERANCE + band and g_h < -_TOLERANCE - band else None
+    return (*rows, guess, b_l, c) if tail <= rows[0].size <= z.size // 2 else None
+
+
+def _sample_root(tail: int, z, v, b: float = 0.0, b_l: float = -math.inf, c: float = math.inf):
+    """Newton's steps from b to the root of g(b) = -sum_{S(b)} (z + b*v) / tail: (root, sums).
+
+    S(b) is the ``tail`` rows with the smallest z + b*v, ties to the earlier row. g is
+    the negative of a minimum of lines, so it is convex and piecewise linear, and it
+    falls because v > 0. The step from b is the root of S(b)'s line, -sum z / sum v.
+    It lands at or below the root, so after the first step the steps rise, and they
+    stop once S(b) repeats: the first step that does not rise is the root. Both sums
+    run over S(b) in row order, so no arrangement of the partition moves their bits.
+    None once a step falls below b_l or a tail's largest value exceeds c.
+    """
+    x = np.empty_like(z)  # z + b*v, one step at a time
+    for step in itertools.count():
+        np.multiply(v, b, out=x)
+        x += z
+        x.partition(tail - 1)  # the introselect of np.partition, in place
+        q = x[tail - 1]
+        if b < b_l or q > c:
+            return None
+        np.multiply(v, b, out=x)  # z + b*v again, in row order
+        x += z
+        index = np.flatnonzero(x <= q)
+        if index.size > tail:  # rows tied at q: drop the last of them
+            ties = index[x[index] == q]
+            index = np.setdiff1d(index, ties[tail - index.size :], assume_unique=True)
+        sums = float(z.take(index).sum()), float(v.take(index).sum())
+        root = -sums[0] / sums[1]
+        if step and root <= b:
+            return root, sums
+        b = root
 
 
 def solve_unbiased_es_constant(
@@ -219,25 +220,14 @@ def solve_unbiased_es_constant(
     mc_samples: int = DEFAULT_MC_SAMPLES,
     seed: int = 0,
 ) -> CalibrationEntry:
-    """Bisection for b_n with ES_alpha(Z + b_n V_n) = 0 on one fixed MC sample.
+    """The root b_n of ES_alpha(Z + b_n V_n) = 0 on one fixed MC sample, solved exactly.
 
-    The sample is drawn once from ``SeededRng(seed)``; the objective
-    g(b) = empirical_es(z + b*v) is then monotone non-increasing in b, so the
-    bisection terminates deterministically. Stops when the bracket is below
-    1e-8 or |g| falls below 1e-4, whichever comes first.
-
-    The walk is the plain bisection's: g(0), the doublings from 1, the midpoints.
-    The quadrature b_n guesses a bracket [b_l, b_h] that :func:`_bracket` checks
-    on the sample. A point <= b_l is then decided positive, and a point >= b_h
-    negative, without reading g. A point inside reads g on the bracket's rows, the
-    same tail summed in another order; where that g lies in the rounding band of a
-    decision (the sign of g, and |g| <= 1e-4: :func:`_undecided`), the step
-    re-reads the full sample. With no bracket (a tail over a quarter of the
-    sample, a guess off by over 8 MC standard errors, a tail of a few dozen rows,
-    or a quadrature that raises) every step reads the full sample. The residual
-    is computed in z and v themselves, v *= b and z += v: the values and order of
-    z + b*v. So no sample-sized scratch array is held, and every output bit is the
-    plain bisection's.
+    The sample is drawn once from ``SeededRng(seed)``, and :func:`_sample_root`
+    solves it. Its steps read the candidate rows of :func:`_candidates` from the
+    quadrature b_n while each step keeps the full sample's tail, and the full
+    sample from b = 0 otherwise, with the same bits. The residual is
+    |sum z + b_n * sum v| / tail over the root's tail set. A root that is not
+    positive raises :class:`CalibrationFailureError`.
     """
     n = int(n)
     if n < 2:
@@ -249,55 +239,20 @@ def solve_unbiased_es_constant(
 
     z, v = draw_pivotal_pairs(SeededRng(int(seed)), n, mc_samples)
     tail = _tail_count(alpha, mc_samples)
-    bracket = 4 * tail <= mc_samples and _bracket(z, v, tail, n, alpha)
-    b_l, b_h, rows = bracket or (-math.inf, math.inf, (z, v))
-
-    def g(b):
-        """g(b) read on ``rows``; +-inf where the bracket decides its sign."""
-        if b <= b_l or b >= b_h:
-            return math.inf if b <= b_l else -math.inf
-        gb, head = _tail_es(rows[0] + b * rows[1], tail)
-        if rows[0] is not z and _undecided(gb, head):
-            gb = _tail_es(z + b * v, tail)[0]
-        return gb
-
-    if g(0.0) <= 0.0:
-        raise CalibrationFailureError(
-            "empirical ES at b = 0 is already non-positive; no positive root exists"
-        )
-    hi = 1.0
-    for _ in range(_MAX_DOUBLINGS):
-        if g(hi) < 0.0:
-            break
-        hi *= 2.0
-    else:
-        raise CalibrationFailureError(
-            f"could not bracket the root within {_MAX_DOUBLINGS} doublings"
-        )
-
-    lo = 0.0
-    while hi - lo > _BISECTION_WIDTH:
-        b = 0.5 * (lo + hi)
-        gb = g(b)
-        if abs(gb) <= _TOLERANCE:
-            break
-        if gb < 0.0:
-            hi = b
-        else:
-            lo = b
-    v *= b  # the residual in place: z + b*v, the same values in the same order
-    z += v
-    residual = abs(_tail_es(z, tail)[0])
-
-    a_n = -b * math.sqrt((n - 1) * (n + 1) / n)
+    rows = 2 * tail <= mc_samples and _candidates(z, v, tail, n, alpha)
+    solved = rows and _sample_root(tail, *rows)
+    del rows  # the candidate rows go before a full-sample read
+    b, (sum_z, sum_v) = solved or _sample_root(tail, z, v)
+    if b <= 0.0:
+        raise CalibrationFailureError(f"the sample's root is b = {b!r}; no positive root exists")
     return CalibrationEntry(
         n=n,
         alpha=float(alpha),
-        b_n=float(b),
-        a_n=float(a_n),
+        b_n=b,
+        a_n=-b * math.sqrt((n - 1) * (n + 1) / n),
         mc_samples=mc_samples,
         seed=int(seed),
-        residual=float(residual),
+        residual=abs(sum_z + b * sum_v) / tail,
     )
 
 

@@ -266,6 +266,8 @@ def load_returns_csv(path, column: str, scale: str) -> ReturnSeries:
 
 def simulate_series(params: GaussianParams, length: int, seed: int) -> ReturnSeries:
     """``length`` i.i.d. N(mu, sigma^2) draws from stream 0 of ``seed``, named after them."""
+    if int(length) < 1:
+        raise DomainError(f"length must be positive, got {length!r}")
     values = draw_gaussian(SeededRng(int(seed)), length, params.mu, params.sigma)
     name = f"simulated(mu={params.mu:g},sigma={params.sigma:g},n={int(length)},seed={int(seed)})"
     return ReturnSeries(name=name, values=values)

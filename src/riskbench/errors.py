@@ -54,7 +54,7 @@ class CalibrationError(RiskbenchError):
 
 
 class CalibrationFailureError(CalibrationError):
-    """The root bracket for the pivotal condition could not be established."""
+    """The pivotal condition has no positive root, or its root could not be bracketed."""
 
 
 class IngestionError(RiskbenchError):

@@ -124,7 +124,7 @@ class CalibrationEntry:
     """Solution (a_n, b_n) of the unbiased-ES condition for one (n, alpha).
 
     ``source`` is ``"quadrature"`` for the exact constant, whose ``mc_samples``
-    and ``seed`` are None, or ``"monte_carlo"`` for a bisection on a seeded
+    and ``seed`` are None, or ``"monte_carlo"`` for the exact root on a seeded
     sample. ``residual`` is |ES_alpha(Z + b_n V_n)| at the returned root under
     the rule that produced it.
     """

@@ -32,7 +32,6 @@ from riskbench import calibration
 from riskbench.calibration import (
     TABLE_FORMAT_VERSION,
     _CHUNK_TRIALS,
-    _TOLERANCE,
     _secured_chunks,
     _tail_count,
 )
@@ -101,9 +100,9 @@ def plugin_secured_es(n, alpha):
     return pivot_secured_es(n, alpha, c / math.sqrt((n - 1) * (n + 1) / n))
 
 
-def plain_bisection(n, alpha, mc_samples, seed, draw=draw_pivotal_pairs):
-    """The solver's bisection with every g read on the full sample: its bit-for-bit reference."""
-    z, v = draw(SeededRng(seed), n, mc_samples)
+def plain_bisection(n, alpha, mc_samples, seed):
+    """The bisection the solver once ran, every g read on the full sample: |g| <= 1e-4 at its b_n."""
+    z, v = draw_pivotal_pairs(SeededRng(seed), n, mc_samples)
 
     def g(b):
         return empirical_es(z + b * v, alpha)
@@ -121,16 +120,37 @@ def plain_bisection(n, alpha, mc_samples, seed, draw=draw_pivotal_pairs):
     while hi - lo > 1e-8:
         b = 0.5 * (lo + hi)
         gb = g(b)
-        residual = abs(gb)
-        if residual <= 1e-4:
+        if abs(gb) <= 1e-4:
             break
         if gb < 0.0:
             hi = b
         else:
             lo = b
-    a_n = -b * math.sqrt((n - 1) * (n + 1) / n)
-    return CalibrationEntry(n=n, alpha=float(alpha), b_n=b, a_n=a_n, mc_samples=mc_samples,
-                            seed=seed, residual=residual)
+    return b
+
+
+def tail_rows(z, v, b, tail):
+    """The ``tail`` rows with the smallest z + b*v, ties to the earlier row, in row order."""
+    return np.sort(np.argsort(z + b * v, kind="stable")[:tail])
+
+
+def newton_reference(n, alpha, mc_samples, seed, draw=draw_pivotal_pairs):
+    """Newton's steps from b = 0 on the full sample, tails by a stable sort: the solver's bits."""
+    z, v = draw(SeededRng(seed), n, mc_samples)
+    tail = _tail_count(alpha, mc_samples)
+    b, rising = 0.0, False
+    while True:
+        rows = tail_rows(z, v, b, tail)
+        sum_z, sum_v = float(z[rows].sum()), float(v[rows].sum())
+        root = -sum_z / sum_v
+        if rising and root <= b:
+            break
+        b, rising = root, True
+    if root <= 0.0:
+        raise CalibrationFailureError("no positive root")
+    a_n = -root * math.sqrt((n - 1) * (n + 1) / n)
+    return CalibrationEntry(n=n, alpha=float(alpha), b_n=root, a_n=a_n, mc_samples=mc_samples,
+                            seed=seed, residual=abs(sum_z + root * sum_v) / tail)
 
 
 def entry_bits(entry):
@@ -138,24 +158,18 @@ def entry_bits(entry):
         entry.residual.hex(), entry.source
 
 
-def spy_solver(monkeypatch, samples):
-    """Record the solver's full-sample reads of g and whether each bracket it tried held."""
-    full, brackets = [], []
-    tail_es, bracket = calibration._tail_es, calibration._bracket
+def spy_newton(monkeypatch):
+    """Record each Newton run of the solver: the rows it read, and whether it reached the root."""
+    runs = []
+    sample_root = calibration._sample_root
 
-    def tail_spy(values, tail):
-        if values.size == samples:
-            full.append(values.size)
-        return tail_es(values, tail)
-
-    def bracket_spy(*args):
-        found = bracket(*args)
-        brackets.append(found is not None)
+    def spy(tail, z, *args):
+        found = sample_root(tail, z, *args)
+        runs.append((z.size, found is not None))
         return found
 
-    monkeypatch.setattr(calibration, "_tail_es", tail_spy)
-    monkeypatch.setattr(calibration, "_bracket", bracket_spy)
-    return full, brackets
+    monkeypatch.setattr(calibration, "_sample_root", spy)
+    return runs
 
 
 class TestEmpiricalEs:
@@ -183,7 +197,7 @@ class TestSolver:
         e = solve_unbiased_es_constant(50, 0.10, 200_000, seed=1)
         assert e.b_n > 0.0 and e.a_n < 0.0
         assert abs(e.a_n * math.sqrt(50 / (49 * 51)) + e.b_n) <= 1e-12
-        assert e.residual <= 1e-4 or e.residual <= 1e-3  # tolerance or tiny bracket
+        assert e.residual <= 1e-12  # the exact root of the sample, up to rounding
 
     def test_bit_identical_determinism(self):
         a = solve_unbiased_es_constant(50, 0.10, 200_000, seed=7)
@@ -210,6 +224,17 @@ class TestSolver:
         with pytest.raises(CalibrationFailureError):
             solve_unbiased_es_constant(50, 0.999999, 1_000_000, seed=2)
 
+    def test_whole_sample_tail_is_the_mean_condition(self):
+        # ceil(0.999999 * 1e5) = 1e5: every draw is in the tail, so b_n = -sum z / sum v
+        z, v = draw_pivotal_pairs(SeededRng(0), 50, 100_000)
+        e = solve_unbiased_es_constant(50, 0.999999, 100_000, seed=0)
+        assert e.b_n == -float(z.sum()) / float(v.sum())
+
+    def test_root_not_positive_is_calibration_failure(self):
+        # seed 2's sample mean of Z is positive, so the whole-sample root is negative
+        with pytest.raises(CalibrationFailureError, match="no positive root exists"):
+            solve_unbiased_es_constant(50, 0.999999, 100_000, seed=2)
+
     def test_a_n_increases_toward_plugin_constant(self):
         values = [
             solve_unbiased_es_constant(n, 0.10, 400_000, seed=4).a_n
@@ -226,23 +251,20 @@ class TestSolver:
 
 
 class TestSolverBits:
-    """The candidate-set solver returns the plain full-sample bisection's entry, bit for bit."""
+    """The solver returns the sample's exact root: Newton's fixed point on the full sample."""
 
-    # (n, alpha, samples, seed) -> float.hex of b_n, a_n and residual, from the plain bisection
+    # (n, alpha, samples, seed) -> float.hex of b_n, a_n and residual, from newton_reference
     PINS = [
-        ((50, 0.05, 1_000_000, 0), "0x1.36d8000000000p-2", "-0x1.12b1d7ca9bf5bp+1",
-         "0x1.5419257b736cep-14"),
-        ((2, 0.05, 1_000_000, 0), "0x1.e4e0000000000p+3", "-0x1.28ec90d19655cp+4",
-         "0x1.783184da894c4p-14"),
-        ((5, 0.01, 1_000_000, 0), "0x1.3c60000000000p+1", "-0x1.5a924a6eea0aep+2",
-         "0x1.b904dc6e353f8p-19"),
-        ((10_000, 0.10, 400_000, 0), "0x1.2020000000000p-6", "-0x1.c231ffda3c212p+0",
-         "0x1.e8df868318fc5p-17"),
-        ((50, 0.999999, 1_000_000, 3), "0x1.4000000000000p-12", "-0x1.1ac9405ba18ebp-9",
-         "0x1.a1f37eacc6f23p-15"),
+        ((50, 0.05, 1_000_000, 0), "0x1.36d4cfaffb3fbp-2", "-0x1.12af06691aef7p+1",
+         "0x1.4f8b588e368f1p-52"),
+        ((2, 0.05, 1_000_000, 0), "0x1.e4d2aaf113682p+3", "-0x1.28e466c1812c9p+4", "0x0.0p+0"),
+        ((5, 0.01, 1_000_000, 0), "0x1.3c6026fd6ef61p+1", "-0x1.5a92752506d80p+2", "0x0.0p+0"),
+        ((10_000, 0.10, 400_000, 0), "0x1.20209c7aed477p-6", "-0x1.c232f45a4ecc3p+0", "0x0.0p+0"),
+        ((50, 0.999999, 1_000_000, 3), "0x1.478078c24795ep-12", "-0x1.216a6294ef25bp-9",
+         "0x0.0p+0"),
         # tail == m: the ES is the mean of every draw, and seed 0's sample mean of Z is negative
-        ((50, 0.999999, 100_000, 0), "0x1.c000000000000p-12", "-0x1.8be68d4d15616p-9",
-         "0x1.0769f736c154dp-20"),
+        ((50, 0.999999, 100_000, 0), "0x1.c025d498a547dp-12", "-0x1.8c07fba4bf775p-9",
+         "0x0.0p+0"),
     ]
 
     @pytest.mark.parametrize("case, b_n, a_n, residual", PINS)
@@ -250,39 +272,50 @@ class TestSolverBits:
         n, alpha, samples, seed = case
         e = solve_unbiased_es_constant(n, alpha, samples, seed=seed)
         assert (e.b_n.hex(), e.a_n.hex(), e.residual.hex()) == (b_n, a_n, residual)
+        assert entry_bits(e) == entry_bits(newton_reference(*case))
 
     def test_tail_count(self):
         assert _tail_count(0.999999, 100_000) == 100_000
         assert _tail_count(0.05, 100) == 5 and _tail_count(1e-9, 100) == 1
 
-    def test_equals_plain_bisection_on_random_cases(self):
+    def test_is_the_sample_root_on_random_cases(self):
         rng = np.random.default_rng(1603)
         for seed in range(20):
             n = int(round(math.exp(rng.uniform(math.log(2), math.log(10_000)))))
             alpha = float(math.exp(rng.uniform(math.log(0.002), math.log(0.6))))
             try:
-                expected = entry_bits(plain_bisection(n, alpha, 200_000, seed))
+                b_bisect = plain_bisection(n, alpha, 200_000, seed)
             except CalibrationFailureError:
                 with pytest.raises(CalibrationFailureError):
                     solve_unbiased_es_constant(n, alpha, 200_000, seed=seed)
                 continue
-            entry = solve_unbiased_es_constant(n, alpha, 200_000, seed=seed)
-            assert entry_bits(entry) == expected, (n, alpha, seed)
+            b = solve_unbiased_es_constant(n, alpha, 200_000, seed=seed).b_n
+            z, v = draw_pivotal_pairs(SeededRng(seed), n, 200_000)
+            # the root: empirical ES changes sign over b * (1 -+ 1e-10)
+            assert empirical_es(z + b * (1.0 - 1e-10) * v, alpha) > 0.0, (n, alpha, seed)
+            assert empirical_es(z + b * (1.0 + 1e-10) * v, alpha) < 0.0, (n, alpha, seed)
+            # the bisection stopped at |g| <= 1e-4, and g falls with slope mean(v) over the tail
+            slope = v[tail_rows(z, v, b, _tail_count(alpha, 200_000))].mean()
+            assert abs(b - b_bisect) * slope <= 1e-4, (n, alpha, seed)
 
-    @pytest.mark.parametrize("case", [c for c, *_ in PINS if 4 * _tail_count(c[1], c[2]) <= c[2]])
-    def test_bracket_path_reads_candidates(self, monkeypatch, case):
-        # the pinned bits are test_pinned_bits'; here only the path that gives them
-        full, brackets = spy_solver(monkeypatch, case[2])
-        solve_unbiased_es_constant(case[0], case[1], case[2], seed=case[3])
-        assert brackets == [True]
-        assert 1 <= len(full) <= 2  # the residual, and at most one step in a rounding band
+    # per guess, each Newton run as (read candidate rows only, reached the root)
+    PATHS = {
+        "quadrature": [(True, True)],
+        "far_low": [(True, False), (False, True)],
+        "far_high": [(True, False), (False, True)],
+        "below_root": [(True, True)],  # b_h below the root, but c is wide enough
+        "above_root": [(True, False), (False, True)],  # the first step lands below b_l
+        "raises": [(False, True)],
+    }
 
-    @pytest.mark.parametrize("guess", ["far_low", "far_high", "below_root", "above_root", "raises"])
-    def test_wrong_guess_falls_back_to_the_same_bits(self, monkeypatch, guess):
+    @pytest.mark.parametrize("guess", sorted(PATHS))
+    def test_every_path_gives_the_full_sample_bits(self, monkeypatch, guess):
         n, alpha, samples, seed = case = (50, 0.05, 200_000, 0)
-        root = plain_bisection(*case).b_n
+        expected = newton_reference(*case)
+        root = expected.b_n
         width = 8.0 / math.sqrt(_tail_count(alpha, samples))  # the bracket's half-width over b
-        b_n = {"far_low": 0.01 * root, "far_high": 100.0 * root,
+        b_n = {"quadrature": exact_unbiased_es_constant(n, alpha).b_n,
+               "far_low": 0.01 * root, "far_high": 100.0 * root,
                "below_root": root * 0.999 / (1.0 + width),  # b_h just below the root
                "above_root": root * 1.001 / (1.0 - width)}.get(guess)  # b_l just above it
 
@@ -292,10 +325,21 @@ class TestSolverBits:
             return types.SimpleNamespace(b_n=b_n)
 
         monkeypatch.setattr(calibration, "exact_unbiased_es_constant", exact)
-        _, brackets = spy_solver(monkeypatch, samples)
+        runs = spy_newton(monkeypatch)
         entry = solve_unbiased_es_constant(n, alpha, samples, seed=seed)
-        assert brackets == [False]
-        assert entry_bits(entry) == entry_bits(plain_bisection(*case))
+        assert [(size < samples, found) for size, found in runs] == self.PATHS[guess]
+        assert entry_bits(entry) == entry_bits(expected)
+
+    def test_ties_at_the_tail_edge_go_to_the_earlier_rows(self, monkeypatch):
+        # draws rounded to 0.1 tie at every tail edge, yet each tail holds exactly ``tail`` rows
+        z, v = (np.round(a, 1) for a in draw_pivotal_pairs(SeededRng(4), 50, 200_000))
+
+        def draw(rng, n, count):
+            return z.copy(), v.copy()
+
+        monkeypatch.setattr(calibration, "draw_pivotal_pairs", draw)
+        entry = solve_unbiased_es_constant(50, 0.05, 200_000, seed=4)
+        assert entry_bits(entry) == entry_bits(newton_reference(50, 0.05, 200_000, 4, draw))
 
     def test_peak_memory_below_three_samples(self):
         exact_unbiased_es_constant(50, 0.05)  # the guess is cached, as calibrate has it
@@ -306,37 +350,6 @@ class TestSolverBits:
         finally:
             tracemalloc.stop()
         assert peak < 3 * 8 * 1_000_000  # z and v, and less than one more float64 sample
-
-    @pytest.mark.parametrize("target", [0.0, _TOLERANCE, -_TOLERANCE])
-    def test_guard_band_reads_the_full_sample(self, monkeypatch, target):
-        # Shift Z so that g at b_t, the dyadic k/256 nearest the root, is target up to
-        # rounding. Every earlier midpoint is >= 1/256 from b_t, where |g| ~ 7/256 >> 1e-4,
-        # so the bisection reaches b_t on the eighth step, by then on the candidate rows.
-        n, alpha, samples = 50, 0.05, 200_000
-        z, v = draw_pivotal_pairs(SeededRng(21), n, samples)
-        b_t = round(plain_bisection(n, alpha, samples, 21).b_n * 256) / 256
-        z = z + (empirical_es(z + b_t * v, alpha) - target)
-        assert abs(empirical_es(z + b_t * v, alpha) - target) < 1e-12
-
-        def draw(rng, n, count):
-            return z.copy(), v.copy()
-
-        calls = []
-        undecided = calibration._undecided
-
-        def spy(g, head):
-            calls.append(undecided(g, head))
-            return calls[-1]
-
-        monkeypatch.setattr(calibration, "draw_pivotal_pairs", draw)
-        monkeypatch.setattr(calibration, "_undecided", spy)
-        _, brackets = spy_solver(monkeypatch, samples)
-        entry = solve_unbiased_es_constant(n, alpha, samples, seed=21)
-        assert brackets == [True]  # the quadrature guess brackets this sample's root
-        assert any(calls)  # a candidate-row g fell in the band, so that step read the full sample
-        assert entry_bits(entry) == entry_bits(plain_bisection(n, alpha, samples, 21, draw))
-        if target == 0.0:
-            assert entry.b_n == b_t
 
 
 class TestExactSolver:

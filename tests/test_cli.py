@@ -86,6 +86,12 @@ class TestSimulate:
         assert code1 == code2 == 0
         assert out1 == out2
 
+    @pytest.mark.parametrize("command", [
+        ["simulate"], ["backtest", "--simulate", "--alpha", "0.05", "--methods", "gaussian"]])
+    def test_zero_length_names_the_option(self, capsys, command):
+        code, out, err = run(capsys, *command, "--mu", "0", "--sigma", "1", "--length", "0")
+        assert (code, out, err) == (3, "", "error: length must be positive, got 0\n")
+
 
 class TestCalibrate:
     def test_writes_table_and_prints_constant(self, capsys, tmp_path):
