@@ -298,6 +298,14 @@ class TestSolverBits:
             slope = v[tail_rows(z, v, b, _tail_count(alpha, 200_000))].mean()
             assert abs(b - b_bisect) * slope <= 1e-4, (n, alpha, seed)
 
+    @pytest.mark.parametrize("case", [c for c, *_ in PINS if 4 * _tail_count(c[1], c[2]) <= c[2]])
+    def test_bracket_path_reads_candidates(self, monkeypatch, case):
+        # the pinned bits are test_pinned_bits'; here only the path that gives them:
+        # from the quadrature guess, one Newton run on the candidate rows reaches the root
+        runs = spy_newton(monkeypatch)
+        solve_unbiased_es_constant(case[0], case[1], case[2], seed=case[3])
+        assert [(size < case[2], found) for size, found in runs] == [(True, True)]
+
     # per guess, each Newton run as (read candidate rows only, reached the root)
     PATHS = {
         "quadrature": [(True, True)],
