@@ -52,7 +52,7 @@ from .estimators import (
 )
 from .estimators import _exact_entry  # noqa: F401  (its cache_clear() empties the a_n cache)
 from .estimators import window_stats  # noqa: F401  (perfbench's tracer wraps this name here)
-from .stats_core import SeededRng, draw_pivotal_pairs
+from .stats_core import SeededRng, as_sample, draw_pivotal_pairs
 
 TABLE_FORMAT_VERSION = 2
 _READABLE_TABLE_VERSIONS = (1, 2)
@@ -138,15 +138,13 @@ def _tail_count(alpha, m: int) -> int:
 
 
 def empirical_es(values, alpha) -> float:
-    """Negative mean of the ceil(alpha * m) smallest values.
+    """Negative mean of the ceil(alpha * m) smallest of m values, a finite 1-D sample.
 
     This is the lower-tail average used as the Monte Carlo oracle for the
     expected-shortfall condition; ties are resolved by taking exactly
     ceil(alpha * m) order statistics.
     """
-    arr = np.array(values, dtype=float)  # a copy, which the partition reorders
-    if arr.size == 0:
-        raise SizeError("empirical_es needs a non-empty sample")
+    arr = as_sample(values, 1, "empirical_es").copy()  # a copy, which the partition reorders
     tail = _tail_count(RiskLevel(alpha), arr.size)
     if tail < arr.size:
         arr.partition(tail - 1)  # the introselect of np.partition, in place

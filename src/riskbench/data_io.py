@@ -90,17 +90,6 @@ def _calendar_days(cells) -> np.ndarray | None:
     return days
 
 
-def _as_days(dates) -> np.ndarray | None:
-    """``dates`` as calendar days if they are datetime64 values or date strings, else None."""
-    raw = np.asarray(dates)
-    if raw.ndim != 1:
-        return None
-    if raw.dtype.kind == "M" or not raw.size:
-        return raw.astype("datetime64[D]", copy=False)
-    # a longer string becomes a full 16-character cell, which counts as cut
-    return _calendar_days(raw.astype("U16")) if raw.dtype.kind == "U" else None
-
-
 def _first_unordered_date(days) -> int | None:
     """Position of the first day not strictly after its predecessor, or None."""
     late = np.flatnonzero(days[1:] <= days[:-1])
@@ -109,24 +98,21 @@ def _first_unordered_date(days) -> int | None:
 
 @dataclass(frozen=True, eq=False)
 class ReturnSeries:
-    """Named sequence of returns with optional strictly increasing ``datetime64[D]`` days."""
+    """Named 1-D sample of returns (see :func:`as_sample`) with optional ``datetime64`` dates,
+    one per return, strictly increasing and none NaT, stored as ``datetime64[D]`` days."""
 
     name: str
     values: np.ndarray
     dates: np.ndarray | None = None
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 1:
-            raise DataError(f"series {self.name!r}: values must be one-dimensional")
-        object.__setattr__(self, "values", as_sample(values, 0, f"series {self.name!r}"))
+        values = as_sample(self.values, 0, f"series {self.name!r}")
+        object.__setattr__(self, "values", values)
         if self.dates is not None:
-            dates = _as_days(self.dates)
-            if dates is None or np.isnat(dates).any():
-                raise DataError(
-                    f"series {self.name!r}: dates must be one-dimensional datetime64 values "
-                    "or YYYYMMDD / YYYY-MM-DD calendar dates"
-                )
+            dates = np.asarray(self.dates)
+            if dates.dtype.kind != "M" or dates.ndim != 1 or np.isnat(dates).any():
+                raise DataError(f"series {self.name!r}: dates must be 1-D datetime64 values, none NaT")
+            dates = dates.astype("datetime64[D]", copy=False)
             object.__setattr__(self, "dates", dates)
             if dates.size != values.size:
                 raise DataError(

@@ -49,8 +49,10 @@ class SeededRng:
 
 
 def as_sample(x, min_n: int, what: str = "sample") -> np.ndarray:
-    """Validate and convert ``x`` to a finite 1-D float array of length >= min_n."""
-    arr = np.asarray(x, dtype=float).reshape(-1)
+    """``x`` as a finite 1-D float array of at least ``min_n`` points; no reshape, any other shape errs."""
+    arr = np.asarray(x, dtype=float)
+    if arr.ndim != 1:
+        raise DataError(f"{what} must be one-dimensional, got shape {arr.shape}")
     if arr.size < min_n:
         raise SizeError(f"{what} needs at least {min_n} observations, got {arr.size}")
     if not np.all(np.isfinite(arr)):

@@ -59,6 +59,11 @@ class TestSplitWindows:
         assert windows[0, 0] == 0.0
         assert windows[3, -1] == 199.0
 
+    def test_matrix_is_a_data_error_naming_its_shape(self):
+        # two columns are two series, not one interleaved series
+        with pytest.raises(DataError, match=r"shape \(1000, 2\)"):
+            split_windows(np.zeros((1000, 2)), 50)
+
 
 def _exceedances(capitals, windows):
     """Per-outcome exceedances as the backtest counts them: each outcome a one-point group."""
@@ -614,6 +619,12 @@ class TestRollingBacktest:
         values[500] = bad
         config = BacktestConfig(alpha=0.05, methods=("norm", "u", "emp"), window=50)
         with pytest.raises(DataError, match="position 500"):
+            rolling_backtest(values, config)
+
+    def test_matrix_series_is_a_data_error_naming_its_shape(self):
+        values = np.random.default_rng(0).normal(size=(1000, 2)) * [1.0, 100.0]
+        config = BacktestConfig(alpha=0.05, methods=("norm",), window=50)
+        with pytest.raises(DataError, match=r"must be one-dimensional, got shape \(1000, 2\)"):
             rolling_backtest(values, config)
 
     def test_gpd_fit_holds_on_a_series_near_the_float_maximum(self):

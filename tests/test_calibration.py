@@ -191,6 +191,21 @@ class TestEmpiricalEs:
         # ceil(0.5 * 5) = 3 smallest, ties included deterministically
         assert empirical_es([0.0, 0.0, 0.0, 1.0, 2.0], 0.5) == 0.0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_is_a_data_error_naming_its_position(self, bad):
+        with pytest.raises(DataError, match="empirical_es contains a non-finite value at position 2$"):
+            empirical_es([1.0, 2.0, bad, 3.0], 0.5)
+
+    def test_matrix_is_a_data_error(self):
+        with pytest.raises(DataError, match=r"shape \(2, 2\)"):
+            empirical_es([[5.0, 1.0], [2.0, 3.0]], 0.5)
+
+    def test_input_array_keeps_its_order(self):
+        # an array passes the sample rule uncopied, so the partition works on a copy
+        values = np.array([3.0, -1.0, 2.0, -4.0, 0.0])
+        assert empirical_es(values, 0.4) == 2.5
+        np.testing.assert_array_equal(values, [3.0, -1.0, 2.0, -4.0, 0.0])
+
 
 class TestSolver:
     def test_entry_invariants(self):

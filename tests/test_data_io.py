@@ -309,30 +309,38 @@ class TestReturnSeries:
         with pytest.raises(DataError):
             ReturnSeries("x", [1.0, float("nan")])
 
+    def test_matrix_values_are_a_data_error_naming_their_shape(self):
+        with pytest.raises(DataError, match=r"series 'x' must be one-dimensional, got shape \(2, 1\)"):
+            ReturnSeries("x", [[1.0], [2.0]])
+
     def test_dates_must_increase_strictly(self):
+        days = np.array(["2020-01-01", "2020-01-02", "2020-01-02"], "datetime64[D]")
         with pytest.raises(DataError, match="at position 2"):
-            ReturnSeries("x", [1.0, 2.0, 3.0], dates=("2020-01-01", "2020-01-02", "2020-01-02"))
-        _assert_days(ReturnSeries("x", [1.0], dates=("2020-01-01",)).dates, "2020-01-01")
+            ReturnSeries("x", [1.0, 2.0, 3.0], dates=days)
+        _assert_days(ReturnSeries("x", [1.0], dates=days[:1]).dates, "2020-01-01")
 
     @pytest.mark.parametrize(
         "dates",
         [("x",), ("2020-13-01",), ("2021-02-29",), ("2020",), ("NaT",), ("2020-01-01" + " " * 7,),
-         (20200101,), (None,), [["2020-01-01"]]],
+         (20200101,), (None,), [["2020-01-01"]], np.array(["NaT"], "datetime64[D]"),
+         np.array([["2020-01-01"]], "datetime64[D]")],
         ids=["text", "month-13", "feb-29-2021", "year-only", "nat", "17-characters", "integer",
-             "none", "2-d"],
+             "none", "2-d", "datetime64-nat", "datetime64-2-d"],
     )
     def test_unreadable_dates_are_data_errors(self, dates):
         with pytest.raises(DataError, match="dates must be"):
             ReturnSeries("x", [1.0], dates=dates)
 
-    def test_datetime64_and_string_dates_give_calendar_days(self):
+    def test_datetime64_dates_give_calendar_days(self):
         stamps = np.array(["2020-01-01T23:59", "2020-01-02T00:00"], "datetime64[m]")
         _assert_days(ReturnSeries("x", [1.0, 2.0], dates=stamps).dates, "2020-01-01", "2020-01-02")
-        days = ReturnSeries("x", [1.0, 2.0], dates=["20200229", " 2020-03-01 "]).dates
-        _assert_days(days, "2020-02-29", "2020-03-01")
-        days = ReturnSeries("x", [1.0, 2.0], dates=stamps.astype("datetime64[D]").astype(str)).dates
-        _assert_days(days, "2020-01-01", "2020-01-02")
-        _assert_days(ReturnSeries("x", [], dates=()).dates)
+        _assert_days(ReturnSeries("x", [], dates=np.array([], "datetime64[D]")).dates)
+
+    def test_date_strings_are_data_errors(self):
+        # the CSV loader reads date cells; a series takes datetime64 values only
+        for dates in (["20200229", " 2020-03-01 "], ("2020-01-01", "2020-01-02"), ()):
+            with pytest.raises(DataError, match="dates must be 1-D datetime64 values"):
+                ReturnSeries("x", [1.0, 2.0][: len(dates)], dates=dates)
 
     def test_date_length_mismatch(self):
         with pytest.raises(DataError):

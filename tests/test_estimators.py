@@ -249,6 +249,10 @@ class TestStudentT:
         params = fit_student_t(x)
         assert 4.5 <= params.nu <= 5.5
 
+    def test_matrix_is_a_data_error_naming_its_shape(self):
+        with pytest.raises(DataError, match=r"fit_student_t must be one-dimensional, got shape \(10, 2\)"):
+            fit_student_t(np.ones((10, 2)))
+
     def test_gaussian_sample_hits_upper_bound(self):
         x = draw_gaussian(SeededRng(43), 100_000, 0.0, 1.0)
         assert fit_student_t(x).nu == 200.0
@@ -762,6 +766,18 @@ class TestMeanEstimator:
 
 def _measures(tag):
     return ("var", "es") if METHODS[tag].es is not None else ("var",)
+
+
+class TestSampleRule:
+    """``estimate`` takes a finite 1-D sample and reshapes nothing."""
+
+    def test_matrix_is_a_data_error_naming_its_shape(self):
+        with pytest.raises(DataError, match=r"gaussian must be one-dimensional, got shape \(2, 2\)"):
+            estimate("norm", [[1.0, 2.0], [3.0, 5.0]], 0.05)
+
+    def test_scalar_is_a_data_error(self):
+        with pytest.raises(DataError, match=r"mean must be one-dimensional, got shape \(\)"):
+            estimate("mean", 3.0, 0.05)
 
 
 class TestCrossCuttingInvariants:

@@ -18,7 +18,7 @@ from riskbench import (
     estimate,
 )
 from riskbench.estimators import WindowStats, batch_var_capitals, window_stats
-from riskbench.stats_core import _type7_sorted_rows, ndtr, ndtri
+from riskbench.stats_core import _type7_sorted_rows, as_sample, ndtr, ndtri
 
 finite_floats = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 # values on a 1e-6 grid keep translation/scaling arithmetic well-conditioned
@@ -263,6 +263,27 @@ class TestNdtr:
         for u in (1e-12, -3e-9, 1e-4, -0.01, 0.3, -1.5):
             exact = float(mp.ncdf(mp.mpf(u)) - mp.mpf(0.5))
             assert ndtr(np.array([u]), centred=True)[0] == pytest.approx(exact, rel=4e-16, abs=0)
+
+
+class TestAsSample:
+    """The one sample rule: a finite 1-D float array of at least min_n points, or an error."""
+
+    @pytest.mark.parametrize("x, shape", [(3.0, r"\(\)"), ([[1.0, 2.0]], r"\(1, 2\)"),
+                                          (np.zeros((4, 1)), r"\(4, 1\)")])
+    def test_not_one_dimensional_is_a_data_error_naming_its_shape(self, x, shape):
+        with pytest.raises(DataError, match=f"^sample must be one-dimensional, got shape {shape}$"):
+            as_sample(x, 0)
+
+    def test_first_non_finite_position_and_size(self):
+        with pytest.raises(DataError, match="position 1$"):
+            as_sample([0.0, np.inf, np.nan], 0)
+        with pytest.raises(SizeError, match="needs at least 3 observations, got 2"):
+            as_sample([1.0, 2.0], 3)
+
+    def test_float64_array_is_returned_uncopied(self):
+        x = np.arange(5.0)
+        assert as_sample(x, 5) is x
+        assert as_sample([1, 2], 2).dtype == np.float64
 
 
 class TestType7Quantile:
