@@ -79,8 +79,8 @@ class BacktestConfig:
 def split_windows(series, window: int) -> np.ndarray:
     """The (K, w) matrix of the series' K = floor(len/window) full windows, dropping the tail.
 
-    Window k estimates and window k+1 evaluates. A non-finite value raises
-    :class:`DataError` naming its position.
+    Window k estimates and window k+1 evaluates. ``series`` is a 1-D array or a
+    :class:`ReturnSeries`; other shapes, and a non-finite value, raise :class:`DataError`.
     """
     values = as_sample(getattr(series, "values", series), 0, "series")
     window = int(window)
@@ -100,7 +100,8 @@ def bias_statistic(samples, capitals, alpha, measure: str = "var") -> float:
 
     ``measure`` picks the empirical functional: the type-7 VaR or the tail-average ES. Near
     zero for unbiased estimation; positive when risk is underestimated (the secured position
-    still needs capital). A non-finite secured position raises :class:`DataError`.
+    still needs capital). A non-finite secured position raises :class:`DataError` naming the
+    first one.
     """
     x = np.asarray(samples, dtype=float)
     caps = np.asarray(capitals, dtype=float)
@@ -113,7 +114,8 @@ def bias_statistic(samples, capitals, alpha, measure: str = "var") -> float:
         raise ConfigError(f"measure must be 'var' or 'es', got {measure!r}")
     y = x + caps
     if not np.isfinite(y).all():  # one pass checks both inputs, and their sums
-        raise DataError("samples, capitals and their sums must be finite")
+        bad = int(np.flatnonzero(~np.isfinite(y))[0])
+        raise DataError(f"samples, capitals and their sums must be finite; position {bad} is not")
     y_sorted = np.sort(y)
     quantile = float(_type7_sorted_rows(y_sorted[None, :], float(alpha))[0])
     if measure == "var":
@@ -224,7 +226,8 @@ def _aligned(per_window, windows):
     """(..., K) arrays and (..., K, w) ``windows`` as floats.
 
     Misaligned shapes raise :class:`DomainError`, windows without an observation
-    :class:`SizeError` and a non-finite value :class:`DataError`.
+    :class:`SizeError` and a non-finite value :class:`DataError` naming the first one:
+    k for a capital, (k, j) for a window's value, each led by g with a group axis.
     """
     arrays = tuple(np.asarray(a, dtype=float) for a in per_window)
     windows = np.asarray(windows, dtype=float)
@@ -233,8 +236,10 @@ def _aligned(per_window, windows):
         raise DomainError(f"{shapes} not aligned with evaluation windows {windows.shape}")
     if windows.size == 0:
         raise SizeError(f"evaluation windows {windows.shape} hold no observation")
-    if not all(np.isfinite(a).all() for a in (*arrays, windows)):
-        raise DataError("capitals and evaluation windows must be finite")
+    for what, a in (*(("capitals", a) for a in arrays), ("evaluation windows", windows)):
+        if not np.isfinite(a).all():
+            at = tuple(np.argwhere(~np.isfinite(a))[0].tolist())
+            raise DataError(f"{what} must be finite; the value at {at if len(at) > 1 else at[0]} is not")
     return (*arrays, windows)
 
 
@@ -464,7 +469,8 @@ def rolling_backtest(series, config: BacktestConfig, table=None) -> BacktestRepo
 
     Estimator failures are recorded per method and do not abort the other
     methods. Unbiased ES uses the exact a_n unless ``table`` stores an entry
-    for (window, alpha). A non-finite observation raises :class:`DataError`.
+    for (window, alpha). ``series`` is a 1-D array or a :class:`ReturnSeries`, as
+    :func:`split_windows` takes it.
     """
     windows = split_windows(series, config.window)
     ev = windows[1:]

@@ -316,6 +316,30 @@ class TestMeanScore:
                 bias_statistic(np.zeros(20), np.where(np.arange(20) == 3, bad, 1.0), 0.1, measure)
 
 
+class TestNonFinitePositions:
+    """The scoring entry points name the first non-finite position, as the sample rule does."""
+
+    def test_bias_statistic_names_the_index(self):
+        samples = np.zeros(20)
+        samples[[3, 7]] = np.nan, np.inf
+        with pytest.raises(DataError, match="their sums must be finite; position 3 is not$"):
+            bias_statistic(samples, np.ones(20), 0.1)
+        with pytest.raises(DataError, match="position 5 is not$"):
+            bias_statistic(np.zeros(20), np.where(np.arange(20) == 5, -np.inf, 1.0), 0.1, "es")
+
+    def test_scores_name_the_window_and_point(self):
+        windows = np.zeros((3, 5))
+        windows[1, 3] = windows[2, 0] = np.nan
+        with pytest.raises(DataError, match=r"^evaluation windows must be finite; the value at \(1, 3\) is not$"):
+            mean_score(np.ones(3), windows, 0.1)
+        with pytest.raises(DataError, match=r"^capitals must be finite; the value at 2 is not$"):
+            acerbi_z(np.ones(3), np.array([1.0, 1.0, np.inf]), np.zeros((3, 5)), 0.1)
+        grouped = np.zeros((2, 3, 5))
+        grouped[1, 2, 4] = np.inf
+        with pytest.raises(DataError, match=r"the value at \(1, 2, 4\) is not$"):
+            acerbi_z(np.ones((2, 3)), np.ones((2, 3)), grouped, 0.1)
+
+
 class TestFusedScoringPass:
     """The backtest's four statistics from one pass, against the formulas written out here."""
 
