@@ -49,7 +49,7 @@ class SeededRng:
 
 
 def as_sample(x, min_n: int, what: str = "sample") -> np.ndarray:
-    """``x`` as a finite 1-D float array of at least ``min_n`` points; no reshape, any other shape errs."""
+    """``x`` as a finite 1-D float array of at least ``min_n`` points; other shapes raise, never reshaped."""
     arr = np.asarray(x, dtype=float)
     if arr.ndim != 1:
         raise DataError(f"{what} must be one-dimensional, got shape {arr.shape}")

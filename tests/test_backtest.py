@@ -330,7 +330,8 @@ class TestNonFinitePositions:
     def test_scores_name_the_window_and_point(self):
         windows = np.zeros((3, 5))
         windows[1, 3] = windows[2, 0] = np.nan
-        with pytest.raises(DataError, match=r"^evaluation windows must be finite; the value at \(1, 3\) is not$"):
+        message = r"^evaluation windows must be finite; the value at \(1, 3\) is not$"
+        with pytest.raises(DataError, match=message):
             mean_score(np.ones(3), windows, 0.1)
         with pytest.raises(DataError, match=r"^capitals must be finite; the value at 2 is not$"):
             acerbi_z(np.ones(3), np.array([1.0, 1.0, np.inf]), np.zeros((3, 5)), 0.1)
