@@ -222,12 +222,12 @@ def _backtest_stats(var_caps, es_caps, windows, alpha) -> dict:
     return stats
 
 
-def _aligned(per_window, windows):
-    """(..., K) arrays and (..., K, w) ``windows`` as floats.
+def _aligned(per_window, windows, what="capitals"):
+    """(..., K) arrays, named ``what`` in errors, and (..., K, w) ``windows`` as floats.
 
     Misaligned shapes raise :class:`DomainError`, windows without an observation
     :class:`SizeError` and a non-finite value :class:`DataError` naming the first one:
-    k for a capital, (k, j) for a window's value, each led by g with a group axis.
+    k for a capital or forecast, (k, j) for a window's value, each led by g with a group axis.
     """
     arrays = tuple(np.asarray(a, dtype=float) for a in per_window)
     windows = np.asarray(windows, dtype=float)
@@ -236,10 +236,10 @@ def _aligned(per_window, windows):
         raise DomainError(f"{shapes} not aligned with evaluation windows {windows.shape}")
     if windows.size == 0:
         raise SizeError(f"evaluation windows {windows.shape} hold no observation")
-    for what, a in (*(("capitals", a) for a in arrays), ("evaluation windows", windows)):
+    for name, a in (*((what, a) for a in arrays), ("evaluation windows", windows)):
         if not np.isfinite(a).all():
             at = tuple(np.argwhere(~np.isfinite(a))[0].tolist())
-            raise DataError(f"{what} must be finite; the value at {at if len(at) > 1 else at[0]} is not")
+            raise DataError(f"{name} must be finite; the value at {at if len(at) > 1 else at[0]} is not")
     return (*arrays, windows)
 
 
@@ -271,7 +271,8 @@ def mean_score(forecasts, evaluation_windows, alpha, score: str = "var", es_fore
     joint = score == "joint"
     if joint and es_forecasts is None:
         raise ConfigError("joint mean score needs es_forecasts")
-    x1, x2, windows = _aligned((forecasts, es_forecasts if joint else forecasts), evaluation_windows)
+    x1, x2, windows = _aligned((forecasts, es_forecasts if joint else forecasts), evaluation_windows,
+                               "forecasts")
     result = _backtest_stats(-x1, -x2 if joint else None, windows, alpha)[f"{score}_score"]
     return float(result) if result.ndim == 0 else result
 

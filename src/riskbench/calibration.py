@@ -26,7 +26,8 @@ and the next outcome is mu + sigma*W with W ~ N(0, 1). The kernels read the draw
 moments as a :class:`WindowStats` without windows, so the checks take
 location-scale methods only. Chunk c of 2^20 trials draws Z, V and W from the
 streams ``SeededRng(seed, 3c)``, ``(seed, 3c+1)`` and ``(seed, 3c+2)``, so a
-shorter run is a prefix of a longer one.
+shorter run is a prefix of a longer one. The solver's sample is the same chunks'
+(Z, V) pairs, drawn by :func:`draw_pivotal_pairs` with the chunks spread over threads.
 """
 from __future__ import annotations
 
@@ -52,12 +53,11 @@ from .estimators import (
 )
 from .estimators import _exact_entry  # noqa: F401  (its cache_clear() empties the a_n cache)
 from .estimators import window_stats  # noqa: F401  (perfbench's tracer wraps this name here)
-from .stats_core import SeededRng, as_sample, draw_pivotal_pairs
+from .stats_core import _CHUNK_TRIALS, SeededRng, as_sample, draw_pivotal_chunk, draw_pivotal_pairs
 
 TABLE_FORMAT_VERSION = 2
 _READABLE_TABLE_VERSIONS = (1, 2)
 DEFAULT_MC_SAMPLES = 10_000_000
-_CHUNK_TRIALS = 1 << 20  # a constant: a trial's draws depend only on the seed and its index
 _PASS_ROWS = 1 << 16  # rows per chunk of the candidate pass
 
 
@@ -220,7 +220,8 @@ def solve_unbiased_es_constant(
 ) -> CalibrationEntry:
     """The root b_n of ES_alpha(Z + b_n V_n) = 0 on one fixed MC sample, solved exactly.
 
-    The sample is drawn once from ``SeededRng(seed)``, and :func:`_sample_root`
+    The sample is drawn once, as the (Z, V) pairs of the 2^20-trial chunks on
+    ``seed``'s streams (:func:`draw_pivotal_pairs`), and :func:`_sample_root`
     solves it. Its steps read the candidate rows of :func:`_candidates` from the
     quadrature b_n while each step keeps the full sample's tail, and the full
     sample from b = 0 otherwise, with the same bits. The residual is
@@ -270,7 +271,8 @@ class ExceedanceCheck:
 def _secured_chunks(method, n, alpha, trials, seed, params, measure, table):
     """x_out + capital over ``trials`` simulated Gaussian windows, each drawn as (Z, V, W).
 
-    Checks its arguments, then draws lazily: (first trial, chunk) per 2^20 trials.
+    Checks its arguments, then draws lazily: (first trial, chunk) per 2^20 trials, with
+    Z and V from :func:`draw_pivotal_chunk` and W from the chunk's third stream.
     """
     method = canonical_method(method)
     n = int(n)
@@ -286,10 +288,13 @@ def _secured_chunks(method, n, alpha, trials, seed, params, measure, table):
 
     def draw(start):
         chunk, rows = start // _CHUNK_TRIALS, min(_CHUNK_TRIALS, trials - start)
-        z, v, w = (SeededRng(int(seed), 3 * chunk + k).generator() for k in range(3))
-        means = params.mu + params.sigma / math.sqrt(n) * z.standard_normal(rows)
-        sds = params.sigma / math.sqrt(n - 1) * np.sqrt(v.chisquare(n - 1, rows))
+        means, sds = np.empty(rows), np.empty(rows)
+        draw_pivotal_chunk(int(seed), chunk, n, means, sds)
+        means *= params.sigma / math.sqrt(n)
+        means += params.mu
+        sds *= params.sigma / math.sqrt(n - 1)
         caps = batch(method, WindowStats(None, None, means, sds, n), alpha, table=table)
+        w = SeededRng(int(seed), 3 * chunk + 2).generator()
         return start, w.normal(params.mu, params.sigma, rows) + caps
 
     return map(draw, range(0, trials, _CHUNK_TRIALS))

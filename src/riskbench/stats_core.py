@@ -14,6 +14,7 @@ quadratures. Neither needs scipy, so importing the package does not import it.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,7 @@ import numpy as np
 from .errors import DataError, DomainError, SizeError
 
 _UINT64_MAX = 2**64 - 1
+_CHUNK_TRIALS = 1 << 20  # a constant: a trial's draws depend only on the seed and its index
 
 
 @dataclass(frozen=True)
@@ -54,7 +56,8 @@ def as_sample(x, min_n: int, what: str = "sample") -> np.ndarray:
     if arr.ndim != 1:
         raise DataError(f"{what} must be one-dimensional, got shape {arr.shape}")
     if arr.size < min_n:
-        raise SizeError(f"{what} needs at least {min_n} observations, got {arr.size}")
+        noun = "observation" if min_n == 1 else "observations"
+        raise SizeError(f"{what} needs at least {min_n} {noun}, got {arr.size}")
     if not np.all(np.isfinite(arr)):
         bad = int(np.flatnonzero(~np.isfinite(arr))[0])
         raise DataError(f"{what} contains a non-finite value at position {bad}")
@@ -169,18 +172,51 @@ def draw_gaussian(rng: SeededRng | np.random.Generator, count: int, mu: float, s
     return out
 
 
+def draw_pivotal_chunk(seed: int, chunk: int, n: int, z: np.ndarray, v: np.ndarray) -> None:
+    """Chunk ``chunk``'s (Z, V_n) pairs into the float64 arrays ``z`` and ``v``, of one length.
+
+    Z is standard normal from ``SeededRng(seed, 3*chunk)``. V_n is chi_{n-1}, drawn as
+    sqrt(2 * standard_gamma((n-1)/2)) from ``(seed, 3*chunk + 1)``: numpy's ``chisquare``
+    is 2 * ``standard_gamma``, so these are the bits of sqrt(chisquare(n-1)), with no
+    temporary. Stream ``3*chunk + 2`` is left to the checks' next outcome.
+    """
+    SeededRng(seed, 3 * chunk).generator().standard_normal(out=z)
+    SeededRng(seed, 3 * chunk + 1).generator().standard_gamma(0.5 * (n - 1), out=v)
+    v *= 2.0
+    np.sqrt(v, out=v)
+
+
+def _usable_cpus() -> int:
+    """How many CPUs this process may run on (all of them where no affinity call exists)."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def draw_pivotal_pairs(rng: SeededRng, n: int, count: int) -> tuple[np.ndarray, np.ndarray]:
     """``count`` independent draws of (Z, V_n): Z standard normal, V_n chi_{n-1}.
 
-    All Z values are drawn first, then all V values, so the output is a pure
-    function of ``(rng, n, count)``.
+    Trial i is row i % 2^20 of chunk i // 2^20 of :func:`draw_pivotal_chunk` on ``rng.seed``,
+    so the output is a pure function of ``(rng.seed, n, count)`` and a shorter draw is a
+    prefix of a longer one. ``rng``'s stream id must be 0: the chunks own the streams.
+    The chunks run on a thread pool, one thread per usable CPU; numpy releases the GIL
+    while it fills a chunk, and each chunk writes its own rows, so any number of threads
+    gives the same bits.
     """
     n = int(n)
     if n < 2:
         raise SizeError(f"pivotal pair needs window size n >= 2, got {n}")
     if int(count) < 1:
         raise DomainError(f"count must be positive, got {count!r}")
-    gen = rng.generator()
-    z = gen.standard_normal(int(count))
-    v = gen.chisquare(n - 1, int(count))
-    return z, np.sqrt(v, out=v)  # in place: one sample-sized temporary fewer
+    if rng.stream_id != 0:
+        raise DomainError(f"pivotal pairs own every stream of their seed, got stream_id {rng.stream_id}")
+    z, v = np.empty(int(count)), np.empty(int(count))
+
+    def draw(start):
+        rows = slice(start, start + _CHUNK_TRIALS)
+        draw_pivotal_chunk(rng.seed, start // _CHUNK_TRIALS, n, z[rows], v[rows])
+
+    from concurrent.futures import ThreadPoolExecutor  # here: at import it would add to startup time
+
+    starts = range(0, z.size, _CHUNK_TRIALS)
+    with ThreadPoolExecutor(min(_usable_cpus(), len(starts))) as pool:
+        list(pool.map(draw, starts))
+    return z, v

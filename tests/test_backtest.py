@@ -335,6 +335,11 @@ class TestNonFinitePositions:
             mean_score(np.ones(3), windows, 0.1)
         with pytest.raises(DataError, match=r"^capitals must be finite; the value at 2 is not$"):
             acerbi_z(np.ones(3), np.array([1.0, 1.0, np.inf]), np.zeros((3, 5)), 0.1)
+        forecasts = r"^forecasts must be finite; the value at 1 is not$"
+        with pytest.raises(DataError, match=forecasts):
+            mean_score([1.0, np.nan], np.ones((2, 3)), 0.1)
+        with pytest.raises(DataError, match=forecasts):
+            mean_score(np.ones(2), np.ones((2, 3)), 0.1, "joint", es_forecasts=[1.0, -np.inf])
         grouped = np.zeros((2, 3, 5))
         grouped[1, 2, 4] = np.inf
         with pytest.raises(DataError, match=r"the value at \(1, 2, 4\) is not$"):

@@ -184,7 +184,7 @@ class TestEmpiricalEs:
         assert empirical_es(list(range(1, 101)), 0.05) == -3.0
 
     def test_empty(self):
-        with pytest.raises(SizeError):
+        with pytest.raises(SizeError, match="^empirical_es needs at least 1 observation, got 0$"):
             empirical_es([], 0.5)
 
     def test_tie_rule_takes_exact_count(self):
@@ -270,15 +270,14 @@ class TestSolverBits:
 
     # (n, alpha, samples, seed) -> float.hex of b_n, a_n and residual, from newton_reference
     PINS = [
-        ((50, 0.05, 1_000_000, 0), "0x1.36d4cfaffb3fbp-2", "-0x1.12af06691aef7p+1",
-         "0x1.4f8b588e368f1p-52"),
-        ((2, 0.05, 1_000_000, 0), "0x1.e4d2aaf113682p+3", "-0x1.28e466c1812c9p+4", "0x0.0p+0"),
-        ((5, 0.01, 1_000_000, 0), "0x1.3c6026fd6ef61p+1", "-0x1.5a92752506d80p+2", "0x0.0p+0"),
-        ((10_000, 0.10, 400_000, 0), "0x1.20209c7aed477p-6", "-0x1.c232f45a4ecc3p+0", "0x0.0p+0"),
-        ((50, 0.999999, 1_000_000, 3), "0x1.478078c24795ep-12", "-0x1.216a6294ef25bp-9",
+        ((50, 0.05, 1_000_000, 0), "0x1.36beb4f2b82f1p-2", "-0x1.129b7dbead46ep+1", "0x0.0p+0"),
+        ((2, 0.05, 1_000_000, 0), "0x1.e200144f2b58cp+3", "-0x1.2729e87d9d7a6p+4", "0x0.0p+0"),
+        ((5, 0.01, 1_000_000, 0), "0x1.3e6b7910b8d83p+1", "-0x1.5ccfba025cf90p+2", "0x0.0p+0"),
+        ((10_000, 0.10, 400_000, 0), "0x1.20214424c2308p-6", "-0x1.c233fa53ab626p+0", "0x0.0p+0"),
+        ((50, 0.999999, 1_000_000, 3), "0x1.47786c7de4574p-12", "-0x1.216345e8f192fp-9",
          "0x0.0p+0"),
         # tail == m: the ES is the mean of every draw, and seed 0's sample mean of Z is negative
-        ((50, 0.999999, 100_000, 0), "0x1.c025d498a547dp-12", "-0x1.8c07fba4bf775p-9",
+        ((50, 0.999999, 100_000, 0), "0x1.c03c8048ab3aep-12", "-0x1.8c1c0466ab4d9p-9",
          "0x0.0p+0"),
     ]
 
@@ -671,6 +670,15 @@ class TestSimulatedPositions:
         for trials in (10_000, _CHUNK_TRIALS + 10_000):
             assert np.array_equal(run(trials), longest[:trials])
         assert not np.any(longest[_CHUNK_TRIALS:] == longest[:20_000])  # chunks draw their own values
+
+    def test_checks_keep_their_bits(self):
+        # pinned over two chunks: Z and V from the pivotal chunk draw, W from each chunk's third stream
+        params = GaussianParams(0.3, 1.7)
+        res = pivotality_check("u", 50, 0.05, _CHUNK_TRIALS + 20_000, 9, params)
+        assert (res.exceedances, res.frequency.hex()) == (53_385, "0x1.9943a3ba8b249p-5")
+        value = secured_position_es("u", 50, 0.05, _CHUNK_TRIALS + 20_000, 9, params)
+        assert value.hex() == "-0x1.4e4a6e4129d09p-8"
+        assert secured_position_es("norm", 7, 0.01, 30_000, 4).hex() == "0x1.a4dfd2c202989p-1"
 
 
 class TestSecuredPositionEs:

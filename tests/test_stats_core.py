@@ -17,6 +17,7 @@ from riskbench import (
     draw_pivotal_pairs,
     estimate,
 )
+from riskbench import stats_core
 from riskbench.estimators import WindowStats, batch_var_capitals, window_stats
 from riskbench.stats_core import _type7_sorted_rows, as_sample, ndtr, ndtri
 
@@ -404,3 +405,55 @@ class TestPivotalPairs:
     def test_window_size_validated(self):
         with pytest.raises(SizeError):
             draw_pivotal_pairs(SeededRng(1), 1, 1)
+
+    def test_stream_id_other_than_zero_rejected(self):
+        # the chunks draw from streams 3c and 3c+1 of the seed, so no stream is the caller's
+        with pytest.raises(DomainError, match="got stream_id 1$"):
+            draw_pivotal_pairs(SeededRng(1, 1), 50, 10)
+
+
+class TestPivotalChunks:
+    """draw_pivotal_pairs draws chunk c of 2^20 trials from streams (seed, 3c) and (seed, 3c+1)."""
+
+    CHUNK = 1 << 20
+
+    @staticmethod
+    def draw_with(monkeypatch, workers, *args):
+        monkeypatch.setattr(stats_core, "_usable_cpus", lambda: workers)
+        return draw_pivotal_pairs(*args)
+
+    def test_any_worker_count_gives_the_same_bits(self, monkeypatch):
+        args = SeededRng(6), 9, 3 * self.CHUNK + 5  # four chunks, the last of 5 trials
+        z, v = self.draw_with(monkeypatch, 1, *args)
+        for workers in (2, 3):
+            z_w, v_w = self.draw_with(monkeypatch, workers, *args)
+            assert z_w.tobytes() == z.tobytes() and v_w.tobytes() == v.tobytes(), workers
+
+    def test_shorter_draw_is_a_prefix_of_a_longer_one(self):
+        count = self.CHUNK + 12_345
+        z, v = draw_pivotal_pairs(SeededRng(2), 50, count)
+        z_long, v_long = draw_pivotal_pairs(SeededRng(2), 50, 2 * self.CHUNK + 7)
+        assert z.tobytes() == z_long[:count].tobytes() and v.tobytes() == v_long[:count].tobytes()
+
+    @pytest.mark.parametrize("n", [2, 50])
+    def test_chunk_is_its_streams_direct_draws(self, n):
+        z, v = draw_pivotal_pairs(SeededRng(3), n, self.CHUNK + 1000)
+        for chunk, rows in ((0, slice(0, self.CHUNK)), (1, slice(self.CHUNK, None))):
+            size = z[rows].size
+            expected_z = SeededRng(3, 3 * chunk).generator().standard_normal(size)
+            expected_v = np.sqrt(SeededRng(3, 3 * chunk + 1).generator().chisquare(n - 1, size))
+            assert z[rows].tobytes() == expected_z.tobytes()
+            assert v[rows].tobytes() == expected_v.tobytes()
+
+    def test_chunk_writes_its_own_slices_only(self):
+        z, v = np.zeros(30), np.zeros(30)
+        stats_core.draw_pivotal_chunk(4, 2, 10, z[10:20], v[10:20])
+        assert not z[:10].any() and not z[20:].any() and not v[:10].any() and not v[20:].any()
+        assert z[10:20].tobytes() == SeededRng(4, 6).generator().standard_normal(10).tobytes()
+
+    @pytest.mark.parametrize("df", [1, 2, 9, 49, 999])
+    def test_chisquare_is_twice_standard_gamma(self, df):
+        # the identity the chunk's V relies on: numpy draws chisquare(df) as 2*standard_gamma(df/2)
+        chi2 = SeededRng(8, df).generator().chisquare(df, 200_000)
+        gamma = SeededRng(8, df).generator().standard_gamma(df / 2, 200_000)
+        assert chi2.tobytes() == (2.0 * gamma).tobytes()
